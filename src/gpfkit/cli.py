@@ -7,13 +7,15 @@ against a declared candidate set came back empty.
 
 JSON mode prints one document per command with stable key order, and
 reports `millis: 0` unless --timings is given, so identical inputs give
-byte-identical output.
+byte-identical output.  A reader that closes stdout early ends the run
+quietly with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -431,8 +433,17 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    out = sys.stdout
+    try:
+        return _run(build_parser().parse_args(argv), sys.stdout)
+    except BrokenPipeError:
+        # The reader closed stdout early (`gpfkit s.gpf | head -1`): drop
+        # the rest and point stdout at the null device, so the
+        # interpreter's final flush stays quiet too.
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_OK
+
+
+def _run(args, out):
     if not args.oracle and args.script is None:
         build_parser().print_usage(sys.stderr)
         sys.stderr.write("error: need a script file or --oracle\n")

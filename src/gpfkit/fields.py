@@ -42,17 +42,11 @@ class RationalField:
     """The field of rational numbers."""
 
     char = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n):
         return Fraction(n)
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -90,6 +84,9 @@ class RationalField:
 class PrimeField:
     """The finite field F_q for a prime q < 2**31."""
 
+    zero = 0
+    one = 1
+
     def __init__(self, q: int):
         if not isinstance(q, int) or q < 2 or q >= 2 ** 31:
             raise ValueError("prime field order must be an int in [2, 2^31)")
@@ -100,14 +97,6 @@ class PrimeField:
 
     def from_int(self, n):
         return n % self.q
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def add(self, a, b):
         return (a + b) % self.q

@@ -114,10 +114,6 @@ class Filtration:
         return len(self.steps)
 
 
-def _sub_of(ambient, gens_module):
-    return Submodule(ambient.ring, ambient.rank, gens_module.gens)
-
-
 def verify_step(lower, upper, prime, ambient, source=MONOMIAL):
     """Re-derive the three step properties; returns (StepFlags, report).
 

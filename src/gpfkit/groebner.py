@@ -59,16 +59,6 @@ def _unflatten(d, ring, rank):
     return tuple(Polynomial(ring, t) for t in comps)
 
 
-def _monic(d, field):
-    lt = max(d)  # placeholder, real callers pass explicit order
-    raise RuntimeError("unused")
-
-
-def _scale_inplace(d, c, field):
-    for t in list(d):
-        d[t] = field.mul(d[t], c)
-
-
 def _nf(f, entries, order, field):
     """Full normal form of term-map f against monic (lt, map) entries."""
     zero = field.zero
@@ -302,7 +292,8 @@ def eliminate(gens, keep, *, ring, rank, include_relations=True):
 
     keep is an iterable of variable indices; the rest form the elimination
     block.  Works for quotient rings too, where the result generates the
-    contraction of N to the subring the kept variables generate.
+    contraction of N to the subring the kept variables generate.  This is
+    the only place that computes a basis under an elimination order.
     """
     keep = set(keep)
     block = tuple(i for i in range(ring.nvars) if i not in keep)

@@ -5,26 +5,28 @@ A `Submodule` is a generator list inside a fixed free module R^k.  A
 submodule of it is represented by generators in R^k with the denominator
 generators adjoined, and each operation taking the quotient as context
 adds the denominator before computing.  Over quotient rings the relation
-ideal is adjoined automatically by the basis layer, except inside tag
-variable splittings where the relations are placed on both sides by hand.
+ideal is adjoined automatically by the basis layer, except inside the tag
+variable elimination where the relations are placed on both sides by hand.
 
-Colon by an ideal is computed generator by generator, each single colon
-as a tag-variable intersection with the scaled module followed by exact
-division, and the results intersected.  The transporter ideal of a pair
-of modules comes from a kernel computation in rank k + 1.
+Intersection, colon and saturation share one primitive, `_tag_eliminate`:
+scale two generator lists by polynomials a(t), b(t) in a fresh tag
+variable t, eliminate t, and keep the t-free part (the Rabinowitsch
+trick).  Intersection uses (t, 1 - t).  Colon by an ideal runs generator
+by generator, each f with (t, (1 - t) f) followed by exact division by f,
+and intersects the results.  Saturation by f is a single elimination with
+(1, 1 - t f), not an iterated colon.  The transporter ideal of a pair of
+modules comes from a kernel computation in rank k + 1.
 """
 
 from __future__ import annotations
 
 import logging
-from functools import lru_cache
 
-from .arith import GREVLEX, Polynomial
+from .arith import GREVLEX
 from .errors import RingMismatchError
 from .groebner import (
-    GroebnerBasis,
-    TermOrder,
     buchberger,
+    eliminate,
     relation_vectors,
     tag_ring,
     vector_key,
@@ -153,10 +155,6 @@ def unit_ideal(ring):
     return Ideal(ring, [ring.one()])
 
 
-def zero_ideal(ring):
-    return Ideal(ring, [])
-
-
 def ideal_product(a, b):
     return a.product(b)
 
@@ -179,10 +177,10 @@ def partial_products(primes):
 def ideal_intersection(a, b):
     if a.ring != b.ring:
         raise RingMismatchError("ideal intersection across rings")
-    got = _tag_split(
-        a.ring, 1, [(g,) for g in a.gens], [(g,) for g in b.gens]
-    )
-    return Ideal(a.ring, _sort_polys([v[0] for v in got])) if got else Ideal(a.ring, [])
+    gens_a = [(g,) for g in a.gens]
+    gens_b = [(g,) for g in b.gens]
+    got = _tag_eliminate(a.ring, 1, gens_a, gens_b, (0, 1), (1, -1))
+    return Ideal(a.ring, _sort_polys(v[0] for v in got))
 
 
 class Submodule:
@@ -363,45 +361,30 @@ class SubquotientView:
 # tag variable machinery
 
 
-def _tag_split(ring, rank, gens_a, gens_b):
-    """Generators of (A + rel) intersect (B + rel) via one tag variable."""
-    ext, lift, lower = tag_ring(ring)
-    t = ext.gen(0)
-    omt = ext.one() - t
-    rel = relation_vectors(ring, rank)
-    work = []
-    for v in tuple(gens_a) + tuple(rel):
-        work.append(tuple(t * lift(p) for p in v))
-    for v in tuple(gens_b) + tuple(rel):
-        work.append(tuple(omt * lift(p) for p in v))
-    order = TermOrder.elimination((0,))
-    gb = buchberger(work, ring=ext, rank=rank, order=order, include_relations=False)
-    out = []
-    for v in gb.vectors:
-        if all(all(m[0] == 0 for m in p.monomials()) for p in v):
-            out.append(tuple(lower(p) for p in v))
-    return out
+def _tag_eliminate(ring, rank, gens_a, gens_b, a, b):
+    """The t-free part of a(t)(A + rel) + b(t)(B + rel), lowered to ring^rank.
 
-
-def _colon_by_element(gens_n, gens_m, f, ring, rank):
-    """Generators of {x in M : f x in N}, both sides taken mod relations."""
+    A tag polynomial is given by its coefficients in ascending powers of
+    t, each an int or an element of ring.  The scalings (t, 1 - t) give
+    (A + rel) intersect (B + rel); (t, (1 - t) f) gives f times the colon
+    of A by f inside B; (1, 1 - t f) gives the saturation of A by f inside
+    B.  This is the only elimination in the module layer.
+    """
     ext, lift, lower = tag_ring(ring)
-    t = ext.gen(0)
-    omt = ext.one() - t
-    rel = relation_vectors(ring, rank)
-    lf = lift(f)
+    rel = tuple(relation_vectors(ring, rank))
     work = []
-    for v in tuple(gens_n) + tuple(rel):
-        work.append(tuple(t * lift(p) for p in v))
-    for v in tuple(gens_m) + tuple(rel):
-        work.append(tuple(omt * lf * lift(p) for p in v))
-    order = TermOrder.elimination((0,))
-    gb = buchberger(work, ring=ext, rank=rank, order=order, include_relations=False)
-    out = []
-    for v in gb.vectors:
-        if all(all(m[0] == 0 for m in p.monomials()) for p in v):
-            out.append(tuple(lower(p).exact_div(f) for p in v))
-    return out
+    for gens, coeffs in ((gens_a, a), (gens_b, b)):
+        scale = ext.zero()
+        for tpow, c in enumerate(coeffs):
+            if isinstance(c, int):
+                c = ring.const(c)
+            scale = scale + lift(c, tpow)
+        for v in tuple(gens) + rel:
+            work.append(tuple(scale * lift(p) for p in v))
+    got = eliminate(
+        work, range(1, ext.nvars), ring=ext, rank=rank, include_relations=False
+    )
+    return [tuple(lower(p) for p in v) for v in got]
 
 
 def _transporter_by_vector(gens_b, a, ring, rank):
@@ -459,11 +442,12 @@ def colon_module(N, ideal, M):
     gens_m = tuple(M.top.gens) + tuple(M.denom.gens)
     acc = None
     for f in fs:
-        part = _colon_by_element(gens_n, gens_m, f, M.ring, M.rank)
+        got = _tag_eliminate(M.ring, M.rank, gens_n, gens_m, (0, 1), (f, -f))
+        part = [tuple(p.exact_div(f) for p in v) for v in got]
         if acc is None:
             acc = part
         else:
-            acc = _tag_split(M.ring, M.rank, acc, part)
+            acc = _tag_eliminate(M.ring, M.rank, acc, part, (0, 1), (1, -1))
     return Submodule(M.ring, M.rank, Submodule(M.ring, M.rank, acc).canonical())
 
 
@@ -488,24 +472,30 @@ def colon_ideal(B, A):
     return Ideal(ring, _sort_polys(acc.canonical_gens()) or [])
 
 
-def saturate(N, f, M, max_steps=500):
-    """Stable value of the chain N : f, (N : f) : f, ... inside M."""
-    if f.is_zero() or M.ring.reduce(f).is_zero():
+def saturate(N, f, M):
+    """The saturation {x in M : f^n x in N for some n}, inside the quotient M.
+
+    This is the stable value of the chain N : f, (N : f) : f, ..., computed
+    by one elimination: an x in M lies in N + (1 - t f) M over R[t] exactly
+    when some f^n x lies in N (substitute t = 1/f), and every t-free vector
+    there lies in N + M = M (set t = 0).  The denominator of M is added to
+    N before computing.
+    """
+    f = M.ring.reduce(f)
+    if f.is_zero():
         log.debug("saturation by zero returns the whole module")
         return Submodule(M.ring, M.rank, M.full().canonical())
-    ideal = Ideal(M.ring, [f])
-    cur = M.span(N.gens)
-    for _ in range(max_steps):
-        nxt = colon_module(cur, ideal, M)
-        if nxt.key() == cur.key():
-            return nxt
-        cur = nxt
-    raise RuntimeError("saturation did not stabilize within %d steps" % max_steps)
+    if not M.contains_submodule(N):
+        raise ValueError("N is not a submodule of M")
+    gens_n = tuple(N.gens) + tuple(M.denom.gens)
+    gens_m = tuple(M.top.gens) + tuple(M.denom.gens)
+    got = _tag_eliminate(M.ring, M.rank, gens_n, gens_m, (1,), (1, -f))
+    return Submodule(M.ring, M.rank, Submodule(M.ring, M.rank, got).canonical())
 
 
 def intersect(N1, N2):
     N1._compat(N2)
-    got = _tag_split(N1.ring, N1.rank, N1.gens, N2.gens)
+    got = _tag_eliminate(N1.ring, N1.rank, N1.gens, N2.gens, (0, 1), (1, -1))
     sub = Submodule(N1.ring, N1.rank, got)
     return Submodule(N1.ring, N1.rank, sub.canonical())
 

@@ -1,4 +1,7 @@
+import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -159,3 +162,27 @@ def test_tie_break_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     obj = json.loads(out.strip().splitlines()[0])
     assert [s["prime"] for s in obj["result"]["steps"]] == ["(x)", "(y)"]
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [(), ("--json",), ("--oracle",), ("--oracle", "--json")],
+    ids=["text", "json", "oracle", "oracle-json"],
+)
+def test_closed_stdout_ends_quietly(tmp_path, monkeypatch, capsys, flags):
+    path = tmp_path / "script.gpf"
+    path.write_text(CHAIN)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main([str(path), *flags])
+    devnull = sys.stdout
+    assert devnull.name == os.devnull
+    devnull.close()
+    assert code == 0
+    assert capsys.readouterr().err == ""

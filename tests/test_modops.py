@@ -23,8 +23,10 @@ from helpers import (
     counterexample_module,
     ideal_sub,
     random_monomial_sub,
+    twisted_ring,
     twisted_setup,
     xy_ring,
+    xyz_ring,
 )
 
 
@@ -128,6 +130,63 @@ def test_saturation_reaches_stable_colon():
     assert sat.contains_module(N)
     again = saturate(sat, y, M)
     assert again.equals(sat)
+
+
+def _iterated_saturation(N, f, M):
+    """The chain N : f, (N : f) : f, ... run until it stops growing."""
+    ideal = Ideal(M.ring, [f])
+    cur = colon_module(N, ideal, M)
+    while True:
+        nxt = colon_module(cur, ideal, M)
+        if nxt.key() == cur.key():
+            return nxt
+        cur = nxt
+
+
+def _saturation_ambient(name):
+    if name == "xyz":
+        return QuotientModule.of_ring(xyz_ring()[0])
+    if name == "rank2":
+        return QuotientModule.free(xy_ring()[0], 2)
+    if name == "counterexample":
+        return counterexample_module()[1]
+    return QuotientModule.of_ring(twisted_ring())
+
+
+@pytest.mark.parametrize("f_kind", ["monomial", "binomial"])
+@pytest.mark.parametrize("ambient", ["xyz", "rank2", "counterexample", "twisted"])
+def test_saturation_matches_iterated_colon(ambient, f_kind):
+    M = _saturation_ambient(ambient)
+    ring = M.ring
+    xs = ring.gens()
+    rng = random.Random("%s-%s" % (ambient, f_kind))
+    for i in range(6):
+        N = random_monomial_sub(rng, M, max_deg=2, max_gens=3)
+        if i % 2:
+            vec = [ring.zero()] * M.rank
+            a, b, c = (rng.choice(xs) for _ in range(3))
+            vec[rng.randrange(M.rank)] = a * b - c * c
+            N = M.span(N.gens + (tuple(vec),))
+        f = rng.choice(xs) * rng.choice(xs)
+        if f_kind == "binomial":
+            f = f - rng.choice(xs)
+        want = _iterated_saturation(N, f, M)
+        got = saturate(N, f, M)
+        assert got.gens == want.gens
+        assert got.contains_module(N)
+
+
+def test_twisted_saturation_of_prime_square():
+    """p^2 has an embedded (x, y, z) component; saturating it away by an
+    element outside p leaves p = (x, z)."""
+    ring, p, _, _ = twisted_setup()
+    x, y = ring.gen(0), ring.gen(1)
+    M = QuotientModule.of_ring(ring)
+    N = M.span([(g,) for g in ideal_power(p.ideal, 2).gens])
+    for f in (y, y * y - x):
+        got = saturate(N, f, M)
+        assert got.gens == _iterated_saturation(N, f, M).gens
+        assert got.equals(M.span([(g,) for g in p.ideal.gens]))
 
 
 def test_intersection_and_sum():
