@@ -209,11 +209,6 @@ class PolyRing:
             return self.zero()
         return Polynomial(self, {exps: c})
 
-    def quotient(self, relations):
-        if self.is_quotient:
-            raise ValueError("ring is already a quotient")
-        return PolyRing(self.field, self.names, [p._terms for p in relations])
-
     def pure(self):
         """The polynomial ring under this one (self when not a quotient)."""
         if not self.is_quotient:
@@ -287,11 +282,6 @@ class Polynomial:
 
     def is_term(self):
         return len(self._terms) == 1
-
-    def total_degree(self):
-        if not self._terms:
-            return -1
-        return max(sum(m) for m in self._terms)
 
     def leading_term(self, order=GREVLEX):
         """The greatest (monomial, coefficient) pair under the order."""
@@ -375,16 +365,6 @@ class Polynomial:
         if c == field.zero:
             return self.ring.zero()
         return Polynomial(self.ring, {m: field.mul(c, v) for m, v in self._terms.items()})
-
-    def mono_scale(self, mono, coeff):
-        """self * coeff * x^mono, in one pass."""
-        field = self.ring.field
-        if coeff == field.zero:
-            return self.ring.zero()
-        return Polynomial(
-            self.ring,
-            {mono_mul(m, mono): field.mul(coeff, c) for m, c in self._terms.items()},
-        )
 
     def exact_div(self, divisor, order=GREVLEX):
         """Quotient self / divisor when division is exact, else ValueError."""

@@ -30,7 +30,7 @@ from .arith import PolyRing
 from .errors import ParseError
 from .fields import GF, QQ
 from .gpf import FactorizationTarget
-from .modops import Ideal, QuotientModule, ideal_power, ideal_product
+from .modops import QuotientModule, partial_products
 from .primes import CandidateRegistry, PrimeIdeal
 
 COMMANDS = (
@@ -764,8 +764,4 @@ class Env:
             raise ParseError(str(exc), line, col)
 
     def ideal_of_pairs(self, pairs):
-        out = None
-        for p, e in pairs:
-            power = ideal_power(p.ideal, e)
-            out = power if out is None else ideal_product(out, power)
-        return out if out is not None else Ideal(self.ring, [])
+        return partial_products(pairs)[-1]

@@ -27,7 +27,13 @@ from .errors import (
     IncompleteRegistryError,
     VerificationError,
 )
-from .modops import QuotientModule, Submodule, colon_ideal, colon_module
+from .modops import (
+    QuotientModule,
+    Submodule,
+    colon_ideal,
+    colon_module,
+    partial_products,
+)
 from .primes import (
     MONOMIAL,
     PrimeIdeal,
@@ -311,15 +317,15 @@ def interchange(filt, i):
     return replace(filt, steps=tuple(steps))
 
 
-def verify_rpe(filt, source=None, check_regular=True):
+def verify_rpe(filt, source=None):
     """Re-derive every property of the filtration; returns a report dict.
 
     Checks, for each step: the chain is properly increasing; the colon
     ideal of the step is the recorded prime and the step quotient has
     exactly that associated prime; the upper module is the full colon in
-    the ambient module; and (unless disabled) the prime is maximal among
-    the associated primes of M over the lower module.  Also checks the
-    chain starts at the base and reaches the whole module.
+    the ambient module; and the prime is maximal among the associated
+    primes of M over the lower module.  Also checks the chain starts at
+    the base and reaches the whole module.
     """
     if source is None:
         source = filt.source
@@ -335,13 +341,7 @@ def verify_rpe(filt, source=None, check_regular=True):
         flags, problems = verify_step(
             step.lower, step.upper, step.prime, M, source
         )
-        wanted = ["prime_extension", "maximal"]
-        if check_regular:
-            wanted.append("regular")
-        ok = flags.prime_extension_verified and flags.maximal_verified
-        if check_regular:
-            ok = ok and flags.regular_verified
-        if not ok:
+        if not flags.all_verified():
             report["ok"] = False
             report["problems"].extend(
                 "step %d: %s" % (idx, msg) for msg in problems
@@ -351,7 +351,7 @@ def verify_rpe(filt, source=None, check_regular=True):
                 "index": idx,
                 "prime": str(step.prime),
                 "flags": flags,
-                "checked": wanted,
+                "checked": ["prime_extension", "maximal", "regular"],
             }
         )
         prev = step.upper
@@ -363,9 +363,5 @@ def verify_rpe(filt, source=None, check_regular=True):
 
 def colon_chain(N, primes, M):
     """The chain of colon modules (N : p_1 ... p_i) for i = 0..n."""
-    from .modops import partial_products
-
-    out = []
-    for a in partial_products([p.ideal for p in primes]):
-        out.append(colon_module(N, a, M))
-    return out
+    partials = partial_products([(p, 1) for p in primes])
+    return [colon_module(N, a, M) for a in partials]

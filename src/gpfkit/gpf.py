@@ -31,14 +31,13 @@ from dataclasses import dataclass, field
 
 from .errors import HypothesisError, VerificationError
 from .modops import (
+    QuotientModule,
     Submodule,
-    SubquotientView,
     colon_module,
     ideal_power,
-    ideal_product,
     module_scale,
+    partial_products,
     saturate,
-    unit_ideal,
 )
 from .primes import (
     MONOMIAL,
@@ -96,9 +95,6 @@ class PrimeMultiset:
     def equals(self, other):
         return self.key() == other.key()
 
-    def attestations(self):
-        return sorted({p.attestation for p, _ in self._entries.values()})
-
     def __len__(self):
         return len(self._entries)
 
@@ -119,9 +115,7 @@ def _check_ordering(pairs, mode):
                 raise ValueError(
                     "primes %s and %s are comparable" % (a, b)
                 )
-    elif mode in ("descending", "tail-maximal"):
-        # For distinct primes both modes demand the same thing: no earlier
-        # prime is contained in a later one.
+    elif mode == "descending":
         for i, a in enumerate(primes):
             for b in primes[i + 1 :]:
                 if b.contains_ideal(a):
@@ -137,8 +131,8 @@ class FactorizationTarget:
     """An ordered product of distinct primes with positive exponents.
 
     The declared ordering mode is verified at construction: incomparable
-    (pairwise), or descending / tail-maximal (no earlier prime contained
-    in a later one; for distinct primes the two coincide).
+    (pairwise), or descending (no earlier prime contained in a later one,
+    so each prime is maximal among itself and the primes after it).
     """
 
     def __init__(self, pairs, mode="descending"):
@@ -190,19 +184,11 @@ class FactorizationTarget:
         return out
 
     def product_ideal(self):
-        ring = self.pairs[0][0].ring
-        acc = unit_ideal(ring)
-        for p, r in self.pairs:
-            acc = ideal_product(acc, ideal_power(p.ideal, r))
-        return acc
+        return partial_products(self.pairs)[-1]
 
     def partial_ideals(self):
         """[(1), p1^r1, p1^r1 p2^r2, ...] along the target order."""
-        ring = self.pairs[0][0].ring
-        out = [unit_ideal(ring)]
-        for p, r in self.pairs:
-            out.append(ideal_product(out[-1], ideal_power(p.ideal, r)))
-        return out
+        return partial_products(self.pairs)
 
     def multiset(self):
         return PrimeMultiset(self.pairs)
@@ -254,12 +240,12 @@ class SuppCondition:
 
 
 def _supp_condition(index, p, scaled, M):
-    view = SubquotientView(scaled, M.span(()), check=False)
-    zero = view.is_zero()
-    if supp_contains(p, view):
+    Q = QuotientModule(scaled, M.span(()), check=False)
+    zero = Q.is_zero()
+    if supp_contains(p, Q):
         return SuppCondition(index, p, scaled, True, zero)
     witness = None
-    for g in view.ann().canonical_gens():
+    for g in Q.ann().canonical_gens():
         if not p.contains(g):
             witness = g
             break
@@ -289,9 +275,7 @@ def check_supp_conditions(target, M):
     conditions = []
     for i in range(len(pairs)):
         p, r = pairs[i]
-        J = ideal_power(p.ideal, r - 1)
-        for q, s in pairs[i + 1 :]:
-            J = ideal_product(J, ideal_power(q.ideal, s))
+        J = partial_products([(p, r - 1), *pairs[i + 1 :]])[-1]
         scaled = module_scale(J, M)
         conditions.append(_supp_condition(i + 1, p, scaled, M))
     return SuppReport(all(c.holds for c in conditions), conditions)
@@ -348,10 +332,7 @@ def construct_incomparable(primes, M, N0=None, source=MONOMIAL, tie_break="lex")
     if len(keys) != len(primes):
         raise ValueError("target primes must be distinct")
     if N0 is None:
-        acc = unit_ideal(M.ring)
-        for p in primes:
-            acc = ideal_product(acc, p.ideal)
-        N0 = module_scale(acc, M)
+        N0 = module_scale(partial_products([(p, 1) for p in primes])[-1], M)
     filt = rpe_filtration(N0, M, source=source, tie_break=tie_break)
     found = PrimeSet(filt.primes())
     for p in primes:
@@ -517,10 +498,7 @@ def check_necessary_conditions(N, M, source=MONOMIAL, tie_break="lex"):
     entries = factors.entries()
     conditions = []
     for i, (p, r) in enumerate(entries):
-        J = ideal_power(p.ideal, r - 1)
-        for j, (q, s) in enumerate(entries):
-            if j != i:
-                J = ideal_product(J, ideal_power(q.ideal, s))
+        J = partial_products([(p, r - 1), *entries[:i], *entries[i + 1 :]])[-1]
         scaled = module_scale(J, M)
         conditions.append(_supp_condition(i + 1, p, scaled, M))
     return NecessaryReport(
@@ -553,7 +531,7 @@ class IffReport:
 def check_iff_criterion(target, M, source=MONOMIAL):
     """Whether aM factors exactly as the target product a.
 
-    With the primes in tail-maximal order and a_i the partial products,
+    With the primes in descending order and a_i the partial products,
     the criterion is that each subquotient (aM : a_i)/(aM : a_{i-1}) has
     the single associated prime p_i.  On success the refined colon chain
     is returned as a verified regular filtration.
@@ -588,12 +566,12 @@ def _refined_chain(target, aM, M, source):
     assembled into a filtration with every step re-verified."""
     from .filtration import PrimeExtensionStep, verify_step
 
-    acc = unit_ideal(M.ring)
+    primes = target.expanded()
+    partials = partial_products([(p, 1) for p in primes])
     steps = []
-    prev = colon_module(aM, acc, M)
+    prev = colon_module(aM, partials[0], M)
     base = prev
-    for p in target.expanded():
-        acc = ideal_product(acc, p.ideal)
+    for p, acc in zip(primes, partials[1:]):
         nxt = colon_module(aM, acc, M)
         flags, problems = verify_step(prev, nxt, p, M, source)
         if not flags.all_verified():

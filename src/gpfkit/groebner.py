@@ -111,22 +111,18 @@ def _spair(e1, e2, field):
 class GroebnerBasis:
     """A reduced basis with its ring, rank, and order."""
 
-    __slots__ = ("ring", "rank", "order", "vectors", "reduced", "_entries")
+    __slots__ = ("ring", "rank", "order", "vectors", "_entries")
 
     def __init__(self, ring, rank, order, vectors):
         self.ring = ring
         self.rank = rank
         self.order = order
         self.vectors = tuple(vectors)
-        self.reduced = True
         self._entries = []
         for v in self.vectors:
             d = _flatten(v, ring, rank)
             lt = max(d, key=order.term_key)
             self._entries.append((lt, d, frozenset(c for c, _ in d)))
-
-    def leading_terms(self):
-        return tuple(e[0] for e in self._entries)
 
     def normal_form(self, v):
         d = _flatten(v, self.ring, self.rank)
@@ -135,9 +131,6 @@ class GroebnerBasis:
     def contains(self, v):
         d = _flatten(v, self.ring, self.rank)
         return not _nf(d, self._entries, self.order, self.ring.field)
-
-    def contains_all(self, vectors):
-        return all(self.contains(v) for v in vectors)
 
     def is_zero(self):
         return not self.vectors
@@ -319,14 +312,14 @@ def eliminate(gens, keep, *, ring, rank, include_relations=True):
     return out
 
 
-def tag_ring(ring, name="@t"):
-    """A pure ring with one extra leading variable, plus lift and lower maps.
+def tag_ring(ring):
+    """A pure ring with one extra leading variable @t, plus lift and lower maps.
 
     The extension is always relation-free; callers computing modulo a
     quotient place the lifted relation vectors on each side of a tag split
     themselves, which keeps divisibility arguments valid.
     """
-    ext = PolyRing(ring.field, (name,) + ring.names)
+    ext = PolyRing(ring.field, ("@t",) + ring.names)
 
     def lift(p, tpow=0):
         return Polynomial(ext, {(tpow,) + m: c for m, c in p.terms()})

@@ -1,12 +1,15 @@
 """Ideals, submodules of free modules, subquotients, and colon operations.
 
-A `Submodule` is a generator list inside a fixed free module R^k.  A
-`QuotientModule` presents a subquotient top/denominator of R^k; every
-submodule of it is represented by generators in R^k with the denominator
-generators adjoined, and each operation taking the quotient as context
-adds the denominator before computing.  Over quotient rings the relation
-ideal is adjoined automatically by the basis layer, except inside the tag
-variable elimination where the relations are placed on both sides by hand.
+A `Submodule` is a generator list inside a fixed free module R^k, and the
+only type that carries a basis.  An `Ideal` is the rank-1 submodule of R^1
+its generators span, seen through polynomials; prime ideals
+(`primes.PrimeIdeal`) are ideals.  A `QuotientModule` presents a
+subquotient top/denominator of R^k; every submodule of it is represented
+by generators in R^k with the denominator generators adjoined, and each
+operation taking the quotient as context adds the denominator before
+computing.  Over quotient rings the relation ideal is adjoined
+automatically by the basis layer, except inside the tag variable
+elimination where the relations are placed on both sides by hand.
 
 Intersection, colon and saturation share one primitive, `_tag_eliminate`:
 scale two generator lists by polynomials a(t), b(t) in a fresh tag
@@ -59,47 +62,33 @@ def _sort_polys(polys):
 
 
 class Ideal:
-    """A finitely generated ideal of a polynomial or quotient ring."""
+    """A finitely generated ideal of a polynomial or quotient ring.
+
+    The ideal is the rank-1 submodule of ring^1 its generators span, held
+    as a `Submodule`; bases, canonical forms, deduplication and the ring
+    check all live there.  This class only speaks in polynomials.
+    """
 
     def __init__(self, ring, gens):
         self.ring = ring
-        gens = [g for g in gens if not g.is_zero()]
-        for g in gens:
-            if g.ring != ring:
-                raise RingMismatchError("ideal generator over a different ring")
-        seen = set()
-        uniq = []
-        for g in gens:
-            if g.key() not in seen:
-                seen.add(g.key())
-                uniq.append(g)
-        self.gens = tuple(uniq)
-        self._gb = None
-        self._canonical = None
+        self._sub = Submodule(ring, 1, [(g,) for g in gens])
+        self.gens = tuple(v[0] for v in self._sub.gens)
 
-    def groebner(self):
-        if self._gb is None:
-            self._gb = buchberger(
-                [(g,) for g in self.gens], ring=self.ring, rank=1
-            )
-        return self._gb
+    def as_submodule(self):
+        return self._sub
 
     def canonical_gens(self):
         """Reduced basis elements that are nonzero modulo the relations."""
-        if self._canonical is None:
-            polys = [v[0] for v in reversed(self.groebner().vectors)]
-            polys = [p for p in polys if not self.ring.reduce(p).is_zero()]
-            self._canonical = tuple(polys)
-        return self._canonical
+        return tuple(v[0] for v in self._sub.canonical())
 
     def key(self):
         return tuple(p.key() for p in self.canonical_gens())
 
     def contains(self, f):
-        return self.groebner().contains((f,))
+        return self._sub.contains((f,))
 
     def contains_ideal(self, other):
-        return all(self.contains(g) for g in other.gens)
+        return self._sub.contains_module(other.as_submodule())
 
     def equals(self, other):
         return self.ring == other.ring and self.key() == other.key()
@@ -108,16 +97,13 @@ class Ideal:
         return self.contains_ideal(other) and not other.contains_ideal(self)
 
     def is_zero(self):
-        return not self.canonical_gens()
-
-    def is_unit(self):
-        return self.contains(self.ring.one())
+        return self._sub.is_zero()
 
     def product(self, other):
         if self.ring != other.ring:
             raise RingMismatchError("ideal product across rings")
         gens = [a * b for a in self.gens for b in other.gens]
-        return Ideal(self.ring, _sort_polys(_dedup_polys(gens)))
+        return Ideal(self.ring, _sort_polys(gens))
 
     def power(self, r):
         if not isinstance(r, int) or r < 0:
@@ -127,28 +113,11 @@ class Ideal:
             out = out.product(self)
         return out
 
-    def as_submodule(self):
-        return Submodule(self.ring, 1, [(g,) for g in self.gens])
-
     def __str__(self):
-        if not self.gens:
-            return "(0)"
-        return "(%s)" % ", ".join(str(g) for g in self.gens)
+        return str(self._sub)
 
     def __repr__(self):
         return "Ideal%s" % self
-
-
-def _dedup_polys(polys):
-    seen = set()
-    out = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        if p.key() not in seen:
-            seen.add(p.key())
-            out.append(p)
-    return out
 
 
 def unit_ideal(ring):
@@ -163,14 +132,14 @@ def ideal_power(a, r):
     return a.power(r)
 
 
-def partial_products(primes):
-    """[(1), p1, p1*p2, ...] for a sequence of ideals."""
-    if not primes:
+def partial_products(pairs):
+    """[(1), a1^r1, a1^r1 a2^r2, ...] for a sequence of (ideal, exponent)
+    pairs; the last entry is the ordered product."""
+    if not pairs:
         raise ValueError("need at least one ideal")
-    ring = primes[0].ring
-    out = [unit_ideal(ring)]
-    for p in primes:
-        out.append(out[-1].product(p))
+    out = [unit_ideal(pairs[0][0].ring)]
+    for a, r in pairs:
+        out.append(out[-1].product(a.power(r)))
     return out
 
 
@@ -276,7 +245,12 @@ class Submodule:
 
 
 class QuotientModule:
-    """A subquotient top/denominator of a free module R^k."""
+    """A subquotient top/denominator of a free module R^k.
+
+    With check=False the denominator need not sit inside top; the module
+    is then (top + denominator)/denominator, which is how the support and
+    annihilator of any pair of submodules are asked for.
+    """
 
     def __init__(self, top, denom=None, check=True):
         if denom is None:
@@ -320,7 +294,7 @@ class QuotientModule:
         return self.full().contains_module(sub)
 
     def is_zero(self):
-        return self.span(()).contains_module(self.top)
+        return self.denom.contains_module(self.top)
 
     def ann(self):
         if self._ann is None:
@@ -334,27 +308,6 @@ class QuotientModule:
         if self.denom.gens:
             return "%s / %s" % (self.top, self.denom)
         return str(self.top)
-
-
-class SubquotientView:
-    """A pair bottom <= top of submodules, for support and annihilator
-    questions about top/bottom."""
-
-    def __init__(self, top, bottom, check=True):
-        top._compat(bottom)
-        if check and not top.contains_module(bottom):
-            raise ValueError("bottom does not sit inside top")
-        self.top = top
-        self.bottom = bottom
-        self._ann = None
-
-    def ann(self):
-        if self._ann is None:
-            self._ann = colon_ideal(self.bottom, self.top.plus(self.bottom))
-        return self._ann
-
-    def is_zero(self):
-        return self.bottom.contains_module(self.top)
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,6 @@ class Subspace:
     def contains(self, vec):
         return not any(self.reduce(vec))
 
-    def contains_space(self, other):
-        return all(self.contains(row) for row in other.rows)
-
     @property
     def dim(self):
         return len(self.rows)
@@ -162,10 +159,6 @@ class FiniteRing:
         for mono, c in g.terms():
             out[self.index[mono]] = c
         return tuple(out)
-
-    def to_poly(self, u):
-        terms = {m: c for m, c in zip(self.basis, u) if c}
-        return Polynomial(self.model, terms)
 
     def zero(self):
         return self._zero
@@ -268,9 +261,6 @@ class FiniteModule:
         self.denom = self._close(denom, include_denom=False)
         free_dim = self.width - self.denom.dim
         self.cardinality = ring.q ** free_dim
-
-    def zero_vec(self):
-        return (self.ring.field.zero,) * self.width
 
     def unit_vec(self, comp):
         parts = [self.ring.zero()] * self.rank

@@ -1,7 +1,8 @@
 """Prime ideals with attestations, associated primes, and support tests.
 
-Primality of an arbitrary ideal is not decided here.  Each `PrimeIdeal`
-carries an attestation of how its primality is known:
+Primality of an arbitrary ideal is not decided here.  A `PrimeIdeal` is
+an `Ideal` (it inherits membership, containment, equality and products)
+that carries an attestation of how its primality is known:
 
 * ``monomial-verified``: the reduced basis consists of distinct variables
   and every ring relation vanishes modulo those variables, so the residue
@@ -16,11 +17,11 @@ carries an attestation of how its primality is known:
 Membership of a prime p in Ass(M/N) is decided through the colon module
 K = (N : p) inside M: p is associated exactly when the annihilator of
 K/N lies inside p, which fails automatically when K = N.  Membership in
-the support is the annihilator test alone.  Associated primes of
-quotients presented by monomial generators over a plain polynomial ring
-are enumerated exhaustively over all variable subsets; anything else
-needs a registry of candidate primes and the result is flagged as
-relative to those candidates.
+the support of a `QuotientModule` is the annihilator test alone.
+Associated primes of quotients presented by monomial generators over a
+plain polynomial ring are enumerated exhaustively over all variable
+subsets; anything else needs a registry of candidate primes and the
+result is flagged as relative to those candidates.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from dataclasses import dataclass
 from .errors import BudgetError, IncompleteRegistryError, RingMismatchError
 from .modops import (
     Ideal,
-    QuotientModule,
     Submodule,
-    SubquotientView,
     colon_ideal,
     colon_module,
 )
@@ -41,6 +40,10 @@ from .modops import (
 ATTEST_MONOMIAL = "monomial-verified"
 ATTEST_FINITE = "finite-verified"
 ATTEST_ASSUMED = "assumed"
+
+# Monomial-mode enumeration tests all 2^m variable subsets; beyond this
+# many variables it raises BudgetError instead.
+MAX_ENUM_VARS = 14
 
 
 class _MonomialSource:
@@ -77,12 +80,11 @@ def _relations_vanish(ring, var_indices):
     return True
 
 
-class PrimeIdeal:
+class PrimeIdeal(Ideal):
     """An ideal together with an attestation of primality."""
 
     def __init__(self, ring, gens, attestation=None):
-        self.ideal = Ideal(ring, gens)
-        self.ring = ring
+        super().__init__(ring, gens)
         if attestation is None:
             attestation = (
                 ATTEST_MONOMIAL if self._monomial_check() else ATTEST_ASSUMED
@@ -93,7 +95,7 @@ class PrimeIdeal:
 
     def _monomial_check(self):
         idxs = []
-        for g in self.ideal.canonical_gens():
+        for g in self.canonical_gens():
             i = _variable_index(g)
             if i is None:
                 return False
@@ -106,36 +108,16 @@ class PrimeIdeal:
         return cls(ring, gens)
 
     @property
-    def gens(self):
-        return self.ideal.gens
-
-    def key(self):
-        return self.ideal.key()
+    def ideal(self):
+        """The prime as a plain ideal: the prime itself."""
+        return self
 
     def token(self):
         """Deterministic sort token: canonical generator strings."""
-        return tuple(str(g) for g in self.ideal.canonical_gens())
-
-    def contains(self, f):
-        return self.ideal.contains(f)
-
-    def contains_ideal(self, other):
-        inner = other.ideal if isinstance(other, PrimeIdeal) else other
-        return self.ideal.contains_ideal(inner)
-
-    def strictly_contains(self, other):
-        inner = other.ideal if isinstance(other, PrimeIdeal) else other
-        return self.ideal.strictly_contains(inner)
-
-    def equals(self, other):
-        inner = other.ideal if isinstance(other, PrimeIdeal) else other
-        return self.ideal.equals(inner)
-
-    def is_zero(self):
-        return self.ideal.is_zero()
+        return tuple(str(g) for g in self.canonical_gens())
 
     def __str__(self):
-        gens = self.ideal.canonical_gens()
+        gens = self.canonical_gens()
         if not gens:
             return "(0)"
         return "(%s)" % ", ".join(str(g) for g in gens)
@@ -176,9 +158,6 @@ class PrimeSet:
 
     def key(self):
         return frozenset(p.key() for p in self.primes)
-
-    def same_primes(self, other):
-        return self.key() == other.key()
 
     def maximal_elements(self):
         out = []
@@ -250,11 +229,11 @@ class AssEvidence:
     ann: Ideal | None
 
 
-def supp_contains(p, view):
-    """Whether p lies in the support of the subquotient: Ann(A/B) <= p."""
-    if p.ring != view.top.ring:
+def supp_contains(p, Q):
+    """Whether p lies in the support of the quotient module: Ann(Q) <= p."""
+    if p.ring != Q.ring:
         raise RingMismatchError("prime over a different ring")
-    return p.contains_ideal(view.ann())
+    return p.contains_ideal(Q.ann())
 
 
 def ass_membership(p, Q):
@@ -289,7 +268,7 @@ def monomial_eligible(Q):
     return all(_is_monomial_vector(v) for v in gens)
 
 
-def ass_enumerate(Q, source=MONOMIAL, max_vars=14):
+def ass_enumerate(Q, source=MONOMIAL):
     """The associated primes of the quotient module Q.
 
     In MONOMIAL mode the generators must be monomial vectors over a plain
@@ -308,10 +287,10 @@ def ass_enumerate(Q, source=MONOMIAL, max_vars=14):
             "plain polynomial ring; supply a candidate registry otherwise"
         )
     m = len(Q.ring.names)
-    if m > max_vars:
+    if m > MAX_ENUM_VARS:
         raise BudgetError(
             "variable subset enumeration over %d variables exceeds the bound %d"
-            % (m, max_vars)
+            % (m, MAX_ENUM_VARS)
         )
     found = []
     for size in range(m + 1):

@@ -1,4 +1,4 @@
-"""Every module-level private function or class in gpfkit has a user."""
+"""Every private helper and every method in gpfkit has a user."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import gpfkit
 
 PACKAGE = Path(gpfkit.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _names_used(node, own):
@@ -19,6 +20,22 @@ def _names_used(node, own):
         elif isinstance(sub, ast.alias):
             out.add(sub.name)
     out.discard(own)
+    return out
+
+
+def _getattr_prefixes(tree):
+    """String prefixes of getattr(obj, "prefix" + name) lookups."""
+    out = set()
+    for sub in ast.walk(tree):
+        if (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Name)
+            and sub.func.id == "getattr"
+            and len(sub.args) > 1
+            and isinstance(sub.args[1], ast.BinOp)
+            and isinstance(sub.args[1].left, ast.Constant)
+        ):
+            out.add(sub.args[1].left.value)
     return out
 
 
@@ -36,3 +53,33 @@ def test_no_unreferenced_private_helpers():
             used |= _names_used(node, own)
     dead = sorted("%s in %s" % (name, defined[name]) for name in set(defined) - used)
     assert not dead, "unreferenced private helpers: %s" % ", ".join(dead)
+
+
+def test_no_unreferenced_methods():
+    """A method of a gpfkit class is named somewhere in the package, the
+    tests or the benchmark; dunder methods are called by the language."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    for extra in ("tests", "gpfbench"):
+        sources += sorted((ROOT / extra).glob("*.py"))
+    used = set()
+    prefixes = set()
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= _names_used(tree, None)
+        prefixes |= _getattr_prefixes(tree)
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if name in used or any(name.startswith(p) for p in prefixes):
+                    continue
+                dead.append("%s.%s in %s" % (cls.name, name, path.name))
+    assert not dead, "unreferenced methods: %s" % ", ".join(sorted(dead))

@@ -7,7 +7,6 @@ from gpfkit.modops import (
     Ideal,
     QuotientModule,
     Submodule,
-    SubquotientView,
     colon_ideal,
     colon_module,
     ideal_power,
@@ -18,6 +17,7 @@ from gpfkit.modops import (
     partial_products,
     saturate,
 )
+from gpfkit.primes import PrimeIdeal, supp_contains
 
 from helpers import (
     counterexample_module,
@@ -223,7 +223,7 @@ def test_partial_products_accumulate():
     ring, x, y = xy_ring()
     a = Ideal(ring, [x, y])
     b = Ideal(ring, [x])
-    prods = partial_products([a, b])
+    prods = partial_products([(a, 1), (b, 1)])
     assert len(prods) == 3
     assert prods[0].equals(Ideal(ring, [ring.one()]))
     assert prods[1].equals(a)
@@ -263,8 +263,42 @@ def test_quotient_module_basics():
     assert M.ann().equals(Ideal(ring, [x]))
     assert not M.is_zero()
     assert M.with_denominator(M.full()).is_zero()
-    view = SubquotientView(M.full(), N)
+    view = QuotientModule(M.full(), N)
     assert not view.is_zero()
+
+
+@pytest.mark.parametrize("ambient", ["xyz", "rank2", "twisted"])
+def test_quotient_module_ann_of_any_pair(ambient):
+    """Without the containment check a QuotientModule presents
+    (top + bottom)/bottom: its annihilator is the transporter of top + bottom
+    into bottom, with the same generators, and the support test reads it."""
+    M = _saturation_ambient(ambient)
+    ring = M.ring
+    primes = [PrimeIdeal.from_variables(ring, s) for s in ([0], [1], [0, 1])]
+    rng = random.Random("ann-%s" % ambient)
+    for _ in range(5):
+        top = random_monomial_sub(rng, M, max_deg=2, max_gens=2)
+        bottom = random_monomial_sub(rng, M, max_deg=2, max_gens=2)
+        want = colon_ideal(bottom, top.plus(bottom))
+        Q = QuotientModule(top, bottom, check=False)
+        assert Q.ann().gens == want.gens
+        assert Q.is_zero() == bottom.contains_module(top)
+        for p in primes:
+            assert supp_contains(p, Q) == p.contains_ideal(want)
+
+
+@pytest.mark.parametrize("ring_kind", ["xyz", "twisted"])
+def test_ideal_canonical_gens_match_rank1_submodule(ring_kind):
+    ring = xyz_ring()[0] if ring_kind == "xyz" else twisted_ring()
+    x, y, z = ring.gens()
+    # x*y - z^2 is zero modulo the twisted relations.
+    for gens in ([y, x, x + y], [x * y - z * z, x * x, y * z], [x * y - z * z]):
+        ideal = Ideal(ring, gens)
+        sub = ideal_sub(ring, *gens)
+        assert ideal.canonical_gens() == tuple(v[0] for v in sub.canonical())
+        assert ideal.as_submodule().key() == sub.key()
+        assert ideal.is_zero() == sub.is_zero()
+    assert Ideal(ring, [x * y - z * z]).is_zero() == (ring_kind == "twisted")
 
 
 def test_rank_mismatch_rejected():

@@ -5,7 +5,7 @@ from gpfkit.errors import (
     IncompleteRegistryError,
     RingMismatchError,
 )
-from gpfkit.modops import Ideal, QuotientModule, SubquotientView
+from gpfkit.modops import Ideal, QuotientModule
 from gpfkit.primes import (
     ATTEST_ASSUMED,
     ATTEST_MONOMIAL,
@@ -24,7 +24,13 @@ from gpfkit.primes import (
 from gpfkit.arith import PolyRing
 from gpfkit.fields import QQ
 
-from helpers import counterexample_module, twisted_setup, xy_ring
+from helpers import (
+    counterexample_module,
+    twisted_ring,
+    twisted_setup,
+    xy_ring,
+    xyz_ring,
+)
 
 
 def test_attestation_monomial_over_plain_ring():
@@ -33,6 +39,36 @@ def test_attestation_monomial_over_plain_ring():
     assert p.attestation == ATTEST_MONOMIAL
     q = PrimeIdeal(ring, [x + y * y])
     assert q.attestation == ATTEST_ASSUMED
+
+
+@pytest.mark.parametrize("ring_kind", ["xyz", "twisted"])
+def test_prime_ideal_is_an_ideal(ring_kind):
+    """A prime answers equals, contains_ideal and strictly_contains as the
+    plain ideal of its generators does, on either side of the call."""
+    ring = xyz_ring()[0] if ring_kind == "xyz" else twisted_ring()
+    x, y, z = ring.gens()
+    p = PrimeIdeal(ring, [x, z])
+    twin = Ideal(ring, [z, x])
+    assert isinstance(p, Ideal)
+    assert p.ideal is p
+    others = (
+        Ideal(ring, [x, z]),
+        Ideal(ring, [x]),
+        Ideal(ring, [x, y, z]),
+        Ideal(ring, [z * z, x * y]),
+        PrimeIdeal(ring, [x]),
+        PrimeIdeal(ring, [x, y, z]),
+        PrimeIdeal(ring, [y]),
+    )
+    for other in others:
+        assert p.equals(other) == other.equals(p) == twin.equals(other)
+        assert p.contains_ideal(other) == twin.contains_ideal(other)
+        assert other.contains_ideal(p) == other.contains_ideal(twin)
+        assert p.strictly_contains(other) == twin.strictly_contains(other)
+        assert other.strictly_contains(p) == other.strictly_contains(twin)
+    assert p.equals(twin) and twin.equals(p)
+    assert p.strictly_contains(PrimeIdeal(ring, [x]))
+    assert PrimeIdeal(ring, [x, y, z]).strictly_contains(p)
 
 
 def test_attestation_monomial_over_quotient():
@@ -174,7 +210,7 @@ def test_ass_enumerate_budget_guard():
 def test_supp_contains_annihilator_test():
     ring, M, N = counterexample_module()
     x, y = ring.gen(0), ring.gen(1)
-    view = SubquotientView(M.full(), M.span(()))
+    view = QuotientModule(M.full(), M.span(()))
     assert supp_contains(PrimeIdeal(ring, [x]), view)
     assert supp_contains(PrimeIdeal(ring, [x, y]), view)
     assert not supp_contains(PrimeIdeal(ring, [y]), view)
