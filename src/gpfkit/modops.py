@@ -262,6 +262,7 @@ class QuotientModule:
         self.denom = denom
         if check and not top.contains_module(denom):
             raise ValueError("denominator does not sit inside the top module")
+        self._full = None
         self._ann = None
 
     @classmethod
@@ -280,7 +281,9 @@ class QuotientModule:
         return Submodule(self.ring, self.rank, tuple(vectors) + self.denom.gens)
 
     def full(self):
-        return self.span(self.top.gens)
+        if self._full is None:
+            self._full = self.span(self.top.gens)
+        return self._full
 
     def module_of(self, sub):
         """A submodule of this quotient viewed as a module in its own right."""

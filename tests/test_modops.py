@@ -267,6 +267,17 @@ def test_quotient_module_basics():
     assert not view.is_zero()
 
 
+def test_quotient_module_full_keeps_its_basis():
+    """full() is one submodule per quotient, so the basis the first
+    containment test computes serves every later call."""
+    ring, M, N = counterexample_module()
+    full = M.full()
+    assert M.full() is full
+    assert M.contains_submodule(N)
+    assert full._gb is not None
+    assert M.full().groebner() is full._gb
+
+
 @pytest.mark.parametrize("ambient", ["xyz", "rank2", "twisted"])
 def test_quotient_module_ann_of_any_pair(ambient):
     """Without the containment check a QuotientModule presents

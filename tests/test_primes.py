@@ -1,10 +1,15 @@
+import itertools
+import logging
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpfkit.errors import (
     BudgetError,
     IncompleteRegistryError,
     RingMismatchError,
 )
+from gpfkit import primes
 from gpfkit.modops import Ideal, QuotientModule
 from gpfkit.primes import (
     ATTEST_ASSUMED,
@@ -214,3 +219,109 @@ def test_supp_contains_annihilator_test():
     assert supp_contains(PrimeIdeal(ring, [x]), view)
     assert supp_contains(PrimeIdeal(ring, [x, y]), view)
     assert not supp_contains(PrimeIdeal(ring, [y]), view)
+
+
+def _sweep_key(Q):
+    """Ass(Q) by testing every variable subset, the exhaustive reference."""
+    m = Q.ring.nvars
+    found = []
+    for size in range(m + 1):
+        for combo in itertools.combinations(range(m), size):
+            p = PrimeIdeal.from_variables(Q.ring, combo)
+            if ass_contains(p, Q):
+                found.append(p)
+    return PrimeSet(found).key()
+
+
+def _count_ass_contains(monkeypatch):
+    calls = []
+
+    def counting(p, Q):
+        calls.append(p.token())
+        return ass_contains(p, Q)
+
+    monkeypatch.setattr(primes, "ass_contains", counting)
+    return calls
+
+
+@st.composite
+def monomial_quotients(draw):
+    """A monomial quotient of R^k: the module itself, the module by a
+    further denominator, or a check=False step quotient upper/lower."""
+    nvars = draw(st.integers(2, 5))
+    rank = draw(st.sampled_from([1, 2]))
+    ring = PolyRing(QQ, ("x", "y", "z", "u", "v")[:nvars])
+
+    def vectors(lo, hi):
+        out = []
+        for _ in range(draw(st.integers(lo, hi))):
+            exps = draw(st.tuples(*[st.integers(0, 2)] * nvars))
+            vec = [ring.zero()] * rank
+            vec[draw(st.integers(0, rank - 1))] = ring.monomial(exps)
+            out.append(tuple(vec))
+        return out
+
+    M = QuotientModule.free(ring, rank, vectors(0, 3))
+    shape = draw(st.sampled_from(["module", "denominator", "step"]))
+    if shape == "module":
+        return M
+    lower = M.span(vectors(0, 3))
+    if shape == "denominator":
+        return M.with_denominator(lower)
+    upper = M.span(vectors(1, 3))
+    return M.module_of(upper).with_denominator(lower)
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_quotients())
+def test_ass_enumerate_matches_variable_subset_sweep(Q):
+    found = ass_enumerate(Q)
+    assert found.complete
+    assert found.key() == _sweep_key(Q), str(Q)
+
+
+def test_ass_enumerate_tests_only_component_supports(monkeypatch):
+    """(x^2, xy) = (x) cap (x^2, y): two candidates, where the sweep over
+    five variables made 32 tests."""
+    ring = PolyRing(QQ, ("x", "y", "z", "u", "v"))
+    x, y = ring.gen(0), ring.gen(1)
+    M = QuotientModule.of_ring(ring)
+    Q = M.with_denominator(M.span(((x * x,), (x * y,))))
+    calls = _count_ass_contains(monkeypatch)
+    found = ass_enumerate(Q)
+    assert [str(p) for p in found] == ["(x)", "(x, y)"]
+    assert len(calls) <= 2
+
+
+def test_ass_enumerate_free_summand_gives_zero_prime():
+    ring, x, y = xy_ring()
+    zero = ring.zero()
+    Q = QuotientModule.free(ring, 2, ((x * y, zero),))
+    assert [str(p) for p in ass_enumerate(Q)] == ["(0)", "(x)", "(y)"]
+
+
+def test_ass_enumerate_unit_component_contributes_nothing(monkeypatch):
+    ring, x, y = xy_ring()
+    zero = ring.zero()
+    calls = _count_ass_contains(monkeypatch)
+    Q = QuotientModule.free(ring, 2, ((ring.const(3), zero), (zero, x)))
+    assert [str(p) for p in ass_enumerate(Q)] == ["(x)"]
+    assert calls == [("x",)]
+    del calls[:]
+    M = QuotientModule.of_ring(ring)
+    assert not ass_enumerate(M.with_denominator(M.span(((ring.one(),),))))
+    assert calls == []
+
+
+def test_ass_enumerate_logs_candidates(caplog):
+    ring = PolyRing(QQ, ("x", "y", "z", "u", "v"))
+    x, y = ring.gen(0), ring.gen(1)
+    M = QuotientModule.of_ring(ring)
+    Q = M.with_denominator(M.span(((x * x,), (x * y,))))
+    with caplog.at_level(logging.DEBUG, logger="gpfkit"):
+        ass_enumerate(Q)
+    records = [r for r in caplog.records if "ass_enumerate" in r.getMessage()]
+    assert [r.getMessage() for r in records] == [
+        "ass_enumerate: 2 candidates over 5 variables, 2 confirmed"
+    ]
+    assert all(r.name == "gpfkit" and r.levelno == logging.DEBUG for r in records)
