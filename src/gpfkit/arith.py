@@ -2,8 +2,9 @@
 
 Monomials are exponent tuples, polynomials are immutable term maps attached
 to a `PolyRing`.  A ring may carry quotient relations; the reduced basis of
-the relation ideal is computed once on first use and cached, and elements
-can be put into a canonical representative form with `PolyRing.reduce`.
+the relation ideal is computed once on first use and kept on the ring,
+and `PolyRing.reduce` puts an element into canonical representative form
+by its normal form against that basis.
 
 Monomial orders (`TermOrder`) cover lex, graded reverse lex, and block
 elimination orders, and extend to terms of a free module position-over-term
@@ -13,7 +14,6 @@ with component 0 taking the highest precedence.
 from __future__ import annotations
 
 from .errors import RingMismatchError
-from .fields import QQ
 
 Monomial = tuple
 
@@ -149,8 +149,7 @@ class PolyRing:
             names,
             tuple(sorted(p.key() for p in self.relations)),
         )
-        self._relation_basis = None
-        self._pure = None
+        self._gb = None
 
     @property
     def nvars(self):
@@ -209,37 +208,29 @@ class PolyRing:
             return self.zero()
         return Polynomial(self, {exps: c})
 
-    def pure(self):
-        """The polynomial ring under this one (self when not a quotient)."""
-        if not self.is_quotient:
-            return self
-        if self._pure is None:
-            self._pure = PolyRing(self.field, self.names)
-        return self._pure
+    def _relation_gb(self):
+        """The reduced basis of the relation ideal, computed once over
+        this ring itself (rank 1, relations not adjoined again)."""
+        if self._gb is None:
+            from .groebner import buchberger
+
+            self._gb = buchberger(
+                [(r,) for r in self.relations],
+                ring=self,
+                rank=1,
+                include_relations=False,
+            )
+        return self._gb
 
     def relation_basis(self):
-        """Reduced basis of the relation ideal, as vectors of rank 1."""
-        if self._relation_basis is None:
-            if not self.is_quotient:
-                self._relation_basis = ()
-            else:
-                from .groebner import buchberger
-
-                pure = self.pure()
-                lifted = [(Polynomial(pure, dict(r._terms)),) for r in self.relations]
-                gb = buchberger(lifted, ring=pure, rank=1)
-                self._relation_basis = tuple(
-                    Polynomial(self, dict(v[0]._terms)) for v in gb.vectors
-                )
-        return self._relation_basis
+        """Reduced basis of the relation ideal, as ring elements."""
+        return tuple(v[0] for v in self._relation_gb().vectors)
 
     def reduce(self, f):
         """Canonical representative of f modulo the relation ideal."""
         if not self.is_quotient:
             return f
-        from .groebner import reduce_by_polys
-
-        return reduce_by_polys(f, self.relation_basis())
+        return self._relation_gb().normal_form((f,))[0]
 
     def element_equal(self, f, g):
         return self.reduce(f - g).is_zero()

@@ -63,17 +63,13 @@ def _fmt_module(q):
     return base
 
 
-def _prime_notes(primes, used_registry):
+def _attestation_notes(primes):
     notes = []
     seen = set()
     for p in primes:
         if p.attestation != ATTEST_MONOMIAL and p.key() not in seen:
             seen.add(p.key())
             notes.append("%s: %s" % (p, p.attestation))
-    if used_registry:
-        notes.append(
-            "associated primes are relative to the declared candidate set"
-        )
     return notes
 
 
@@ -90,6 +86,15 @@ class Runner:
     @property
     def source(self):
         return self.env.registry if self.env.registry is not None else MONOMIAL
+
+    def _prime_notes(self, primes):
+        """Attestation notes, plus the caveat when a registry is declared."""
+        notes = _attestation_notes(primes)
+        if self.env.registry is not None:
+            notes.append(
+                "associated primes are relative to the declared candidate set"
+            )
+        return notes
 
     def run(self, script):
         for stmt in script.statements:
@@ -166,7 +171,9 @@ class Runner:
 
     # --- command handlers ---
 
-    def _filtration(self, cmd):
+    def _verified_filtration(self, cmd):
+        """The filtration a command asks for, its verify_rpe report, the
+        inputs and the attestation notes."""
         sub = self.env.submodule(
             cmd.args["sub"], cmd.args["module"], cmd.line, cmd.col
         )
@@ -178,7 +185,12 @@ class Runner:
             tie_break=self.tie_break,
             max_steps=self.max_steps,
         )
-        return sub, module, filt
+        inputs = {
+            "submodule": _fmt_sub(sub),
+            "module": _fmt_module(module),
+        }
+        notes = self._prime_notes(filt.primes())
+        return filt, verify_rpe(filt), inputs, notes
 
     def _chain(self, filt):
         """Filtration steps as an audit-friendly colon chain."""
@@ -197,20 +209,14 @@ class Runner:
         return steps
 
     def cmd_gpf(self, cmd):
-        sub, module, filt = self._filtration(cmd)
+        filt, report, inputs, notes = self._verified_filtration(cmd)
         ms = PrimeMultiset.from_primes(filt.primes())
-        report = verify_rpe(filt)
-        inputs = {
-            "submodule": _fmt_sub(sub),
-            "module": _fmt_module(module),
-        }
         result = {
             "factorization": str(ms),
             "factors": [
                 {"prime": str(p), "exponent": r} for p, r in ms.entries()
             ],
         }
-        notes = _prime_notes(filt.primes(), self.env.registry is not None)
         verification = {
             "steps": report["ok"],
             "ass_complete": filt.ass_complete,
@@ -218,14 +224,8 @@ class Runner:
         return inputs, result, notes, verification
 
     def cmd_filtration(self, cmd):
-        sub, module, filt = self._filtration(cmd)
-        report = verify_rpe(filt)
-        inputs = {
-            "submodule": _fmt_sub(sub),
-            "module": _fmt_module(module),
-        }
-        result = {"base": _fmt_sub(sub), "steps": self._chain(filt)}
-        notes = _prime_notes(filt.primes(), self.env.registry is not None)
+        filt, report, inputs, notes = self._verified_filtration(cmd)
+        result = {"base": inputs["submodule"], "steps": self._chain(filt)}
         verification = {
             "steps": report["ok"],
             "ass_complete": filt.ass_complete,
@@ -248,7 +248,7 @@ class Runner:
             "primes": [str(p) for p in primes],
             "complete": primes.complete,
         }
-        notes = _prime_notes(primes, self.env.registry is not None)
+        notes = self._prime_notes(primes)
         return inputs, result, notes, {}
 
     def cmd_colon(self, cmd):
@@ -265,7 +265,7 @@ class Runner:
             "module": _fmt_module(module),
         }
         result = {"module": _fmt_sub(out)}
-        notes = _prime_notes([p for p, _ in pairs], False)
+        notes = _attestation_notes([p for p, _ in pairs])
         return inputs, result, notes, {}
 
     def cmd_exists(self, cmd):
@@ -290,7 +290,7 @@ class Runner:
         }
         if report.witness is not None:
             result["witness"] = _fmt_sub(report.witness)
-        notes = _prime_notes(primes, self.env.registry is not None)
+        notes = self._prime_notes(primes)
         verification = {}
         if report.verdict:
             verification["witness_factorization"] = True
@@ -310,7 +310,7 @@ class Runner:
             "module": _fmt_module(module),
         }
         result = {"submodule": _fmt_sub(sub)}
-        notes = _prime_notes(target.primes(), self.env.registry is not None)
+        notes = self._prime_notes(target.primes())
         return inputs, result, notes, {"factorization": True}
 
     def cmd_check_iff(self, cmd):
@@ -337,22 +337,17 @@ class Runner:
         if report.filtration is not None:
             result["steps"] = self._chain(report.filtration)
             verification["steps"] = True
-        notes = _prime_notes(target.primes(), self.env.registry is not None)
+        notes = self._prime_notes(target.primes())
         return inputs, result, notes, verification
 
     def cmd_verify(self, cmd):
-        sub, module, filt = self._filtration(cmd)
-        report = verify_rpe(filt)
+        _, report, inputs, notes = self._verified_filtration(cmd)
         if not report["ok"]:
             raise VerificationError(
                 "filtration failed verification: %s"
                 % "; ".join(report["problems"]),
                 report,
             )
-        inputs = {
-            "submodule": _fmt_sub(sub),
-            "module": _fmt_module(module),
-        }
         result = {
             "ok": True,
             "steps": [
@@ -364,7 +359,6 @@ class Runner:
                 for s in report["steps"]
             ],
         }
-        notes = _prime_notes(filt.primes(), self.env.registry is not None)
         return inputs, result, notes, {"steps": True}
 
 

@@ -37,7 +37,6 @@ from .modops import (
 from .primes import (
     MONOMIAL,
     PrimeIdeal,
-    ass_contains,
     ass_enumerate,
     is_maximal_in,
     sort_primes,
@@ -92,18 +91,14 @@ class PrimeExtensionStep:
 class Filtration:
     """A verified chain of submodules of the ambient quotient module.
 
-    kind is "RPE" when every step was built (or re-verified) as a regular
-    maximal prime extension, "MPE" when steps are maximal prime extensions
-    without the regularity guarantee, and "chain" otherwise.
-    ass_complete records whether the Ass enumerations behind the steps
-    were exhaustive or relative to a candidate registry.
+    Every step was built (or re-verified) as a regular maximal prime
+    extension.  ass_complete records whether the Ass enumerations behind
+    the steps were exhaustive or relative to a candidate registry.
     """
 
     ambient: QuotientModule
     base: Submodule
     steps: tuple
-    kind: str = "RPE"
-    tie_break: str = "lex"
     ass_complete: bool = True
     source: object = MONOMIAL
 
@@ -263,8 +258,6 @@ def rpe_filtration(N, M, source=MONOMIAL, tie_break="lex", max_steps=None):
         ambient=M,
         base=N,
         steps=tuple(steps),
-        kind="RPE",
-        tie_break=tie_break,
         ass_complete=complete,
         source=source,
     )

@@ -33,7 +33,6 @@ from .errors import HypothesisError, VerificationError
 from .modops import (
     QuotientModule,
     Submodule,
-    colon_module,
     ideal_power,
     module_scale,
     partial_products,
@@ -48,7 +47,14 @@ from .primes import (
     incomparable,
     supp_contains,
 )
-from .filtration import Filtration, interchange, rpe_filtration
+from .filtration import (
+    Filtration,
+    PrimeExtensionStep,
+    colon_chain,
+    interchange,
+    rpe_filtration,
+    verify_step,
+)
 
 
 class PrimeMultiset:
@@ -533,17 +539,21 @@ def check_iff_criterion(target, M, source=MONOMIAL):
 
     With the primes in descending order and a_i the partial products,
     the criterion is that each subquotient (aM : a_i)/(aM : a_{i-1}) has
-    the single associated prime p_i.  On success the refined colon chain
-    is returned as a verified regular filtration.
+    the single associated prime p_i.  One colon chain by the expanded
+    prime sequence serves both: the segments are read at the cumulative
+    exponents, and on success the whole chain is returned as a verified
+    regular filtration.
     """
     aM = module_scale(target.product_ideal(), M)
-    partials = target.partial_ideals()
-    chain = [colon_module(aM, a, M) for a in partials]
+    primes = target.expanded()
+    chain = colon_chain(aM, primes, M)
     segments = []
     verdict = True
     failed = None
-    for i, (p, _) in enumerate(target.pairs, start=1):
-        lower, upper = chain[i - 1], chain[i]
+    at = 0
+    for i, (p, r) in enumerate(target.pairs, start=1):
+        lower, upper = chain[at], chain[at + r]
+        at += r
         if upper.equals(lower):
             found = PrimeSet([])
         else:
@@ -557,38 +567,29 @@ def check_iff_criterion(target, M, source=MONOMIAL):
             failed = i
     if not verdict:
         return IffReport(False, segments, failed_index=failed)
-    filt = _refined_chain(target, aM, M, source)
+    filt = _refined_chain(primes, chain, M, source)
     return IffReport(True, segments, filtration=filt)
 
 
-def _refined_chain(target, aM, M, source):
-    """The step-by-step colon chain for the expanded prime sequence,
-    assembled into a filtration with every step re-verified."""
-    from .filtration import PrimeExtensionStep, verify_step
-
-    primes = target.expanded()
-    partials = partial_products([(p, 1) for p in primes])
+def _refined_chain(primes, chain, M, source):
+    """The colon chain by the expanded prime sequence, assembled into a
+    filtration with every step re-verified."""
     steps = []
-    prev = colon_module(aM, partials[0], M)
-    base = prev
-    for p, acc in zip(primes, partials[1:]):
-        nxt = colon_module(aM, acc, M)
-        flags, problems = verify_step(prev, nxt, p, M, source)
+    for p, lower, upper in zip(primes, chain, chain[1:]):
+        flags, problems = verify_step(lower, upper, p, M, source)
         if not flags.all_verified():
             raise VerificationError(
                 "refined chain failed verification", report=problems
             )
         steps.append(
-            PrimeExtensionStep(lower=prev, upper=nxt, prime=p, flags=flags)
+            PrimeExtensionStep(lower=lower, upper=upper, prime=p, flags=flags)
         )
-        prev = nxt
-    if not M.with_denominator(prev).is_zero():
+    if not M.with_denominator(chain[-1]).is_zero():
         raise VerificationError("refined chain does not reach the module")
     return Filtration(
         ambient=M,
-        base=base,
+        base=chain[0],
         steps=tuple(steps),
-        kind="RPE",
         ass_complete=(source is MONOMIAL or source is None),
         source=source,
     )

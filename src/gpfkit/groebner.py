@@ -2,9 +2,13 @@
 
 Ideals are the k = 1 case.  Vectors are tuples of polynomials; internally a
 vector is flattened to a map from (component, monomial) terms to
-coefficients and all reductions run on those maps.  Pair selection uses the
-normal strategy (smallest lcm first) and pairs are discarded by the two
-classical criteria:
+coefficients, and a basis is a list of monic entries (leading term, term
+map, components) that `_entry` alone builds.  All reductions run on those
+maps, through one reducer, `_nf`: inside Buchberger, in
+`GroebnerBasis.normal_form` and `contains`, and in quotient-ring
+reduction, which is the normal form modulo the ring's relation basis.
+Pair selection uses the normal strategy (smallest lcm first) and pairs
+are discarded by the two classical criteria:
 
   * coprime leading monomials, applied only when both vectors are
     supported on the single shared component (the unrestricted form is
@@ -13,9 +17,11 @@ classical criteria:
     and both mixed pairs are no longer pending.
 
 Reduced bases are canonical for a given submodule and order, so results
-are cached by ring, rank, order, and generator set.  For quotient rings
-the relation ideal times each unit vector is adjoined to every generating
-set unless the caller opts out and places the relations manually.
+are cached by ring, rank, order and the set of `vector_key`s of the
+nonzero generators; the key is built before any flattening.  For
+quotient rings the relation ideal times each unit vector is adjoined to
+every generating set unless the caller opts out and places the
+relations manually.
 """
 
 from __future__ import annotations
@@ -41,22 +47,32 @@ def vector_key(v):
     return tuple(p.key() for p in v)
 
 
-def _flatten(v, ring, rank):
+def _check(v, ring, rank):
     if len(v) != rank:
         raise RingMismatchError("vector of length %d in rank %d" % (len(v), rank))
-    out = {}
-    for comp, p in enumerate(v):
+    for p in v:
         if p.ring != ring:
             raise RingMismatchError("vector component over a different ring")
-        for m, c in p.terms():
-            out[(comp, m)] = c
-    return out
+
+
+def _flatten(v):
+    return {(comp, m): c for comp, p in enumerate(v) for m, c in p.terms()}
+
 
 def _unflatten(d, ring, rank):
     comps = [{} for _ in range(rank)]
     for (comp, m), c in d.items():
         comps[comp][m] = c
     return tuple(Polynomial(ring, t) for t in comps)
+
+
+def _entry(d, order, field):
+    """The monic basis entry (leading term, term map, components) of a
+    nonzero term map."""
+    lt = max(d, key=order.term_key)
+    inv = field.invert(d[lt])
+    dd = {t: field.mul(inv, c) for t, c in d.items()}
+    return lt, dd, frozenset(c for c, _ in dd)
 
 
 def _nf(f, entries, order, field):
@@ -109,28 +125,26 @@ def _spair(e1, e2, field):
 
 
 class GroebnerBasis:
-    """A reduced basis with its ring, rank, and order."""
+    """A reduced basis with its ring, rank and order, held as the monic
+    entries Buchberger produced; `vectors` are derived from them."""
 
     __slots__ = ("ring", "rank", "order", "vectors", "_entries")
 
-    def __init__(self, ring, rank, order, vectors):
+    def __init__(self, ring, rank, order, entries):
         self.ring = ring
         self.rank = rank
         self.order = order
-        self.vectors = tuple(vectors)
-        self._entries = []
-        for v in self.vectors:
-            d = _flatten(v, ring, rank)
-            lt = max(d, key=order.term_key)
-            self._entries.append((lt, d, frozenset(c for c, _ in d)))
+        self._entries = list(entries)
+        self.vectors = tuple(_unflatten(e[1], ring, rank) for e in self._entries)
 
     def normal_form(self, v):
-        d = _flatten(v, self.ring, self.rank)
-        return _unflatten(_nf(d, self._entries, self.order, self.ring.field), self.ring, self.rank)
+        _check(v, self.ring, self.rank)
+        d = _nf(_flatten(v), self._entries, self.order, self.ring.field)
+        return _unflatten(d, self.ring, self.rank)
 
     def contains(self, v):
-        d = _flatten(v, self.ring, self.rank)
-        return not _nf(d, self._entries, self.order, self.ring.field)
+        _check(v, self.ring, self.rank)
+        return not _nf(_flatten(v), self._entries, self.order, self.ring.field)
 
     def is_zero(self):
         return not self.vectors
@@ -160,28 +174,18 @@ def buchberger(gens, *, ring, rank, order=None, include_relations=True):
     gens = [tuple(v) for v in gens]
     if include_relations and ring.is_quotient:
         gens = gens + relation_vectors(ring, rank)
-    flat = []
+    nonzero = {}
     for v in gens:
-        d = _flatten(v, ring, rank)
-        if d:
-            flat.append(d)
-    ckey = (
-        ring.key(),
-        rank,
-        order.key(),
-        frozenset(tuple(sorted(d.items())) for d in flat),
-    )
+        _check(v, ring, rank)
+        if any(v):
+            nonzero.setdefault(vector_key(v), v)
+    ckey = (ring.key(), rank, order.key(), frozenset(nonzero))
     hit = _GB_CACHE.get(ckey)
     if hit is not None:
         return hit
 
     field = ring.field
-    entries = []
-    for d in flat:
-        lt = max(d, key=order.term_key)
-        inv = field.invert(d[lt])
-        dd = {t: field.mul(inv, c) for t, c in d.items()}
-        entries.append((lt, dd, frozenset(c for c, _ in dd)))
+    entries = [_entry(_flatten(v), order, field) for v in nonzero.values()]
 
     pairs = {}
 
@@ -224,10 +228,7 @@ def buchberger(gens, *, ring, rank, order=None, include_relations=True):
         s = _spair(ei, ej, field)
         h = _nf(s, entries, order, field)
         if h:
-            lt = max(h, key=order.term_key)
-            inv = field.invert(h[lt])
-            hh = {t: field.mul(inv, c) for t, c in h.items()}
-            entries.append((lt, hh, frozenset(c for c, _ in hh)))
+            entries.append(_entry(h, order, field))
             add_pairs(len(entries) - 1)
 
     # minimalize: drop entries whose leading term another one divides
@@ -244,40 +245,11 @@ def buchberger(gens, *, ring, rank, order=None, include_relations=True):
     final = []
     for idx, e in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
-        h = _nf(e[1], others, order, field)
-        final.append(h)
-    final.sort(key=lambda d: order.term_key(max(d, key=order.term_key)))
-    vectors = tuple(_unflatten(d, ring, rank) for d in final)
-    gb = GroebnerBasis(ring, rank, order, vectors)
+        final.append(_entry(_nf(e[1], others, order, field), order, field))
+    final.sort(key=lambda e: order.term_key(e[0]))
+    gb = GroebnerBasis(ring, rank, order, final)
     _GB_CACHE[ckey] = gb
     return gb
-
-
-def normal_form(v, gb):
-    return gb.normal_form(v)
-
-
-def member(v, gens, *, ring, rank, include_relations=True):
-    gb = buchberger(gens, ring=ring, rank=rank, include_relations=include_relations)
-    return gb.contains(tuple(v))
-
-
-def reduce_by_polys(f, polys):
-    """Full normal form of a ring element against a list of ring elements."""
-    ring = f.ring
-    field = ring.field
-    entries = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        d = {(0, m): c for m, c in p.terms()}
-        lt = max(d, key=GREVLEX.term_key)
-        inv = field.invert(d[lt])
-        dd = {t: field.mul(inv, c) for t, c in d.items()}
-        entries.append((lt, dd, frozenset((0,))))
-    d = {(0, m): c for m, c in f.terms()}
-    out = _nf(d, entries, GREVLEX, field)
-    return Polynomial(ring, {m: c for (_, m), c in out.items()})
 
 
 def eliminate(gens, keep, *, ring, rank, include_relations=True):
@@ -290,9 +262,6 @@ def eliminate(gens, keep, *, ring, rank, include_relations=True):
     """
     keep = set(keep)
     block = tuple(i for i in range(ring.nvars) if i not in keep)
-    if not block:
-        gb = buchberger(gens, ring=ring, rank=rank, include_relations=include_relations)
-        return list(gb.vectors)
     order = TermOrder.elimination(block)
     gb = buchberger(
         gens, ring=ring, rank=rank, order=order, include_relations=include_relations

@@ -17,8 +17,9 @@ variable t, eliminate t, and keep the t-free part (the Rabinowitsch
 trick).  Intersection uses (t, 1 - t).  Colon by an ideal runs generator
 by generator, each f with (t, (1 - t) f) followed by exact division by f,
 and intersects the results.  Saturation by f is a single elimination with
-(1, 1 - t f), not an iterated colon.  The transporter ideal of a pair of
-modules comes from a kernel computation in rank k + 1.
+(1, 1 - t f), not an iterated colon.  The transporter ideal (B : A) is
+read off one kernel basis in rank s k + 1 over the s generators of A
+outside B; no intersection of ideals follows it.
 """
 
 from __future__ import annotations
@@ -343,21 +344,6 @@ def _tag_eliminate(ring, rank, gens_a, gens_b, a, b):
     return [tuple(lower(p) for p in v) for v in got]
 
 
-def _transporter_by_vector(gens_b, a, ring, rank):
-    """Generators of the ideal {r : r a in B}, via a rank + 1 kernel."""
-    one = ring.one()
-    zero = ring.zero()
-    work = [tuple(a) + (one,)]
-    for v in gens_b:
-        work.append(tuple(v) + (zero,))
-    gb = buchberger(work, ring=ring, rank=rank + 1)
-    out = []
-    for v in gb.vectors:
-        if all(p.is_zero() for p in v[:rank]):
-            out.append(v[rank])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -408,24 +394,36 @@ def colon_module(N, ideal, M):
 
 
 def colon_ideal(B, A):
-    """The transporter ideal {r : r A <= B}, the annihilator of A/B."""
+    """The transporter ideal {r : r A <= B}, the annihilator of A/B.
+
+    With a_1, ..., a_s the generators of A outside B, r lies in the ideal
+    exactly when (0 | ... | 0 | r) lies in the submodule of R^(s k + 1)
+    spanned by (a_1 | ... | a_s | 1) and by B placed in each of the s
+    blocks.  Position over term puts the last component lowest, so the
+    basis vectors that vanish elsewhere carry a basis of the ideal in
+    their last entry (Cox, Little & O'Shea, *Ideals, Varieties, and
+    Algorithms*).
+    """
     B._compat(A)
     ring = B.ring
     if not A.contains_module(B):
         raise ValueError("transporter wants B inside A")
     bgb = B.groebner()
-    parts = []
-    for a in A.gens:
-        if bgb.contains(a):
-            continue
-        gens = _transporter_by_vector(B.gens, a, ring, B.rank)
-        parts.append(Ideal(ring, gens))
-    if not parts:
+    outside = [a for a in A.gens if not bgb.contains(a)]
+    if not outside:
         return unit_ideal(ring)
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = ideal_intersection(acc, p)
-    return Ideal(ring, _sort_polys(acc.canonical_gens()) or [])
+    k = B.rank
+    width = len(outside) * k
+    zero = ring.zero()
+    work = [tuple(p for a in outside for p in a) + (ring.one(),)]
+    for start in range(0, width, k):
+        for b in B.gens:
+            vec = [zero] * (width + 1)
+            vec[start : start + k] = b
+            work.append(tuple(vec))
+    gb = buchberger(work, ring=ring, rank=width + 1)
+    gens = [v[width] for v in gb.vectors if not any(v[:width])]
+    return Ideal(ring, _sort_polys(Ideal(ring, gens).canonical_gens()))
 
 
 def saturate(N, f, M):

@@ -36,7 +36,7 @@ from .arith import GREVLEX, Polynomial, PolyRing, mono_degree, mono_divides
 from .errors import BudgetError, VerificationError
 from .fields import GF
 from .modops import QuotientModule, colon_ideal, colon_module, ideal_power
-from .primes import MONOMIAL, PrimeIdeal, ass_enumerate
+from .primes import PrimeIdeal, ass_enumerate
 from .gpf import gpf
 
 DEFAULT_BUDGET = 4096

@@ -1,18 +1,21 @@
 import random
 
-from gpfkit.arith import PolyRing
+import pytest
+
+from gpfkit.arith import PolyRing, Polynomial, mono_divides
+from gpfkit.errors import RingMismatchError
 from gpfkit.fields import QQ
-from gpfkit.groebner import buchberger, eliminate, member, normal_form
+from gpfkit.groebner import buchberger, eliminate
 
 from helpers import twisted_ring, xy_ring
 
 
 def test_membership_classic():
     ring, x, y = xy_ring()
-    gens = [(x - y,), (x * x,)]
-    assert member((y * y,), gens, ring=ring, rank=1)
-    assert member((x * y,), gens, ring=ring, rank=1)
-    assert not member((y,), gens, ring=ring, rank=1)
+    gb = buchberger([(x - y,), (x * x,)], ring=ring, rank=1)
+    assert gb.contains((y * y,))
+    assert gb.contains((x * y,))
+    assert not gb.contains((y,))
 
 
 def test_normal_form_is_idempotent():
@@ -32,14 +35,18 @@ def test_basis_key_independent_of_generator_order():
         shuffled = gens[:]
         rng.shuffle(shuffled)
         assert buchberger(shuffled, ring=ring, rank=1).key() == base
+    # the cache key is the generator set: repeats and zero vectors hit too
+    again = gens + [gens[0], (ring.zero(),)]
+    assert buchberger(again, ring=ring, rank=1) is buchberger(gens, ring=ring, rank=1)
 
 
 def test_quotient_relations_enter_the_basis():
     pure, px, _ = xy_ring()
     ring = PolyRing(QQ, ("x", "y"), relations=(px * px,))
     x, y = ring.gen(0), ring.gen(1)
-    assert member((x * x * y,), [(x * y,)], ring=ring, rank=1)
-    assert member((x * x,), [(x * y,)], ring=ring, rank=1)
+    gb = buchberger([(x * y,)], ring=ring, rank=1)
+    assert gb.contains((x * x * y,))
+    assert gb.contains((x * x,))
 
 
 def test_eliminate_keeps_subring_part():
@@ -49,21 +56,47 @@ def test_eliminate_keeps_subring_part():
     polys = [v[0] for v in kept]
     assert polys
     assert all(m[0] == 0 for p in polys for m in p.monomials())
-    assert member((y * y,), kept, ring=ring, rank=1)
-    assert not member((y,), kept, ring=ring, rank=1)
+    gb = buchberger(kept, ring=ring, rank=1)
+    assert gb.contains((y * y,))
+    assert not gb.contains((y,))
 
 
 def test_vector_membership_rank_two():
     ring, x, y = xy_ring()
-    gens = [(x, ring.zero()), (ring.zero(), y)]
-    assert member((x * y, y * y), gens, ring=ring, rank=2)
-    assert not member((y, ring.zero()), gens, ring=ring, rank=2)
+    gb = buchberger([(x, ring.zero()), (ring.zero(), y)], ring=ring, rank=2)
+    assert gb.contains((x * y, y * y))
+    assert not gb.contains((y, ring.zero()))
 
 
 def test_twisted_ring_membership():
     ring = twisted_ring()
     x, y, z = ring.gen(0), ring.gen(1), ring.gen(2)
-    gens = [(x * x,), (x * z,), (z * z,)]
-    assert member((x * y,), gens, ring=ring, rank=1)
-    assert member((y * z,), gens, ring=ring, rank=1)
-    assert not member((y * y,), gens, ring=ring, rank=1)
+    gb = buchberger([(x * x,), (x * z,), (z * z,)], ring=ring, rank=1)
+    assert gb.contains((x * y,))
+    assert gb.contains((y * z,))
+    assert not gb.contains((y * y,))
+
+
+def test_buchberger_rejects_wrong_rank_and_ring():
+    ring, x, y = xy_ring()
+    gens = [(x * y,), (y * y,)]
+    buchberger(gens, ring=ring, rank=1)  # cached before the bad calls
+    with pytest.raises(RingMismatchError):
+        buchberger(gens, ring=ring, rank=2)
+    other = PolyRing(QQ, ("x", "y", "z"))
+    with pytest.raises(RingMismatchError):
+        buchberger(gens + [(other.gen(2),)], ring=ring, rank=1)
+
+
+def test_quotient_reduce_is_the_relation_basis_normal_form():
+    ring = twisted_ring()
+    x, y, z = ring.gens()
+    pure = PolyRing(QQ, ring.names)
+    lifted = [(Polynomial(pure, dict(r.terms())),) for r in ring.relations]
+    want = buchberger(lifted, ring=pure, rank=1).key()
+    assert tuple((r.key(),) for r in ring.relation_basis()) == want
+    lts = [r.leading_term()[0] for r in ring.relation_basis()]
+    for f in (x * x * y, y * z * z - x, x * x * x + z):
+        nf = ring.reduce(f)
+        assert not any(mono_divides(t, m) for t in lts for m in nf.monomials())
+        assert ring.reduce(f - nf).is_zero()

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from gpfkit.errors import RingMismatchError
+from gpfkit.groebner import buchberger
 from gpfkit.modops import (
     Ideal,
     QuotientModule,
     Submodule,
     colon_ideal,
     colon_module,
+    ideal_intersection,
     ideal_power,
     ideal_product,
     intersect,
@@ -296,6 +298,42 @@ def test_quotient_module_ann_of_any_pair(ambient):
         assert Q.is_zero() == bottom.contains_module(top)
         for p in primes:
             assert supp_contains(p, Q) == p.contains_ideal(want)
+
+
+def _vector_transporter(B, a):
+    """{r : r a in B}, from the kernel of (a | 1) and (B | 0) in rank k + 1."""
+    ring, k = B.ring, B.rank
+    work = [tuple(a) + (ring.one(),)] + [tuple(b) + (ring.zero(),) for b in B.gens]
+    gb = buchberger(work, ring=ring, rank=k + 1)
+    return Ideal(ring, [v[k] for v in gb.vectors if all(p.is_zero() for p in v[:k])])
+
+
+@pytest.mark.parametrize("ambient", ["xyz", "rank2", "twisted"])
+def test_colon_ideal_matches_intersection_of_vector_transporters(ambient):
+    """The one-basis transporter equals the intersection of the
+    transporters of the single generators of A, with canonical generators."""
+    M = _saturation_ambient(ambient)
+    ring = M.ring
+    xs = ring.gens()
+    rng = random.Random("transporter-%s" % ambient)
+    for i in range(6):
+        B = random_monomial_sub(rng, M, max_deg=2, max_gens=2)
+        extra = random_monomial_sub(rng, M, max_deg=1, max_gens=2).gens
+        if i % 2:
+            vec = [ring.zero()] * M.rank
+            a, b, c = (rng.choice(xs) for _ in range(3))
+            vec[rng.randrange(M.rank)] = a * b - c
+            extra += (tuple(vec),)
+        A = B.plus(Submodule(ring, M.rank, extra))
+        want = None
+        for a in A.gens:
+            part = _vector_transporter(B, a)
+            want = part if want is None else ideal_intersection(want, part)
+        got = colon_ideal(B, A)
+        assert got.equals(want)
+        assert got.gens == want.canonical_gens()
+    full = M.full()
+    assert colon_ideal(full, full).gens == (ring.one(),)
 
 
 @pytest.mark.parametrize("ring_kind", ["xyz", "twisted"])

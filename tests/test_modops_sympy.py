@@ -1,4 +1,4 @@
-"""Intersection and colon checked against sympy's Groebner engine.
+"""Intersections and colon checked against sympy's Groebner engine.
 
 sympy is a test-only dependency; the module is skipped without it.  Both
 sides run the tag-variable elimination, sympy under lex with t first,
@@ -11,7 +11,13 @@ import pytest
 
 from gpfkit.arith import PolyRing
 from gpfkit.fields import GF, QQ
-from gpfkit.modops import Ideal, QuotientModule, colon_module, intersect
+from gpfkit.modops import (
+    Ideal,
+    QuotientModule,
+    colon_module,
+    ideal_intersection,
+    intersect,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -82,9 +88,11 @@ def test_intersect_and_colon_match_sympy(modulus):
         a_sp = [_to_sympy(g) for g in a]
         b_sp = [_to_sympy(g) for g in b]
 
+        want = _canonical(_sympy_intersect(a_sp, b_sp, modulus), modulus)
         got = [_to_sympy(v[0]) for v in intersect(A, B).gens]
-        want = _sympy_intersect(a_sp, b_sp, modulus)
-        assert _canonical(got, modulus) == _canonical(want, modulus)
+        assert _canonical(got, modulus) == want
+        got = [_to_sympy(g) for g in ideal_intersection(Ideal(ring, a), Ideal(ring, b)).gens]
+        assert _canonical(got, modulus) == want
 
         got = [_to_sympy(v[0]) for v in colon_module(A, Ideal(ring, [f]), M).gens]
         want = _sympy_colon(a_sp, _to_sympy(f), modulus)
