@@ -7,8 +7,9 @@ map, components) that `_entry` alone builds.  All reductions run on those
 maps, through one reducer, `_nf`: inside Buchberger, in
 `GroebnerBasis.normal_form` and `contains`, and in quotient-ring
 reduction, which is the normal form modulo the ring's relation basis.
-Pair selection uses the normal strategy (smallest lcm first) and pairs
-are discarded by the two classical criteria:
+Pair selection uses the normal strategy (smallest lcm first, ties by
+pair index), read off a heap, and pairs are discarded by the two
+classical criteria:
 
   * coprime leading monomials, applied only when both vectors are
     supported on the single shared component (the unrestricted form is
@@ -25,6 +26,8 @@ relations manually.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .arith import (
     GREVLEX,
@@ -187,7 +190,9 @@ def buchberger(gens, *, ring, rank, order=None, include_relations=True):
     field = ring.field
     entries = [_entry(_flatten(v), order, field) for v in nonzero.values()]
 
-    pairs = {}
+    # a heap of (lcm key, pair, lcm term); the chain criterion reads `pending`
+    heap = []
+    pending = set()
 
     def add_pairs(j):
         ltj = entries[j][0]
@@ -195,14 +200,15 @@ def buchberger(gens, *, ring, rank, order=None, include_relations=True):
             lti = entries[i][0]
             if lti[0] == ltj[0]:
                 t = (lti[0], mono_lcm(lti[1], ltj[1]))
-                pairs[(i, j)] = (order.term_key(t), t)
+                heapq.heappush(heap, (order.term_key(t), (i, j), t))
+                pending.add((i, j))
 
     for j in range(len(entries)):
         add_pairs(j)
 
-    while pairs:
-        (i, j) = min(pairs, key=lambda k: (pairs[k][0], k))
-        lcm_term = pairs.pop((i, j))[1]
+    while heap:
+        _, (i, j), lcm_term = heapq.heappop(heap)
+        pending.discard((i, j))
         ei, ej = entries[i], entries[j]
         # coprime criterion, safe only in the single-component case
         if (
@@ -220,7 +226,7 @@ def buchberger(gens, *, ring, rank, order=None, include_relations=True):
             if ltk[0] == lcm_term[0] and mono_divides(ltk[1], lcm_term[1]):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
-                if a not in pairs and b not in pairs:
+                if a not in pending and b not in pending:
                     skip = True
                     break
         if skip:

@@ -20,12 +20,20 @@ and intersects the results.  Saturation by f is a single elimination with
 (1, 1 - t f), not an iterated colon.  The transporter ideal (B : A) is
 read off one kernel basis in rank s k + 1 over the s generators of A
 outside B; no intersection of ideals follows it.
+
+Colon, transporter and intersection first try a monomial path, chosen
+from the inputs alone: over a ring without relations, when every
+generator involved is a monomial vector and every ideal generator a
+monomial, the submodules split by component into monomial ideals and
+the result is exponent arithmetic from `monomial`.  It passes through
+the same canonical form, so its bytes equal the elimination's.
 """
 
 from __future__ import annotations
 
 import logging
 
+from . import monomial
 from .arith import GREVLEX
 from .errors import RingMismatchError
 from .groebner import (
@@ -344,6 +352,13 @@ def _tag_eliminate(ring, rank, gens_a, gens_b, a, b):
     return [tuple(lower(p) for p in v) for v in got]
 
 
+def _monomial_parts(ring, rank, *groups):
+    """Each group split by component into monomial ideals, or None (the
+    general path) unless all are monomial vectors over a plain ring."""
+    parts = [monomial.split(ring, rank, g) for g in groups]
+    return None if None in parts else parts
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -382,14 +397,24 @@ def colon_module(N, ideal, M):
         return Submodule(M.ring, M.rank, M.full().canonical())
     gens_n = tuple(N.gens) + tuple(M.denom.gens)
     gens_m = tuple(M.top.gens) + tuple(M.denom.gens)
-    acc = None
-    for f in fs:
-        got = _tag_eliminate(M.ring, M.rank, gens_n, gens_m, (0, 1), (f, -f))
-        part = [tuple(p.exact_div(f) for p in v) for v in got]
-        if acc is None:
-            acc = part
-        else:
-            acc = _tag_eliminate(M.ring, M.rank, acc, part, (0, 1), (1, -1))
+    parts = _monomial_parts(M.ring, M.rank, gens_n, gens_m)
+    f_parts = _monomial_parts(M.ring, 1, [(f,) for f in fs])
+    if parts is not None and f_parts is not None:
+        acc = []
+        for n_c, m_c in zip(*parts):
+            for f in f_parts[0][0]:  # one group of rank 1
+                m_c = monomial.intersection(m_c, monomial.colon(n_c, f))
+            acc.append(m_c)
+        acc = monomial.vectors(M.ring, acc)
+    else:
+        acc = None
+        for f in fs:
+            got = _tag_eliminate(M.ring, M.rank, gens_n, gens_m, (0, 1), (f, -f))
+            part = [tuple(p.exact_div(f) for p in v) for v in got]
+            if acc is None:
+                acc = part
+            else:
+                acc = _tag_eliminate(M.ring, M.rank, acc, part, (0, 1), (1, -1))
     return Submodule(M.ring, M.rank, Submodule(M.ring, M.rank, acc).canonical())
 
 
@@ -413,16 +438,24 @@ def colon_ideal(B, A):
     if not outside:
         return unit_ideal(ring)
     k = B.rank
-    width = len(outside) * k
-    zero = ring.zero()
-    work = [tuple(p for a in outside for p in a) + (ring.one(),)]
-    for start in range(0, width, k):
-        for b in B.gens:
-            vec = [zero] * (width + 1)
-            vec[start : start + k] = b
-            work.append(tuple(vec))
-    gb = buchberger(work, ring=ring, rank=width + 1)
-    gens = [v[width] for v in gb.vectors if not any(v[:width])]
+    parts = _monomial_parts(ring, k, B.gens, outside)
+    if parts is not None:
+        exps = [(0,) * ring.nvars]
+        for b_c, a_c in zip(*parts):
+            for a in a_c:
+                exps = monomial.intersection(exps, monomial.colon(b_c, a))
+        gens = [ring.monomial(g) for g in exps]
+    else:
+        width = len(outside) * k
+        zero = ring.zero()
+        work = [tuple(p for a in outside for p in a) + (ring.one(),)]
+        for start in range(0, width, k):
+            for b in B.gens:
+                vec = [zero] * (width + 1)
+                vec[start : start + k] = b
+                work.append(tuple(vec))
+        gb = buchberger(work, ring=ring, rank=width + 1)
+        gens = [v[width] for v in gb.vectors if not any(v[:width])]
     return Ideal(ring, _sort_polys(Ideal(ring, gens).canonical_gens()))
 
 
@@ -449,7 +482,12 @@ def saturate(N, f, M):
 
 def intersect(N1, N2):
     N1._compat(N2)
-    got = _tag_eliminate(N1.ring, N1.rank, N1.gens, N2.gens, (0, 1), (1, -1))
+    parts = _monomial_parts(N1.ring, N1.rank, N1.gens, N2.gens)
+    if parts is not None:
+        got = [monomial.intersection(a, b) for a, b in zip(*parts)]
+        got = monomial.vectors(N1.ring, got)
+    else:
+        got = _tag_eliminate(N1.ring, N1.rank, N1.gens, N2.gens, (0, 1), (1, -1))
     sub = Submodule(N1.ring, N1.rank, got)
     return Submodule(N1.ring, N1.rank, sub.canonical())
 

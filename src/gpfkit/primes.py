@@ -22,11 +22,11 @@ Associated primes of quotients presented by monomial generators over a
 plain polynomial ring are enumerated completely: the denominator splits
 by component into monomial ideals I_c, every associated prime of the
 quotient is an associated prime of some R/I_c, and those are the
-supports of the irreducible components of I_c (Miller & Sturmfels,
-*Combinatorial Commutative Algebra*, ch. 5).  Only these variable
-primes are tested, each by the exact membership test above.  Anything
-else needs a registry of candidate primes and the result is flagged as
-relative to those candidates.
+supports of the irreducible components of I_c (the split and the
+decomposition live in `monomial`).  Only these variable primes are
+tested, each by the exact membership test above.  Anything else needs a
+registry of candidate primes and the result is flagged as relative to
+those candidates.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import itertools
 import logging
 from dataclasses import dataclass
 
+from . import monomial
 from .errors import BudgetError, IncompleteRegistryError, RingMismatchError
 from .modops import (
     Ideal,
@@ -265,49 +266,10 @@ def ass_contains(p, Q):
     return ass_membership(p, Q).member
 
 
-def _is_monomial_vector(v):
-    return sum(len(p) for p in v) == 1
-
-
 def monomial_eligible(Q):
     """Whether exhaustive monomial enumeration applies to the quotient."""
-    if Q.ring.relations:
-        return False
     gens = tuple(Q.top.gens) + tuple(Q.denom.gens)
-    return all(_is_monomial_vector(v) for v in gens)
-
-
-def _irreducible_components(monomials):
-    """The irredundant irreducible decomposition of the monomial ideal the
-    exponent tuples generate.
-
-    A component is a dict {i: a} standing for the ideal (x_i^a : i).  The
-    zero ideal is the single component {}; the unit ideal has none.  Each
-    generator g adds itself to every component C it is not in: by
-    distributivity C + (g) is the intersection of C + (x_i^g_i) over the
-    support of g, and each of those is irreducible.  A component that
-    contains another is redundant and dropped.
-    """
-    comps = [{}]
-    for g in monomials:
-        support = [i for i, e in enumerate(g) if e]
-        grown = {}
-        for c in comps:
-            if any(g[i] >= a for i, a in c.items()):
-                parts = [c]
-            else:
-                parts = [{**c, i: g[i]} for i in support]
-            for part in parts:
-                grown.setdefault(frozenset(part.items()), part)
-        comps = [
-            c
-            for c in grown.values()
-            if not any(
-                d is not c and all(i in c and c[i] <= a for i, a in d.items())
-                for d in grown.values()
-            )
-        ]
-    return comps
+    return monomial.split(Q.ring, Q.rank, gens) is not None
 
 
 def _monomial_candidates(Q):
@@ -315,14 +277,10 @@ def _monomial_candidates(Q):
     to the monomial quotient Q: (top + D)/D sits inside R^k/D, the direct
     sum of the R/I_c, and Ass(R/I_c) is the set of supports of the
     irreducible components of I_c."""
-    by_component = [[] for _ in range(Q.rank)]
-    for v in Q.denom.gens:
-        c = next(i for i, p in enumerate(v) if not p.is_zero())
-        by_component[c].extend(v[c].monomials())
     supports = {
         tuple(sorted(comp))
-        for gens in by_component
-        for comp in _irreducible_components(gens)
+        for gens in monomial.split(Q.ring, Q.rank, Q.denom.gens)
+        for comp in monomial.irreducible_components(gens)
     }
     return sorted(supports, key=lambda s: (len(s), s))
 

@@ -1,8 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gpfkit import modops
+from gpfkit.arith import PolyRing
 from gpfkit.errors import RingMismatchError
+from gpfkit.fields import GF, QQ
+from gpfkit.filtration import rpe_filtration, verify_rpe
+from gpfkit.gpf import FactorizationTarget
 from gpfkit.groebner import buchberger
 from gpfkit.modops import (
     Ideal,
@@ -354,3 +360,147 @@ def test_rank_mismatch_rejected():
     ring, x, y = xy_ring()
     with pytest.raises(RingMismatchError):
         Submodule(ring, 2, [(x,)])
+
+
+# ---------------------------------------------------------------------------
+# the monomial fast path against the elimination path
+
+
+def _general(op, *args):
+    """op(*args) with the monomial split forced off, so colon, transporter
+    and intersection take the elimination and kernel-basis path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modops, "_monomial_parts", lambda *groups: None)
+        return op(*args)
+
+
+@st.composite
+def monomial_colon_inputs(draw):
+    """(M, N, ideal, X, Y): a monomial quotient M of R^k (free, with a
+    denominator, or a check=False step quotient upper/lower), a submodule
+    N of M made of monomial multiples of the top generators, a monomial
+    ideal, and two monomial submodules X, Y of R^k.  Exponents reach 0 in
+    every variable, so unit generators occur, and rank 2 leaves components
+    empty."""
+    nvars = draw(st.integers(2, 4))
+    rank = draw(st.sampled_from([1, 2]))
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    ring = PolyRing(field, ("x", "y", "z", "u")[:nvars])
+
+    def monomial():
+        exps = draw(st.tuples(*[st.integers(0, 2)] * nvars))
+        return ring.monomial(exps, draw(st.sampled_from([1, 3])))
+
+    def vectors(lo, hi):
+        out = []
+        for _ in range(draw(st.integers(lo, hi))):
+            vec = [ring.zero()] * rank
+            vec[draw(st.integers(0, rank - 1))] = monomial()
+            out.append(tuple(vec))
+        return out
+
+    M = QuotientModule.free(ring, rank, vectors(0, 2))
+    shape = draw(st.sampled_from(["module", "denominator", "step"]))
+    if shape == "denominator":
+        M = M.with_denominator(M.span(vectors(0, 2)))
+    elif shape == "step":
+        M = M.module_of(M.span(vectors(1, 3))).with_denominator(M.span(vectors(0, 2)))
+    tops = M.top.gens
+    multiples = []
+    for _ in range(draw(st.integers(0, 3))):
+        v = draw(st.sampled_from(tops))
+        m = monomial()
+        multiples.append(tuple(m * p for p in v))
+    N = M.span(multiples)
+    ideal = Ideal(ring, [monomial() for _ in range(draw(st.integers(1, 2)))])
+    X = Submodule(ring, rank, vectors(0, 3))
+    Y = Submodule(ring, rank, vectors(0, 3))
+    return M, N, ideal, X, Y
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_colon_inputs())
+def test_monomial_path_matches_elimination(case):
+    M, N, ideal, X, Y = case
+    got = colon_module(N, ideal, M)
+    assert got.gens == _general(colon_module, N, ideal, M).gens
+    assert colon_ideal(N, M.full()).gens == _general(colon_ideal, N, M.full()).gens
+    assert colon_ideal(N, got).gens == _general(colon_ideal, N, got).gens
+    assert intersect(X, Y).gens == _general(intersect, X, Y).gens
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(modops, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("rank"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modops, name, counted)
+    return calls
+
+
+def test_monomial_inputs_skip_the_elimination(monkeypatch):
+    ring, x, y, z = xyz_ring()
+    M = QuotientModule.of_ring(ring)
+    N = M.span(((x * x,), (x * y,)))
+    calls = _count_calls(monkeypatch, "_tag_eliminate")
+    kernels = _count_calls(monkeypatch, "buchberger")
+    assert colon_module(N, Ideal(ring, [x, y]), M).equals(ideal_sub(ring, x))
+    assert intersect(N, ideal_sub(ring, y * z)).equals(ideal_sub(ring, x * y * z))
+    assert colon_ideal(N, ideal_sub(ring, x)).equals(Ideal(ring, [x, y]))
+    assert not calls
+    assert all(rank == 1 for rank in kernels)
+
+
+def test_non_monomial_inputs_take_the_elimination(monkeypatch):
+    """A binomial generator anywhere, or a quotient ring even with monomial
+    relations, falls through to the elimination and kernel-basis code."""
+    ring, x, y, z = xyz_ring()
+    rel_ring = PolyRing(QQ, ("x", "y", "z"), relations=(x * y,))
+    cases = []
+    M = QuotientModule.of_ring(ring)
+    cases.append((M, M.span(((x * x - y * z,),)), Ideal(ring, [x])))
+    cases.append((M, M.span(((x * x,),)), Ideal(ring, [x - y])))
+    R = QuotientModule.of_ring(rel_ring)
+    xr, yr, zr = rel_ring.gens()
+    cases.append((R, R.span(((xr * xr,), (zr,))), Ideal(rel_ring, [yr])))
+    for M, N, ideal in cases:
+        calls = _count_calls(monkeypatch, "_tag_eliminate")
+        colon_module(N, ideal, M)
+        assert calls
+        calls.clear()
+        I = M.span([(g,) for g in ideal.gens])
+        intersect(N, I)
+        assert calls
+        kernels = _count_calls(monkeypatch, "buchberger")
+        colon_ideal(N, N.plus(I))
+        assert 2 in kernels
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "picks",
+    [
+        [((0, 1), 2), ((0,), 1)],
+        [((0, 2), 1), ((1,), 2), ((0, 1, 2), 1)],
+    ],
+)
+def test_filtration_agrees_on_both_paths(picks):
+    """rpe_filtration and verify_rpe on criterion-6 inputs give the same
+    steps, primes and flags whichever path the module layer takes."""
+    ring = xyz_ring()[0]
+    M = QuotientModule.of_ring(ring)
+    pairs = [(PrimeIdeal.from_variables(ring, s), r) for s, r in picks]
+    aM = module_scale(FactorizationTarget.reordered(pairs).product_ideal(), M)
+
+    def run():
+        filt = rpe_filtration(aM, M)
+        report = verify_rpe(filt)
+        steps = [(str(s.prime), s.upper.gens) for s in filt.steps]
+        return steps, report["ok"], [r["flags"] for r in report["steps"]]
+
+    fast = run()
+    assert fast[1]
+    assert _general(run) == fast

@@ -1,8 +1,10 @@
 """Intersections and colon checked against sympy's Groebner engine.
 
-sympy is a test-only dependency; the module is skipped without it.  Both
-sides run the tag-variable elimination, sympy under lex with t first,
-and the results are compared as reduced grevlex bases computed by sympy.
+sympy is a test-only dependency; the module is skipped without it.
+sympy runs the tag-variable elimination under lex with t first, and the
+results are compared as reduced grevlex bases computed by sympy.  A
+random case with a polynomial of several terms takes gpfkit's elimination
+path; the fixed monomial case takes its exponent-arithmetic path.
 """
 
 import random
@@ -79,10 +81,14 @@ def test_intersect_and_colon_match_sympy(modulus):
     ring = PolyRing(GF(modulus) if modulus else QQ, ("x", "y", "z"))
     M = QuotientModule.of_ring(ring)
     rng = random.Random(modulus or 0)
-    for _ in range(6):
-        a = _random_ideal(rng, ring)
-        b = _random_ideal(rng, ring)
-        f = _random_poly(rng, ring)
+    cases = [
+        (_random_ideal(rng, ring), _random_ideal(rng, ring), _random_poly(rng, ring))
+        for _ in range(6)
+    ]
+    # monomial inputs take the module layer's exponent-arithmetic path
+    x, y, z = ring.gens()
+    cases.append(([x * x * y, 2 * y * z * z], [x * z, y * y], 3 * x * y))
+    for a, b, f in cases:
         A = Ideal(ring, a).as_submodule()
         B = Ideal(ring, b).as_submodule()
         a_sp = [_to_sympy(g) for g in a]
