@@ -6,9 +6,9 @@ the relation ideal is computed once on first use and kept on the ring,
 and `PolyRing.reduce` puts an element into canonical representative form
 by its normal form against that basis.
 
-Monomial orders (`TermOrder`) cover lex, graded reverse lex, and block
-elimination orders, and extend to terms of a free module position-over-term
-with component 0 taking the highest precedence.
+Monomial orders (`TermOrder`) are lex and graded reverse lex, extended to
+terms of a free module position over term with component 0 taking the
+highest precedence, which is the order the module layer's kernels need.
 """
 
 from __future__ import annotations
@@ -58,60 +58,26 @@ def mono_is_one(a):
 class TermOrder:
     """A total, multiplicative monomial order with 1 as least element.
 
-    kind is "lex" or "grevlex"; an elimination order is built with
-    `TermOrder.elimination(block)` and sorts any monomial touching the
-    block above every block-free monomial (grevlex inside both parts).
-    Keys for free-module terms insert the component between the
-    elimination part and the base part, so eliminating a variable is
-    sound for module computations and, absent a block, the order is
-    plain position-over-term.
+    kind is "lex" or "grevlex".  Terms of a free module are ordered
+    position over term, with component 0 taking the highest precedence.
     """
 
-    def __init__(self, kind="grevlex", elim=()):
-        if kind not in ("lex", "grevlex", "elim"):
+    def __init__(self, kind="grevlex"):
+        if kind not in ("lex", "grevlex"):
             raise ValueError("unknown order kind %r" % kind)
-        if kind == "elim" and not elim:
-            raise ValueError("elimination order needs a nonempty block")
         self.kind = kind
-        self.elim = tuple(sorted(elim))
-
-    @classmethod
-    def elimination(cls, block):
-        return cls("elim", tuple(block))
-
-    def _grevlex_key(self, m):
-        return (sum(m), tuple(-e for e in reversed(m)))
 
     def mono_key(self, m):
         if self.kind == "lex":
             return m
-        if self.kind == "grevlex":
-            return self._grevlex_key(m)
-        block = set(self.elim)
-        inner = tuple(e for i, e in enumerate(m) if i in block)
-        outer = tuple(e for i, e in enumerate(m) if i not in block)
-        return (self._grevlex_key(inner), self._grevlex_key(outer))
+        return (sum(m), tuple(-e for e in reversed(m)))
 
     def term_key(self, term):
         """Sort key for a module term (component, monomial)."""
         comp, m = term
-        if self.kind == "elim":
-            ik, ok = self.mono_key(m)
-            return (ik, -comp, ok)
         return (-comp, self.mono_key(m))
 
-    def key(self):
-        return (self.kind, self.elim)
-
-    def __eq__(self, other):
-        return isinstance(other, TermOrder) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
     def __repr__(self):
-        if self.kind == "elim":
-            return "TermOrder(elim=%r)" % (self.elim,)
         return "TermOrder(%r)" % self.kind
 
 
@@ -356,31 +322,6 @@ class Polynomial:
         if c == field.zero:
             return self.ring.zero()
         return Polynomial(self.ring, {m: field.mul(c, v) for m, v in self._terms.items()})
-
-    def exact_div(self, divisor, order=GREVLEX):
-        """Quotient self / divisor when division is exact, else ValueError."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        self._check(divisor)
-        field = self.ring.field
-        dm, dc = divisor.leading_term(order)
-        rem = dict(self._terms)
-        quot = {}
-        while rem:
-            m = max(rem, key=order.mono_key)
-            if not mono_divides(dm, m):
-                raise ValueError("division is not exact")
-            q = mono_div(m, dm)
-            qc = field.div(rem[m], dc)
-            quot[q] = qc
-            for m2, c2 in divisor._terms.items():
-                mm = mono_mul(q, m2)
-                s = field.sub(rem.get(mm, field.zero), field.mul(qc, c2))
-                if s == field.zero:
-                    rem.pop(mm, None)
-                else:
-                    rem[mm] = s
-        return Polynomial(self.ring, quot)
 
     # comparison / display
 

@@ -1,7 +1,7 @@
 """Command line front end: run scripts, emit text or JSON result streams.
 
 Exit codes: 0 when every command ran (false verdicts are still
-successes), 1 for parse or semantic errors, 2 for verification,
+successes), 1 for usage, parse or semantic errors, 2 for verification,
 construction or budget failures, 3 when an associated-prime enumeration
 against a declared candidate set came back empty.
 
@@ -380,6 +380,16 @@ def _run_oracle(args, out):
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION
 
 
+def _step_budget(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gpfkit",
@@ -404,7 +414,7 @@ def build_parser():
     )
     parser.add_argument(
         "--max-steps",
-        type=int,
+        type=_step_budget,
         default=None,
         help="filtration step budget (default from GPFKIT_MAX_STEPS or 64)",
     )
@@ -428,7 +438,14 @@ def build_parser():
 
 def main(argv=None):
     try:
-        return _run(build_parser().parse_args(argv), sys.stdout)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; here 2 means a failed check
+        if exc.code == 0:
+            raise
+        return EXIT_USAGE
+    try:
+        return _run(args, sys.stdout)
     except BrokenPipeError:
         # The reader closed stdout early (`gpfkit s.gpf | head -1`): drop
         # the rest and point stdout at the null device, so the

@@ -17,12 +17,17 @@ classical criteria:
   * the chain criterion, when a third leading term divides the pair lcm
     and both mixed pairs are no longer pending.
 
-Reduced bases are canonical for a given submodule and order, so results
-are cached by ring, rank, order and the set of `vector_key`s of the
-nonzero generators; the key is built before any flattening.  For
-quotient rings the relation ideal times each unit vector is adjoined to
-every generating set unless the caller opts out and places the
-relations manually.
+Every basis is computed under grevlex extended position over term
+(`arith.GREVLEX`), so the vectors of a basis that vanish on the leading
+components form a basis of that kernel (`GroebnerBasis.tail`); the
+module layer reads colon, intersection and transporter off such kernels.
+
+Reduced bases are canonical for a given submodule, so results are
+cached by ring, rank and the set of `vector_key`s of the nonzero
+generators; the key is built before any flattening.  For quotient rings
+the relation ideal times each unit vector is adjoined to every
+generating set; the relation basis itself is computed with
+`include_relations=False`.
 """
 
 from __future__ import annotations
@@ -32,8 +37,6 @@ import heapq
 from .arith import (
     GREVLEX,
     Polynomial,
-    PolyRing,
-    TermOrder,
     mono_div,
     mono_divides,
     mono_gcd,
@@ -43,7 +46,7 @@ from .arith import (
 )
 from .errors import RingMismatchError
 
-Vector = tuple
+_term_key = GREVLEX.term_key
 
 
 def vector_key(v):
@@ -69,22 +72,22 @@ def _unflatten(d, ring, rank):
     return tuple(Polynomial(ring, t) for t in comps)
 
 
-def _entry(d, order, field):
+def _entry(d, field):
     """The monic basis entry (leading term, term map, components) of a
     nonzero term map."""
-    lt = max(d, key=order.term_key)
+    lt = max(d, key=_term_key)
     inv = field.invert(d[lt])
     dd = {t: field.mul(inv, c) for t, c in d.items()}
     return lt, dd, frozenset(c for c, _ in dd)
 
 
-def _nf(f, entries, order, field):
+def _nf(f, entries, field):
     """Full normal form of term-map f against monic (lt, map) entries."""
     zero = field.zero
     rem = dict(f)
     out = {}
     while rem:
-        t = max(rem, key=order.term_key)
+        t = max(rem, key=_term_key)
         c = rem.pop(t)
         hit = None
         for lt, g, _ in entries:
@@ -128,29 +131,42 @@ def _spair(e1, e2, field):
 
 
 class GroebnerBasis:
-    """A reduced basis with its ring, rank and order, held as the monic
-    entries Buchberger produced; `vectors` are derived from them."""
+    """A reduced basis with its ring and rank, held as the monic entries
+    Buchberger produced; `vectors` are derived from them."""
 
-    __slots__ = ("ring", "rank", "order", "vectors", "_entries")
+    __slots__ = ("ring", "rank", "vectors", "_entries")
 
-    def __init__(self, ring, rank, order, entries):
+    def __init__(self, ring, rank, entries):
         self.ring = ring
         self.rank = rank
-        self.order = order
         self._entries = list(entries)
         self.vectors = tuple(_unflatten(e[1], ring, rank) for e in self._entries)
 
     def normal_form(self, v):
         _check(v, self.ring, self.rank)
-        d = _nf(_flatten(v), self._entries, self.order, self.ring.field)
+        d = _nf(_flatten(v), self._entries, self.ring.field)
         return _unflatten(d, self.ring, self.rank)
 
     def contains(self, v):
         _check(v, self.ring, self.rank)
-        return not _nf(_flatten(v), self._entries, self.order, self.ring.field)
+        return not _nf(_flatten(v), self._entries, self.ring.field)
 
     def is_zero(self):
         return not self.vectors
+
+    def tail(self, width):
+        """The basis vectors that vanish on the first `width` components,
+        those components dropped.  Position over term puts component 0
+        highest, so these are the entries whose leading component is at
+        least `width`, and they are a reduced basis of the submodule of
+        such vectors."""
+        shifted = [
+            {(c - width, m): co for (c, m), co in d.items()}
+            for lt, d, _ in self._entries
+            if lt[0] >= width
+        ]
+        entries = [_entry(d, self.ring.field) for d in shifted]
+        return GroebnerBasis(self.ring, self.rank - width, entries)
 
     def key(self):
         return tuple(vector_key(v) for v in self.vectors)
@@ -171,9 +187,8 @@ def relation_vectors(ring, rank):
 _GB_CACHE = {}
 
 
-def buchberger(gens, *, ring, rank, order=None, include_relations=True):
+def buchberger(gens, *, ring, rank, include_relations=True):
     """Reduced basis of the submodule of ring^rank the vectors generate."""
-    order = order or GREVLEX
     gens = [tuple(v) for v in gens]
     if include_relations and ring.is_quotient:
         gens = gens + relation_vectors(ring, rank)
@@ -182,13 +197,13 @@ def buchberger(gens, *, ring, rank, order=None, include_relations=True):
         _check(v, ring, rank)
         if any(v):
             nonzero.setdefault(vector_key(v), v)
-    ckey = (ring.key(), rank, order.key(), frozenset(nonzero))
+    ckey = (ring.key(), rank, frozenset(nonzero))
     hit = _GB_CACHE.get(ckey)
     if hit is not None:
         return hit
 
     field = ring.field
-    entries = [_entry(_flatten(v), order, field) for v in nonzero.values()]
+    entries = [_entry(_flatten(v), field) for v in nonzero.values()]
 
     # a heap of (lcm key, pair, lcm term); the chain criterion reads `pending`
     heap = []
@@ -200,7 +215,7 @@ def buchberger(gens, *, ring, rank, order=None, include_relations=True):
             lti = entries[i][0]
             if lti[0] == ltj[0]:
                 t = (lti[0], mono_lcm(lti[1], ltj[1]))
-                heapq.heappush(heap, (order.term_key(t), (i, j), t))
+                heapq.heappush(heap, (_term_key(t), (i, j), t))
                 pending.add((i, j))
 
     for j in range(len(entries)):
@@ -232,13 +247,13 @@ def buchberger(gens, *, ring, rank, order=None, include_relations=True):
         if skip:
             continue
         s = _spair(ei, ej, field)
-        h = _nf(s, entries, order, field)
+        h = _nf(s, entries, field)
         if h:
-            entries.append(_entry(h, order, field))
+            entries.append(_entry(h, field))
             add_pairs(len(entries) - 1)
 
     # minimalize: drop entries whose leading term another one divides
-    entries.sort(key=lambda e: order.term_key(e[0]))
+    entries.sort(key=lambda e: _term_key(e[0]))
     kept = []
     for e in entries:
         lt = e[0]
@@ -251,60 +266,8 @@ def buchberger(gens, *, ring, rank, order=None, include_relations=True):
     final = []
     for idx, e in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
-        final.append(_entry(_nf(e[1], others, order, field), order, field))
-    final.sort(key=lambda e: order.term_key(e[0]))
-    gb = GroebnerBasis(ring, rank, order, final)
+        final.append(_entry(_nf(e[1], others, field), field))
+    final.sort(key=lambda e: _term_key(e[0]))
+    gb = GroebnerBasis(ring, rank, final)
     _GB_CACHE[ckey] = gb
     return gb
-
-
-def eliminate(gens, keep, *, ring, rank, include_relations=True):
-    """Generators of N intersected with the span of the kept variables.
-
-    keep is an iterable of variable indices; the rest form the elimination
-    block.  Works for quotient rings too, where the result generates the
-    contraction of N to the subring the kept variables generate.  This is
-    the only place that computes a basis under an elimination order.
-    """
-    keep = set(keep)
-    block = tuple(i for i in range(ring.nvars) if i not in keep)
-    order = TermOrder.elimination(block)
-    gb = buchberger(
-        gens, ring=ring, rank=rank, order=order, include_relations=include_relations
-    )
-    out = []
-    for v in gb.vectors:
-        free = True
-        for p in v:
-            for m in p.monomials():
-                if any(m[i] for i in block):
-                    free = False
-                    break
-            if not free:
-                break
-        if free:
-            out.append(v)
-    return out
-
-
-def tag_ring(ring):
-    """A pure ring with one extra leading variable @t, plus lift and lower maps.
-
-    The extension is always relation-free; callers computing modulo a
-    quotient place the lifted relation vectors on each side of a tag split
-    themselves, which keeps divisibility arguments valid.
-    """
-    ext = PolyRing(ring.field, ("@t",) + ring.names)
-
-    def lift(p, tpow=0):
-        return Polynomial(ext, {(tpow,) + m: c for m, c in p.terms()})
-
-    def lower(p):
-        out = {}
-        for m, c in p.terms():
-            if m[0] != 0:
-                raise ValueError("polynomial still involves the tag variable")
-            out[m[1:]] = c
-        return Polynomial(ring, out)
-
-    return ext, lift, lower

@@ -8,25 +8,23 @@ subquotient top/denominator of R^k; every submodule of it is represented
 by generators in R^k with the denominator generators adjoined, and each
 operation taking the quotient as context adds the denominator before
 computing.  Over quotient rings the relation ideal is adjoined
-automatically by the basis layer, except inside the tag variable
-elimination where the relations are placed on both sides by hand.
+automatically by the basis layer, in every component.
 
-Intersection, colon and saturation share one primitive, `_tag_eliminate`:
-scale two generator lists by polynomials a(t), b(t) in a fresh tag
-variable t, eliminate t, and keep the t-free part (the Rabinowitsch
-trick).  Intersection uses (t, 1 - t).  Colon by an ideal runs generator
-by generator, each f with (t, (1 - t) f) followed by exact division by f,
-and intersects the results.  Saturation by f is a single elimination with
-(1, 1 - t f), not an iterated colon.  The transporter ideal (B : A) is
-read off one kernel basis in rank s k + 1 over the s generators of A
-outside B; no intersection of ideals follows it.
+Colon, transporter and intersection share one primitive, `_kernel`: the
+x whose images in rows (image_1 | ... | image_s | x) all lie in a bottom
+submodule, read off one basis under position over term (Greuel &
+Pfister, *A Singular Introduction to Commutative Algebra*, 2.8).  Colon
+by (f_1, ..., f_s) has rows (f_1 m | ... | f_s m | m), intersection
+(n | n), the transporter (B : A) the one row (a_1 | ... | a_s | 1).
+Saturation repeats the colon until it stops growing.  Each result is
+built once, from its basis (`Submodule.of_basis`).
 
 Colon, transporter and intersection first try a monomial path, chosen
 from the inputs alone: over a ring without relations, when every
 generator involved is a monomial vector and every ideal generator a
 monomial, the submodules split by component into monomial ideals and
 the result is exponent arithmetic from `monomial`.  It passes through
-the same canonical form, so its bytes equal the elimination's.
+the same canonical form, so its bytes equal the kernel's.
 """
 
 from __future__ import annotations
@@ -36,13 +34,7 @@ import logging
 from . import monomial
 from .arith import GREVLEX
 from .errors import RingMismatchError
-from .groebner import (
-    buchberger,
-    eliminate,
-    relation_vectors,
-    tag_ring,
-    vector_key,
-)
+from .groebner import buchberger, vector_key
 
 log = logging.getLogger("gpfkit")
 
@@ -75,12 +67,16 @@ class Ideal:
 
     The ideal is the rank-1 submodule of ring^1 its generators span, held
     as a `Submodule`; bases, canonical forms, deduplication and the ring
-    check all live there.  This class only speaks in polynomials.
+    check all live there.  This class only speaks in polynomials; gens
+    may also be a rank-1 `Submodule`, which the ideal then wraps.
     """
 
     def __init__(self, ring, gens):
         self.ring = ring
-        self._sub = Submodule(ring, 1, [(g,) for g in gens])
+        if isinstance(gens, Submodule):
+            self._sub = gens
+        else:
+            self._sub = Submodule(ring, 1, [(g,) for g in gens])
         self.gens = tuple(v[0] for v in self._sub.gens)
 
     def as_submodule(self):
@@ -153,12 +149,7 @@ def partial_products(pairs):
 
 
 def ideal_intersection(a, b):
-    if a.ring != b.ring:
-        raise RingMismatchError("ideal intersection across rings")
-    gens_a = [(g,) for g in a.gens]
-    gens_b = [(g,) for g in b.gens]
-    got = _tag_eliminate(a.ring, 1, gens_a, gens_b, (0, 1), (1, -1))
-    return Ideal(a.ring, _sort_polys(v[0] for v in got))
+    return intersect(a.as_submodule(), b.as_submodule()).as_ideal()
 
 
 class Submodule:
@@ -194,6 +185,16 @@ class Submodule:
             v[i] = one
             gens.append(tuple(v))
         return cls(ring, rank, gens)
+
+    @classmethod
+    def of_basis(cls, gb):
+        """The submodule a reduced basis spans, generated by its canonical
+        vectors.  A reduced basis is unique, so it is also the basis of
+        those generators and is kept, not computed again."""
+        sub = cls(gb.ring, gb.rank, ())
+        sub._gb = gb
+        sub.gens = sub.canonical()
+        return sub
 
     def groebner(self):
         if self._gb is None:
@@ -238,7 +239,7 @@ class Submodule:
     def as_ideal(self):
         if self.rank != 1:
             raise ValueError("only rank 1 submodules are ideals")
-        return Ideal(self.ring, [v[0] for v in self.gens])
+        return Ideal(self.ring, self)
 
     def __str__(self):
         if not self.gens:
@@ -323,33 +324,28 @@ class QuotientModule:
 
 
 # ---------------------------------------------------------------------------
-# tag variable machinery
+# the kernel primitive
 
 
-def _tag_eliminate(ring, rank, gens_a, gens_b, a, b):
-    """The t-free part of a(t)(A + rel) + b(t)(B + rel), lowered to ring^rank.
-
-    A tag polynomial is given by its coefficients in ascending powers of
-    t, each an int or an element of ring.  The scalings (t, 1 - t) give
-    (A + rel) intersect (B + rel); (t, (1 - t) f) gives f times the colon
-    of A by f inside B; (1, 1 - t f) gives the saturation of A by f inside
-    B.  This is the only elimination in the module layer.
+def _kernel(ring, rows, bottom, s, k):
+    """The reduced basis of the tails x of the combinations of the rows
+    (image_1 | ... | image_s | x), images of rank k, whose every image
+    lies in the span of the bottom generators: the basis vectors of the
+    rows and of the bottom placed in each block that vanish on the s k
+    block entries, read off by `GroebnerBasis.tail` (Cox, Little &
+    O'Shea, *Using Algebraic Geometry*, ch. 5).  No rows give the zero
+    submodule of R^k.
     """
-    ext, lift, lower = tag_ring(ring)
-    rel = tuple(relation_vectors(ring, rank))
-    work = []
-    for gens, coeffs in ((gens_a, a), (gens_b, b)):
-        scale = ext.zero()
-        for tpow, c in enumerate(coeffs):
-            if isinstance(c, int):
-                c = ring.const(c)
-            scale = scale + lift(c, tpow)
-        for v in tuple(gens) + rel:
-            work.append(tuple(scale * lift(p) for p in v))
-    got = eliminate(
-        work, range(1, ext.nvars), ring=ext, rank=rank, include_relations=False
-    )
-    return [tuple(lower(p) for p in v) for v in got]
+    if not rows:
+        return Submodule.zero(ring, k).groebner()
+    width, rank = s * k, len(rows[0])
+    work = list(rows)
+    for start in range(0, width, k):
+        for b in bottom:
+            vec = [ring.zero()] * rank
+            vec[start : start + k] = b
+            work.append(tuple(vec))
+    return buchberger(work, ring=ring, rank=rank).tail(width)
 
 
 def _monomial_parts(ring, rank, *groups):
@@ -357,6 +353,11 @@ def _monomial_parts(ring, rank, *groups):
     general path) unless all are monomial vectors over a plain ring."""
     parts = [monomial.split(ring, rank, g) for g in groups]
     return None if None in parts else parts
+
+
+def _monomial_basis(ring, rank, ideals):
+    """The reduced basis of the direct sum of monomial ideals."""
+    return Submodule(ring, rank, monomial.vectors(ring, ideals)).groebner()
 
 
 # ---------------------------------------------------------------------------
@@ -378,25 +379,25 @@ def colon_module(N, ideal, M):
     """The colon (N : ideal) inside the quotient module M.
 
     Returns the submodule {x in M : ideal * x in N}, with the denominator
-    of M added to N before computing.  A zero ideal returns all of M and
-    logs a diagnostic.
+    of M added to N before computing: one kernel with the rows (f_1 m |
+    ... | f_s m | m) over the generators m of M and N as the bottom.  A
+    zero ideal returns all of M and logs a diagnostic.
     """
     if N.ring != M.ring or N.rank != M.rank:
         raise RingMismatchError("colon arguments in different ambients")
     if not M.contains_submodule(N):
         raise ValueError("N is not a submodule of M")
-    fs = []
+    fs = {}
     for g in ideal.gens:
         r = M.ring.reduce(g)
-        if not r.is_zero():
-            fs.append(r)
-    seen = set()
-    fs = [f for f in fs if not (f.key() in seen or seen.add(f.key()))]
+        if r:
+            fs.setdefault(r.key(), r)
+    fs = list(fs.values())
     if not fs:
         log.debug("colon by the zero ideal returns the whole module")
-        return Submodule(M.ring, M.rank, M.full().canonical())
-    gens_n = tuple(N.gens) + tuple(M.denom.gens)
-    gens_m = tuple(M.top.gens) + tuple(M.denom.gens)
+        return Submodule.of_basis(M.full().groebner())
+    gens_n = N.gens + M.denom.gens
+    gens_m = M.top.gens + M.denom.gens
     parts = _monomial_parts(M.ring, M.rank, gens_n, gens_m)
     f_parts = _monomial_parts(M.ring, 1, [(f,) for f in fs])
     if parts is not None and f_parts is not None:
@@ -405,30 +406,17 @@ def colon_module(N, ideal, M):
             for f in f_parts[0][0]:  # one group of rank 1
                 m_c = monomial.intersection(m_c, monomial.colon(n_c, f))
             acc.append(m_c)
-        acc = monomial.vectors(M.ring, acc)
+        gb = _monomial_basis(M.ring, M.rank, acc)
     else:
-        acc = None
-        for f in fs:
-            got = _tag_eliminate(M.ring, M.rank, gens_n, gens_m, (0, 1), (f, -f))
-            part = [tuple(p.exact_div(f) for p in v) for v in got]
-            if acc is None:
-                acc = part
-            else:
-                acc = _tag_eliminate(M.ring, M.rank, acc, part, (0, 1), (1, -1))
-    return Submodule(M.ring, M.rank, Submodule(M.ring, M.rank, acc).canonical())
+        rows = [tuple(f * p for f in fs for p in m) + m for m in gens_m]
+        gb = _kernel(M.ring, rows, gens_n, len(fs), M.rank)
+    return Submodule.of_basis(gb)
 
 
 def colon_ideal(B, A):
-    """The transporter ideal {r : r A <= B}, the annihilator of A/B.
-
-    With a_1, ..., a_s the generators of A outside B, r lies in the ideal
-    exactly when (0 | ... | 0 | r) lies in the submodule of R^(s k + 1)
-    spanned by (a_1 | ... | a_s | 1) and by B placed in each of the s
-    blocks.  Position over term puts the last component lowest, so the
-    basis vectors that vanish elsewhere carry a basis of the ideal in
-    their last entry (Cox, Little & O'Shea, *Ideals, Varieties, and
-    Algorithms*).
-    """
+    """The transporter ideal {r : r A <= B}, the annihilator of A/B: one
+    kernel with the single row (a_1 | ... | a_s | 1) over the generators
+    a_i of A outside B, and B as the bottom."""
     B._compat(A)
     ring = B.ring
     if not A.contains_module(B):
@@ -444,52 +432,41 @@ def colon_ideal(B, A):
         for b_c, a_c in zip(*parts):
             for a in a_c:
                 exps = monomial.intersection(exps, monomial.colon(b_c, a))
-        gens = [ring.monomial(g) for g in exps]
+        gb = _monomial_basis(ring, 1, [exps])
     else:
-        width = len(outside) * k
-        zero = ring.zero()
-        work = [tuple(p for a in outside for p in a) + (ring.one(),)]
-        for start in range(0, width, k):
-            for b in B.gens:
-                vec = [zero] * (width + 1)
-                vec[start : start + k] = b
-                work.append(tuple(vec))
-        gb = buchberger(work, ring=ring, rank=width + 1)
-        gens = [v[width] for v in gb.vectors if not any(v[:width])]
-    return Ideal(ring, _sort_polys(Ideal(ring, gens).canonical_gens()))
+        row = tuple(p for a in outside for p in a) + (ring.one(),)
+        gb = _kernel(ring, [row], B.gens, len(outside), k)
+    return Submodule.of_basis(gb).as_ideal()
 
 
 def saturate(N, f, M):
     """The saturation {x in M : f^n x in N for some n}, inside the quotient M.
 
-    This is the stable value of the chain N : f, (N : f) : f, ..., computed
-    by one elimination: an x in M lies in N + (1 - t f) M over R[t] exactly
-    when some f^n x lies in N (substitute t = 1/f), and every t-free vector
-    there lies in N + M = M (set t = 0).  The denominator of M is added to
-    N before computing.
+    The chain N : f, (N : f) : f, ... ascends in a Noetherian module, so
+    it stops, at the saturation.  The denominator of M is added to N, and
+    f = 0 gives all of M, as the colon by the zero ideal does.
     """
-    f = M.ring.reduce(f)
-    if f.is_zero():
-        log.debug("saturation by zero returns the whole module")
-        return Submodule(M.ring, M.rank, M.full().canonical())
-    if not M.contains_submodule(N):
-        raise ValueError("N is not a submodule of M")
-    gens_n = tuple(N.gens) + tuple(M.denom.gens)
-    gens_m = tuple(M.top.gens) + tuple(M.denom.gens)
-    got = _tag_eliminate(M.ring, M.rank, gens_n, gens_m, (1,), (1, -f))
-    return Submodule(M.ring, M.rank, Submodule(M.ring, M.rank, got).canonical())
+    ideal = Ideal(M.ring, [f])
+    cur = colon_module(N, ideal, M)
+    while True:
+        nxt = colon_module(cur, ideal, M)
+        if nxt.key() == cur.key():
+            return nxt
+        cur = nxt
 
 
 def intersect(N1, N2):
+    """N1 intersected with N2: one kernel with rows (n | n) over the
+    generators n of N1 and N2 as the bottom."""
     N1._compat(N2)
     parts = _monomial_parts(N1.ring, N1.rank, N1.gens, N2.gens)
     if parts is not None:
         got = [monomial.intersection(a, b) for a, b in zip(*parts)]
-        got = monomial.vectors(N1.ring, got)
+        gb = _monomial_basis(N1.ring, N1.rank, got)
     else:
-        got = _tag_eliminate(N1.ring, N1.rank, N1.gens, N2.gens, (0, 1), (1, -1))
-    sub = Submodule(N1.ring, N1.rank, got)
-    return Submodule(N1.ring, N1.rank, sub.canonical())
+        rows = [n + n for n in N1.gens]
+        gb = _kernel(N1.ring, rows, N2.gens, 1, N1.rank)
+    return Submodule.of_basis(gb)
 
 
 def module_sum(N1, N2):

@@ -7,7 +7,6 @@ from gpfkit.arith import (
     GREVLEX,
     LEX,
     PolyRing,
-    TermOrder,
     mono_degree,
     mono_div,
     mono_divides,
@@ -43,13 +42,6 @@ def test_leading_terms_differ_by_order():
     f = x + y * y
     assert f.leading_term(LEX)[0] == (1, 0)
     assert f.leading_term(GREVLEX)[0] == (0, 2)
-
-
-def test_elimination_order_prefers_block():
-    order = TermOrder.elimination([0])
-    ring, x, y = xy_ring()
-    f = x + y * y * y
-    assert f.leading_term(order)[0] == (1, 0)
 
 
 def test_quotient_reduce_rewrites():

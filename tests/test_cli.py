@@ -150,6 +150,34 @@ def test_missing_script_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--tie-break", "foo"),
+        ("--max-steps", "abc"),
+        ("--max-steps", "0"),
+        ("--max-steps", "-3"),
+        ("--no-such-flag",),
+    ],
+    ids=["tie-break", "max-steps-text", "max-steps-zero", "max-steps-negative", "unknown"],
+)
+def test_bad_flags_are_usage_errors(tmp_path, capsys, flags):
+    """argparse errors exit 1, not argparse's 2, before any command runs."""
+    path = tmp_path / "script.gpf"
+    path.write_text(CHAIN)
+    assert main([str(path), "--json", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--max-steps" in capsys.readouterr().out
+
+
 def test_tie_break_flag(tmp_path, capsys):
     script = "ring R = QQ[x,y];\nsubmodule N in R = (x*y);\nfiltration N in R;"
     code = _run(tmp_path, script, "--json", "--tie-break", "revlex")

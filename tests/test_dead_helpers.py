@@ -1,4 +1,4 @@
-"""Every private helper and every method in gpfkit has a user."""
+"""Every private helper, public function and method in gpfkit has a user."""
 
 import ast
 from pathlib import Path
@@ -83,3 +83,39 @@ def test_no_unreferenced_methods():
                     continue
                 dead.append("%s.%s in %s" % (cls.name, name, path.name))
     assert not dead, "unreferenced methods: %s" % ", ".join(sorted(dead))
+
+
+def _strings(tree):
+    """The dotted parts of every string constant, such as the benchmark's
+    ("modops", "ideal_intersection") trace targets."""
+    out = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out |= set(sub.value.split("."))
+    return out
+
+
+def test_no_unreferenced_public_functions():
+    """A public module-level function is referenced elsewhere in the
+    package, exported in gpfkit.__all__, or named by the benchmark, which
+    wraps some functions by name; imports in the package's __init__ do
+    not count, since __all__ says what it exports."""
+    used = set(gpfkit.__all__)
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = node.name
+                if not own.startswith("_"):
+                    defined[own] = path.name
+            elif isinstance(node, ast.ClassDef):
+                own = node.name
+            if path.name != "__init__.py":
+                used |= _names_used(node, own)
+    for path in sorted((ROOT / "gpfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= _names_used(tree, None) | _strings(tree)
+    dead = sorted("%s in %s" % (name, defined[name]) for name in set(defined) - used)
+    assert not dead, "unreferenced public functions: %s" % ", ".join(dead)

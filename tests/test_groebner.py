@@ -5,7 +5,7 @@ import pytest
 from gpfkit.arith import PolyRing, Polynomial, mono_divides
 from gpfkit.errors import RingMismatchError
 from gpfkit.fields import QQ
-from gpfkit.groebner import buchberger, eliminate
+from gpfkit.groebner import buchberger
 
 from helpers import twisted_ring, xy_ring
 
@@ -47,18 +47,6 @@ def test_quotient_relations_enter_the_basis():
     gb = buchberger([(x * y,)], ring=ring, rank=1)
     assert gb.contains((x * x * y,))
     assert gb.contains((x * x,))
-
-
-def test_eliminate_keeps_subring_part():
-    ring, x, y = xy_ring()
-    gens = [(x - y,), (y * y,)]
-    kept = eliminate(gens, [1], ring=ring, rank=1)
-    polys = [v[0] for v in kept]
-    assert polys
-    assert all(m[0] == 0 for p in polys for m in p.monomials())
-    gb = buchberger(kept, ring=ring, rank=1)
-    assert gb.contains((y * y,))
-    assert not gb.contains((y,))
 
 
 def test_vector_membership_rank_two():

@@ -286,6 +286,34 @@ def test_quotient_module_full_keeps_its_basis():
     assert M.full().groebner() is full._gb
 
 
+@pytest.mark.parametrize("ambient", ["xyz", "rank2", "counterexample", "twisted"])
+def test_results_keep_the_basis_of_their_generators(ambient):
+    """Colon, transporter, intersection and saturation hand their result
+    the basis they computed; it equals the basis computed afresh from the
+    result's generators, on both paths and over the quotient rings."""
+    M = _saturation_ambient(ambient)
+    ring = M.ring
+    xs = ring.gens()
+    rng = random.Random("kept-%s" % ambient)
+    for i in range(4):
+        N = random_monomial_sub(rng, M, max_deg=2, max_gens=3)
+        if i % 2:
+            vec = [ring.zero()] * M.rank
+            vec[rng.randrange(M.rank)] = xs[0] * xs[1] - xs[-1] * xs[-1]
+            N = M.span(N.gens + (tuple(vec),))
+        f = rng.choice(xs) - (rng.choice(xs) if i % 2 else ring.zero())
+        ideal = Ideal(ring, [f, rng.choice(xs)])
+        got = [
+            colon_module(N, ideal, M),
+            intersect(N, module_scale(ideal, M)),
+            colon_ideal(N, M.full()).as_submodule(),
+            saturate(N, f, M),
+        ]
+        for sub in got:
+            fresh = buchberger(sub.gens, ring=ring, rank=sub.rank)
+            assert sub.groebner().key() == fresh.key()
+
+
 @pytest.mark.parametrize("ambient", ["xyz", "rank2", "twisted"])
 def test_quotient_module_ann_of_any_pair(ambient):
     """Without the containment check a QuotientModule presents
@@ -363,12 +391,12 @@ def test_rank_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# the monomial fast path against the elimination path
+# the monomial fast path against the kernel path
 
 
 def _general(op, *args):
     """op(*args) with the monomial split forced off, so colon, transporter
-    and intersection take the elimination and kernel-basis path."""
+    and intersection take the kernel-basis path."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modops, "_monomial_parts", lambda *groups: None)
         return op(*args)
@@ -430,11 +458,12 @@ def test_monomial_path_matches_elimination(case):
 
 
 def _count_calls(monkeypatch, name):
+    """The calls made to modops.<name> from now on, as (args, kwargs)."""
     calls = []
     real = getattr(modops, name)
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("rank"))
+        calls.append((args, kwargs))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(modops, name, counted)
@@ -442,41 +471,61 @@ def _count_calls(monkeypatch, name):
 
 
 def test_monomial_inputs_skip_the_elimination(monkeypatch):
+    """Monomial colon, transporter, intersection and saturation build no
+    kernel basis: every basis they ask for is of rank 1."""
     ring, x, y, z = xyz_ring()
     M = QuotientModule.of_ring(ring)
     N = M.span(((x * x,), (x * y,)))
-    calls = _count_calls(monkeypatch, "_tag_eliminate")
-    kernels = _count_calls(monkeypatch, "buchberger")
+    kernels = _count_calls(monkeypatch, "_kernel")
+    bases = _count_calls(monkeypatch, "buchberger")
     assert colon_module(N, Ideal(ring, [x, y]), M).equals(ideal_sub(ring, x))
     assert intersect(N, ideal_sub(ring, y * z)).equals(ideal_sub(ring, x * y * z))
     assert colon_ideal(N, ideal_sub(ring, x)).equals(Ideal(ring, [x, y]))
-    assert not calls
-    assert all(rank == 1 for rank in kernels)
+    N2 = M.span(((x * x * y,), (x * y * y,)))
+    assert saturate(N2, x, M).equals(ideal_sub(ring, y))
+    assert not kernels
+    assert all(kwargs["rank"] == 1 for _, kwargs in bases)
 
 
 def test_non_monomial_inputs_take_the_elimination(monkeypatch):
     """A binomial generator anywhere, or a quotient ring even with monomial
-    relations, falls through to the elimination and kernel-basis code."""
+    relations, falls through to one kernel basis: of rank s k + k for a
+    colon by s generators in rank k, 2 k for an intersection and s k + 1
+    for a transporter over s generators."""
     ring, x, y, z = xyz_ring()
     rel_ring = PolyRing(QQ, ("x", "y", "z"), relations=(x * y,))
     cases = []
     M = QuotientModule.of_ring(ring)
     cases.append((M, M.span(((x * x - y * z,),)), Ideal(ring, [x])))
     cases.append((M, M.span(((x * x,),)), Ideal(ring, [x - y])))
+    cases.append((M, M.span(((x * x,),)), Ideal(ring, [x - y, z])))
     R = QuotientModule.of_ring(rel_ring)
     xr, yr, zr = rel_ring.gens()
     cases.append((R, R.span(((xr * xr,), (zr,))), Ideal(rel_ring, [yr])))
+    M2 = QuotientModule.free(ring, 2, [(x - y, ring.zero())])
+    cases.append((M2, M2.span(((x * x, y), (z, z))), Ideal(ring, [x, y])))
     for M, N, ideal in cases:
-        calls = _count_calls(monkeypatch, "_tag_eliminate")
+        s, k = len(ideal.gens), M.rank
+        kernels = _count_calls(monkeypatch, "_kernel")
+        bases = _count_calls(monkeypatch, "buchberger")
         colon_module(N, ideal, M)
-        assert calls
-        calls.clear()
-        I = M.span([(g,) for g in ideal.gens])
+        assert [args[3:] for args, _ in kernels] == [(s, k)]
+        assert [kw["rank"] for _, kw in bases if kw["rank"] > k] == [s * k + k]
+        kernels.clear()
+        bases.clear()
+        I = module_scale(ideal, M)
         intersect(N, I)
-        assert calls
-        kernels = _count_calls(monkeypatch, "buchberger")
-        colon_ideal(N, N.plus(I))
-        assert 2 in kernels
+        assert [args[3:] for args, _ in kernels] == [(1, k)]
+        assert [kw["rank"] for _, kw in bases if kw["rank"] > k] == [2 * k]
+        kernels.clear()
+        bases.clear()
+        A = N.plus(I)
+        outside = [a for a in A.gens if not N.contains(a)]
+        colon_ideal(N, A)
+        assert [args[3:] for args, _ in kernels] == [(len(outside), k)]
+        assert [kw["rank"] for _, kw in bases if kw["rank"] > k] == [
+            len(outside) * k + 1
+        ]
         monkeypatch.undo()
 
 

@@ -1,10 +1,16 @@
-"""Intersections and colon checked against sympy's Groebner engine.
+"""Intersection, colon and saturation checked against sympy's Groebner engine.
 
-sympy is a test-only dependency; the module is skipped without it.
-sympy runs the tag-variable elimination under lex with t first, and the
-results are compared as reduced grevlex bases computed by sympy.  A
-random case with a polynomial of several terms takes gpfkit's elimination
-path; the fixed monomial case takes its exponent-arithmetic path.
+sympy is a test-only dependency; the module is skipped without it.  It
+is the independent reference for the module layer, whose colon,
+intersection and saturation all come from one kernel basis under
+position over term.  sympy instead runs the Rabinowitsch tag-variable
+elimination under lex with t first: (t A + (1 - t) B) for A intersect B,
+the intersection with (f) divided by f for the colon A : f, and
+A + (1 - t f) for the saturation by f.  Results are compared as reduced
+grevlex bases computed by sympy, over a quotient ring with the relations
+adjoined on both sides.  Random cases with polynomials of several terms
+take gpfkit's kernel path; the fixed monomial case takes its
+exponent-arithmetic path.
 """
 
 import random
@@ -19,7 +25,10 @@ from gpfkit.modops import (
     colon_module,
     ideal_intersection,
     intersect,
+    saturate,
 )
+
+from helpers import twisted_ring
 
 sympy = pytest.importorskip("sympy")
 
@@ -64,6 +73,10 @@ def _sympy_colon(a, f, modulus):
     return out
 
 
+def _sympy_saturate(a, f, modulus):
+    return _eliminate(list(a) + [1 - T * f], modulus)
+
+
 def _random_poly(rng, ring):
     p = ring.zero()
     for _ in range(rng.randint(1, 3)):
@@ -76,9 +89,17 @@ def _random_ideal(rng, ring):
     return [_random_poly(rng, ring) for _ in range(rng.randint(1, 2))]
 
 
+def _sympy_gens(sub):
+    return [_to_sympy(v[0]) for v in sub.gens]
+
+
+def _field_ring(modulus):
+    return PolyRing(GF(modulus) if modulus else QQ, ("x", "y", "z"))
+
+
 @pytest.mark.parametrize("modulus", [None, 32003], ids=["QQ", "GF32003"])
 def test_intersect_and_colon_match_sympy(modulus):
-    ring = PolyRing(GF(modulus) if modulus else QQ, ("x", "y", "z"))
+    ring = _field_ring(modulus)
     M = QuotientModule.of_ring(ring)
     rng = random.Random(modulus or 0)
     cases = [
@@ -95,11 +116,60 @@ def test_intersect_and_colon_match_sympy(modulus):
         b_sp = [_to_sympy(g) for g in b]
 
         want = _canonical(_sympy_intersect(a_sp, b_sp, modulus), modulus)
-        got = [_to_sympy(v[0]) for v in intersect(A, B).gens]
-        assert _canonical(got, modulus) == want
+        assert _canonical(_sympy_gens(intersect(A, B)), modulus) == want
         got = [_to_sympy(g) for g in ideal_intersection(Ideal(ring, a), Ideal(ring, b)).gens]
         assert _canonical(got, modulus) == want
 
-        got = [_to_sympy(v[0]) for v in colon_module(A, Ideal(ring, [f]), M).gens]
+        got = _sympy_gens(colon_module(A, Ideal(ring, [f]), M))
         want = _sympy_colon(a_sp, _to_sympy(f), modulus)
         assert _canonical(got, modulus) == _canonical(want, modulus)
+
+
+@pytest.mark.parametrize("modulus", [None, 32003], ids=["QQ", "GF32003"])
+def test_saturate_and_two_generator_colon_match_sympy(modulus):
+    """saturate against the Rabinowitsch elimination, and a colon by two
+    generators (a kernel with two blocks) against the intersection of
+    the two single colons."""
+    ring = _field_ring(modulus)
+    M = QuotientModule.of_ring(ring)
+    rng = random.Random("saturate-%s" % modulus)
+    x, y, z = ring.gens()
+    # (x^2 (y - z), x (y - z)^2) saturates by x to (y - z) in two colons
+    cases = [
+        ([x * x * (y - z), x * (y - z) * (y - z)], x, y - z),
+        ([x * x * y - z * z * z, x * y * z], x - y, z),
+    ]
+    cases += [
+        (_random_ideal(rng, ring), _random_poly(rng, ring), _random_poly(rng, ring))
+        for _ in range(4)
+    ]
+    for a, f, g in cases:
+        A = Ideal(ring, a).as_submodule()
+        a_sp = [_to_sympy(h) for h in a]
+        f_sp, g_sp = _to_sympy(f), _to_sympy(g)
+
+        want = _sympy_saturate(a_sp, f_sp, modulus)
+        got = _sympy_gens(saturate(A, f, M))
+        assert _canonical(got, modulus) == _canonical(want, modulus)
+
+        want = _sympy_intersect(
+            _sympy_colon(a_sp, f_sp, modulus), _sympy_colon(a_sp, g_sp, modulus), modulus
+        )
+        got = _sympy_gens(colon_module(A, Ideal(ring, [f, g]), M))
+        assert _canonical(got, modulus) == _canonical(want, modulus)
+
+
+def test_saturate_over_the_twisted_ring_matches_sympy():
+    """Over QQ[x,y,z]/(xy - z^2, x^2 - yz) sympy saturates N + J, with the
+    relation ideal J adjoined, and the results agree modulo J."""
+    ring = twisted_ring()
+    M = QuotientModule.of_ring(ring)
+    rels = [_to_sympy(r) for r in ring.relations]
+    rng = random.Random("twisted")
+    x, y, z = ring.gens()
+    cases = [([x * x, x * z, z * z], y), ([x * x, x * z, z * z], y * y - x)]
+    cases += [(_random_ideal(rng, ring), _random_poly(rng, ring)) for _ in range(3)]
+    for a, f in cases:
+        got = _sympy_gens(saturate(Ideal(ring, a).as_submodule(), f, M))
+        want = _sympy_saturate([_to_sympy(h) for h in a] + rels, _to_sympy(f), None)
+        assert _canonical(got + rels, None) == _canonical(want + rels, None)
