@@ -415,7 +415,9 @@ def build_parser():
     parser.add_argument(
         "--max-steps",
         type=_step_budget,
-        default=None,
+        # argparse checks a string default with _step_budget, so a bad
+        # GPFKIT_MAX_STEPS is a usage error before any command runs
+        default=os.environ.get("GPFKIT_MAX_STEPS"),
         help="filtration step budget (default from GPFKIT_MAX_STEPS or 64)",
     )
     parser.add_argument(

@@ -23,7 +23,6 @@ nonnegative integer.  `#` starts a comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .arith import PolyRing
@@ -46,12 +45,18 @@ COMMANDS = (
 DECLS = ("ring", "prime", "ideal", "module", "submodule", "candidates")
 
 
-@dataclass
-class Token:
-    kind: str
-    value: object
-    line: int
-    col: int
+class _Record:
+    """A parsed record whose fields, given positionally, are its slots."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
+
+
+class Token(_Record):
+    __slots__ = ("kind", "value", "line", "col")
 
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -109,85 +114,48 @@ def tokenize(text):
 #   | ("pow", node, n) | ("mul", [nodes]) | ("sum", [(sign, node)])
 
 
-@dataclass
-class Item:
+class Item(_Record):
     """One entry of a generator list: a scalar or a vector of polynomials."""
 
-    entries: list
-    line: int
-    col: int
+    __slots__ = ("entries", "line", "col")
 
 
-@dataclass
-class IdealFactor:
-    base: object  # name string or list of poly nodes
-    exponent: int
-    line: int
-    col: int
+class IdealFactor(_Record):
+    # base is a name string or a list of poly nodes
+    __slots__ = ("base", "exponent", "line", "col")
 
 
-@dataclass
-class RingDecl:
-    name: str
-    fieldspec: str
-    variables: list
-    relations: list
-    line: int
-    col: int
+class RingDecl(_Record):
+    __slots__ = ("name", "fieldspec", "variables", "relations", "line", "col")
 
 
-@dataclass
-class PrimeDecl:
-    name: str
-    gens: list
-    line: int
-    col: int
+class PrimeDecl(_Record):
+    __slots__ = ("name", "gens", "line", "col")
 
 
-@dataclass
-class IdealDecl:
-    name: str
-    factors: list
-    line: int
-    col: int
+class IdealDecl(_Record):
+    __slots__ = ("name", "factors", "line", "col")
 
 
-@dataclass
-class ModuleDecl:
-    name: str
-    rank: int
-    denom: list
-    line: int
-    col: int
+class ModuleDecl(_Record):
+    __slots__ = ("name", "rank", "denom", "line", "col")
 
 
-@dataclass
-class SubmoduleDecl:
-    name: str
-    module: str
-    items: list
-    line: int
-    col: int
+class SubmoduleDecl(_Record):
+    __slots__ = ("name", "module", "items", "line", "col")
 
 
-@dataclass
-class CandidatesDecl:
-    entries: list  # names or gens lists
-    line: int
-    col: int
+class CandidatesDecl(_Record):
+    # entries are names or generator lists
+    __slots__ = ("entries", "line", "col")
 
 
-@dataclass
-class Command:
-    op: str
-    args: dict
-    line: int
-    col: int
+class Command(_Record):
+    __slots__ = ("op", "args", "line", "col")
 
 
-@dataclass
-class Script:
-    statements: list = dc_field(default_factory=list)
+class Script(_Record):
+    __slots__ = ("statements",)
 
 
 class Parser:
@@ -223,7 +191,7 @@ class Parser:
         return self.expect("name", what)
 
     def script(self):
-        out = Script()
+        out = Script([])
         while self.cur.kind != "end":
             out.statements.append(self.statement())
         return out
@@ -584,7 +552,7 @@ class Env:
             ]
             self.registry = CandidateRegistry(primes)
         else:
-            raise TypeError("not a declaration: %r" % (stmt,))
+            raise TypeError("not a declaration: %s" % type(stmt).__name__)
 
     def _declare_ring(self, stmt):
         if self.ring is not None:

@@ -134,10 +134,5 @@ class PrimeField:
 
 QQ = RationalField()
 
-_gf_cache: dict = {}
-
-
-def GF(q: int) -> PrimeField:
-    if q not in _gf_cache:
-        _gf_cache[q] = PrimeField(q)
-    return _gf_cache[q]
+# Prime fields compare by their order, so GF(q) needs no interning table.
+GF = PrimeField

@@ -19,7 +19,6 @@ re-verified from scratch.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
 
 from .errors import (
     BudgetError,
@@ -27,16 +26,9 @@ from .errors import (
     IncompleteRegistryError,
     VerificationError,
 )
-from .modops import (
-    QuotientModule,
-    Submodule,
-    colon_ideal,
-    colon_module,
-    partial_products,
-)
+from .modops import colon_ideal, colon_module, partial_products
 from .primes import (
     MONOMIAL,
-    PrimeIdeal,
     ass_enumerate,
     is_maximal_in,
     sort_primes,
@@ -58,13 +50,25 @@ def max_steps_default():
     return val
 
 
-@dataclass
 class StepFlags:
     """What has actually been checked about a filtration step."""
 
-    prime_extension_verified: bool = False
-    maximal_verified: bool = False
-    regular_verified: bool = False
+    __slots__ = ("prime_extension_verified", "maximal_verified", "regular_verified")
+
+    def __init__(
+        self,
+        prime_extension_verified=False,
+        maximal_verified=False,
+        regular_verified=False,
+    ):
+        self.prime_extension_verified = prime_extension_verified
+        self.maximal_verified = maximal_verified
+        self.regular_verified = regular_verified
+
+    def __eq__(self, other):
+        if not isinstance(other, StepFlags):
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
 
     def all_verified(self):
         return (
@@ -74,20 +78,21 @@ class StepFlags:
         )
 
 
-@dataclass
 class PrimeExtensionStep:
     """One step lower < upper with Ass(upper/lower) = {prime}."""
 
-    lower: Submodule
-    upper: Submodule
-    prime: PrimeIdeal
-    flags: StepFlags = field(default_factory=StepFlags)
+    __slots__ = ("lower", "upper", "prime", "flags")
+
+    def __init__(self, lower, upper, prime, flags=None):
+        self.lower = lower
+        self.upper = upper
+        self.prime = prime
+        self.flags = StepFlags() if flags is None else flags
 
     def describe(self):
         return "%s --%s--> %s" % (self.lower, self.prime, self.upper)
 
 
-@dataclass
 class Filtration:
     """A verified chain of submodules of the ambient quotient module.
 
@@ -96,11 +101,14 @@ class Filtration:
     the steps were exhaustive or relative to a candidate registry.
     """
 
-    ambient: QuotientModule
-    base: Submodule
-    steps: tuple
-    ass_complete: bool = True
-    source: object = MONOMIAL
+    __slots__ = ("ambient", "base", "steps", "ass_complete", "source")
+
+    def __init__(self, ambient, base, steps, ass_complete=True, source=MONOMIAL):
+        self.ambient = ambient
+        self.base = base
+        self.steps = steps
+        self.ass_complete = ass_complete
+        self.source = source
 
     def modules(self):
         out = [self.base]
@@ -307,7 +315,9 @@ def interchange(filt, i):
     steps = list(filt.steps)
     steps[i - 1] = new_lo
     steps[i] = new_hi
-    return replace(filt, steps=tuple(steps))
+    return Filtration(
+        filt.ambient, filt.base, tuple(steps), filt.ass_complete, filt.source
+    )
 
 
 def verify_rpe(filt, source=None):

@@ -27,12 +27,10 @@ filtration run; nothing is trusted blind.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import HypothesisError, VerificationError
 from .modops import (
     QuotientModule,
-    Submodule,
     ideal_power,
     module_scale,
     partial_products,
@@ -217,16 +215,27 @@ def gpf(N, M, source=MONOMIAL, tie_break="lex", max_steps=None):
     return PrimeMultiset.from_primes(filt.primes())
 
 
-@dataclass
 class SuppCondition:
     """One support test p in Supp(J M) with its evidence."""
 
-    index: int
-    prime: PrimeIdeal
-    scaled: Submodule
-    holds: bool
-    module_is_zero: bool
-    ann_witness: object = None
+    __slots__ = (
+        "index",
+        "prime",
+        "scaled",
+        "holds",
+        "module_is_zero",
+        "ann_witness",
+    )
+
+    def __init__(
+        self, index, prime, scaled, holds, module_is_zero, ann_witness=None
+    ):
+        self.index = index
+        self.prime = prime
+        self.scaled = scaled
+        self.holds = holds
+        self.module_is_zero = module_is_zero
+        self.ann_witness = ann_witness
 
     def describe(self):
         verdict = "holds" if self.holds else "fails"
@@ -258,10 +267,12 @@ def _supp_condition(index, p, scaled, M):
     return SuppCondition(index, p, scaled, False, zero, witness)
 
 
-@dataclass
 class SuppReport:
-    all_hold: bool
-    conditions: list
+    __slots__ = ("all_hold", "conditions")
+
+    def __init__(self, all_hold, conditions):
+        self.all_hold = all_hold
+        self.conditions = conditions
 
     def first_failure(self):
         for c in self.conditions:
@@ -287,14 +298,16 @@ def check_supp_conditions(target, M):
     return SuppReport(all(c.holds for c in conditions), conditions)
 
 
-@dataclass
 class ExistsReport:
     """Verdict of the incomparable-product existence test."""
 
-    verdict: bool
-    witness: Submodule | None
-    conditions: list
-    factors: PrimeMultiset | None = None
+    __slots__ = ("verdict", "witness", "conditions", "factors")
+
+    def __init__(self, verdict, witness, conditions, factors=None):
+        self.verdict = verdict
+        self.witness = witness
+        self.conditions = conditions
+        self.factors = factors
 
 
 def exists_incomparable(primes, M, source=MONOMIAL, tie_break="lex"):
@@ -472,15 +485,19 @@ def construct_general(target, M, source=MONOMIAL, tie_break="lex"):
     return N
 
 
-@dataclass
 class NecessaryReport:
     """Necessary support conditions for an existing factorization."""
 
-    applicable: bool
-    reason: str
-    factors: PrimeMultiset | None = None
-    conditions: list = field(default_factory=list)
-    all_hold: bool = True
+    __slots__ = ("applicable", "reason", "factors", "conditions", "all_hold")
+
+    def __init__(
+        self, applicable, reason, factors=None, conditions=None, all_hold=True
+    ):
+        self.applicable = applicable
+        self.reason = reason
+        self.factors = factors
+        self.conditions = [] if conditions is None else conditions
+        self.all_hold = all_hold
 
 
 def check_necessary_conditions(N, M, source=MONOMIAL, tie_break="lex"):
@@ -516,22 +533,26 @@ def check_necessary_conditions(N, M, source=MONOMIAL, tie_break="lex"):
     )
 
 
-@dataclass
 class IffSegment:
-    index: int
-    prime: PrimeIdeal
-    found: PrimeSet
-    ok: bool
+    __slots__ = ("index", "prime", "found", "ok")
+
+    def __init__(self, index, prime, found, ok):
+        self.index = index
+        self.prime = prime
+        self.found = found
+        self.ok = ok
 
 
-@dataclass
 class IffReport:
     """Exact criterion for the product ideal times M."""
 
-    verdict: bool
-    segments: list
-    filtration: Filtration | None = None
-    failed_index: int | None = None
+    __slots__ = ("verdict", "segments", "filtration", "failed_index")
+
+    def __init__(self, verdict, segments, filtration=None, failed_index=None):
+        self.verdict = verdict
+        self.segments = segments
+        self.filtration = filtration
+        self.failed_index = failed_index
 
 
 def check_iff_criterion(target, M, source=MONOMIAL):

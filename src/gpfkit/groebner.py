@@ -23,17 +23,18 @@ components form a basis of that kernel (`GroebnerBasis.tail`); the
 module layer reads colon, intersection and transporter off such kernels.
 
 Reduced bases are canonical for a given submodule, so results are
-cached by ring, rank and the set of `vector_key`s of the nonzero
-generators; the key is built before any flattening.  For quotient rings
-the relation ideal times each unit vector is adjoined to every
-generating set; the relation basis itself is computed with
-`include_relations=False`.
+memoized in the bounded `cache.BASES` table, keyed by ring, rank and the
+set of `vector_key`s of the nonzero generators; the key is built before
+any flattening.  For quotient rings the relation ideal times each unit
+vector is adjoined to every generating set; the relation basis itself
+is computed with `include_relations=False`.
 """
 
 from __future__ import annotations
 
 import heapq
 
+from . import cache
 from .arith import (
     GREVLEX,
     Polynomial,
@@ -184,9 +185,6 @@ def relation_vectors(ring, rank):
     return out
 
 
-_GB_CACHE = {}
-
-
 def buchberger(gens, *, ring, rank, include_relations=True):
     """Reduced basis of the submodule of ring^rank the vectors generate."""
     gens = [tuple(v) for v in gens]
@@ -198,7 +196,7 @@ def buchberger(gens, *, ring, rank, include_relations=True):
         if any(v):
             nonzero.setdefault(vector_key(v), v)
     ckey = (ring.key(), rank, frozenset(nonzero))
-    hit = _GB_CACHE.get(ckey)
+    hit = cache.BASES.get(ckey)
     if hit is not None:
         return hit
 
@@ -269,5 +267,5 @@ def buchberger(gens, *, ring, rank, include_relations=True):
         final.append(_entry(_nf(e[1], others, field), field))
     final.sort(key=lambda e: _term_key(e[0]))
     gb = GroebnerBasis(ring, rank, final)
-    _GB_CACHE[ckey] = gb
+    cache.BASES.put(ckey, gb)
     return gb

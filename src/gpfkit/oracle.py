@@ -30,7 +30,6 @@ zero submodule) where the zero ideal would genuinely be associated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 
 from .arith import GREVLEX, Polynomial, PolyRing, mono_degree, mono_divides
 from .errors import BudgetError, VerificationError
@@ -458,12 +457,14 @@ def rpe_bruteforce(N, M, tie_break="lex", z_max=1, max_steps=32):
 # bundled fixtures
 
 
-@dataclass
 class Fixture:
-    name: str
-    description: str
-    build: object
-    checks: list = dc_field(default_factory=list)
+    __slots__ = ("name", "description", "build", "checks")
+
+    def __init__(self, name, description, build, checks):
+        self.name = name
+        self.description = description
+        self.build = build
+        self.checks = checks
 
 
 def _image_vec(M, polys):

@@ -27,19 +27,29 @@ decomposition live in `monomial`).  Only these variable primes are
 tested, each by the exact membership test above.  Anything else needs a
 registry of candidate primes and the result is flagged as relative to
 those candidates.
+
+Membership depends only on the module and the prime, and both are named
+by canonical reduced-basis keys, so `ass_contains` answers each (module,
+prime) question once and keeps the verdict in the bounded
+`cache.ASS_MEMBERS` table; a hit returns what the same exact computation
+would.  Only the boolean is kept: candidates are still built from the
+current source on every enumeration, so registry attestations and the
+order of a `PrimeSet` come from the caller's primes, and
+`ass_membership`, which returns evidence, always computes.
+`filtration.verify_rpe` still re-derives every property of a
+filtration; what it no longer repeats is the computation behind a
+membership question already answered.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
 
-from . import monomial
+from . import cache, monomial
 from .errors import BudgetError, IncompleteRegistryError, RingMismatchError
 from .modops import (
     Ideal,
-    Submodule,
     colon_ideal,
     colon_module,
 )
@@ -232,11 +242,16 @@ def is_maximal_in(p, primes):
     )
 
 
-@dataclass
 class AssEvidence:
-    member: bool
-    colon: Submodule
-    ann: Ideal | None
+    """The verdict of a membership test with the colon module K and, when
+    K != N, the annihilator of K/N."""
+
+    __slots__ = ("member", "colon", "ann")
+
+    def __init__(self, member, colon, ann):
+        self.member = member
+        self.colon = colon
+        self.ann = ann
 
 
 def supp_contains(p, Q):
@@ -263,7 +278,16 @@ def ass_membership(p, Q):
 
 
 def ass_contains(p, Q):
-    return ass_membership(p, Q).member
+    """Whether p is an associated prime of the quotient Q, computed once
+    per (module, prime) and then read from `cache.ASS_MEMBERS`."""
+    if p.ring != Q.ring:
+        raise RingMismatchError("prime over a different ring")
+    key = (Q.ring.key(), Q.rank, Q.key(), p.key())
+    member = cache.ASS_MEMBERS.get(key)
+    if member is None:
+        member = ass_membership(p, Q).member
+        cache.ASS_MEMBERS.put(key, member)
+    return member
 
 
 def monomial_eligible(Q):

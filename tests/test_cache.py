@@ -1,0 +1,226 @@
+"""The bounded memo tables in gpfkit.cache and what they may not change."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gpfkit import cache, primes
+from gpfkit.arith import PolyRing
+from gpfkit.cache import LRU, clear_caches
+from gpfkit.errors import IncompleteRegistryError, RingMismatchError
+from gpfkit.fields import GF, QQ
+from gpfkit.groebner import buchberger
+from gpfkit.modops import QuotientModule
+from gpfkit.primes import (
+    ATTEST_ASSUMED,
+    ATTEST_FINITE,
+    ATTEST_MONOMIAL,
+    MONOMIAL,
+    CandidateRegistry,
+    PrimeIdeal,
+    ass_contains,
+    ass_enumerate,
+)
+
+from helpers import twisted_ring, twisted_setup, xy_ring
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def _tables():
+    return [v for v in vars(cache).values() if isinstance(v, LRU)]
+
+
+def test_lru_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(cache, "MAX_ENTRIES", 3)
+    lru = LRU()
+    for key in "abc":
+        lru.put(key, key.upper())
+    assert lru.get("a") == "A"  # a is now the most recent
+    lru.put("d", "D")
+    assert len(lru) == 3
+    assert lru.get("b") is None
+    assert [lru.get(k) for k in "acd"] == ["A", "C", "D"]
+    lru.put("e", "E")  # a is the oldest again
+    assert lru.get("a") is None
+    assert (lru.hits, lru.misses) == (4, 2)
+
+
+def test_lru_never_holds_more_than_the_bound(monkeypatch):
+    monkeypatch.setattr(cache, "MAX_ENTRIES", 5)
+    lru = LRU()
+    for i in range(40):
+        lru.put(i % 13, i)
+        lru.get((i * 7) % 13)
+        assert len(lru) <= 5
+    assert len(lru) == 5
+
+
+def test_clear_caches_empties_every_table():
+    ring, x, y = xy_ring()
+    M = QuotientModule.of_ring(ring)
+    ass_enumerate(M.with_denominator(M.span(((x * x,), (x * y,)))))
+    buchberger([(x * x,)], ring=ring, rank=1)
+    tables = _tables()
+    assert cache.BASES in tables and cache.ASS_MEMBERS in tables
+    assert all(len(t) for t in tables)
+    clear_caches()
+    assert all(len(t) == 0 and t.hits == t.misses == 0 for t in tables)
+
+
+def test_each_membership_question_is_computed_once(monkeypatch):
+    calls = []
+    compute = primes.ass_membership
+
+    def counting(p, Q):
+        calls.append(p.token())
+        return compute(p, Q)
+
+    monkeypatch.setattr(primes, "ass_membership", counting)
+    ring, x, y = xy_ring()
+
+    def quotient():
+        M = QuotientModule.of_ring(ring)
+        return M.with_denominator(M.span(((x * x,), (x * y,))))
+
+    first = [str(p) for p in ass_enumerate(quotient())]
+    assert first == ["(x)", "(x, y)"]
+    made = len(calls)
+    # a fresh presentation of the same module and primes asks again
+    assert [str(p) for p in ass_enumerate(quotient())] == first
+    assert ass_contains(PrimeIdeal(ring, [y, x]), quotient())
+    assert len(calls) == made
+
+
+def _shape(found):
+    return (
+        [str(p) for p in found],
+        [p.attestation for p in found],
+        found.complete,
+        found.key(),
+    )
+
+
+@st.composite
+def monomial_cases(draw):
+    """A monomial quotient over QQ or F_5 with the MONOMIAL source."""
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    nvars = draw(st.integers(2, 4))
+    rank = draw(st.sampled_from([1, 2]))
+    ring = PolyRing(field, ("x", "y", "z", "u")[:nvars])
+
+    def vectors(lo, hi):
+        out = []
+        for _ in range(draw(st.integers(lo, hi))):
+            exps = draw(st.tuples(*[st.integers(0, 2)] * nvars))
+            vec = [ring.zero()] * rank
+            vec[draw(st.integers(0, rank - 1))] = ring.monomial(exps)
+            out.append(tuple(vec))
+        return out
+
+    M = QuotientModule.free(ring, rank, vectors(0, 2))
+    if draw(st.booleans()):
+        return M.with_denominator(M.span(vectors(1, 3))), MONOMIAL
+    upper = M.span(vectors(1, 2))
+    return M.module_of(upper).with_denominator(M.span(vectors(0, 2))), MONOMIAL
+
+
+@st.composite
+def registry_cases(draw):
+    """A quotient of the binomial quotient ring with its candidate set."""
+    ring, p, m, registry = twisted_setup()
+    x, y, z = ring.gens()
+    pool = [x * x, x * z, y * z, z * z, y * y, x * y + z * z, y]
+    M = QuotientModule.of_ring(ring)
+    gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    return M.with_denominator(M.span([(g,) for g in gens])), registry
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.one_of(monomial_cases(), registry_cases()), min_size=1, max_size=3))
+def test_warm_caches_give_the_cold_answer(cases):
+    """Quotients enumerated one after another share the tables; each
+    answer, first or repeated, is the one a cold start gives."""
+    clear_caches()
+    first = [ass_enumerate(Q, source) for Q, source in cases]
+    misses = cache.ASS_MEMBERS.misses
+    again = [ass_enumerate(Q, source) for Q, source in cases]
+    assert cache.ASS_MEMBERS.misses == misses  # nothing computed again
+    cold = []
+    for Q, source in cases:
+        clear_caches()
+        cold.append(ass_enumerate(Q, source))
+    want = [_shape(found) for found in cold]
+    assert [_shape(found) for found in first] == want
+    assert [_shape(found) for found in again] == want
+
+
+def test_quotients_sharing_a_part_are_told_apart():
+    """R/(x^2, xy), its submodules (x) and (y) over the same denominator,
+    and R/(x^2): equal denominators or equal tops, different answers."""
+    ring, x, y = xy_ring()
+    M = QuotientModule.of_ring(ring)
+    N = M.span(((x * x,), (x * y,)))
+    quotients = [
+        M.with_denominator(N),
+        M.module_of(M.span(((x,),))).with_denominator(N),
+        M.module_of(M.span(((y,),))).with_denominator(N),
+        M.with_denominator(M.span(((x * x,),))),
+    ]
+    want = [["(x)", "(x, y)"], ["(x, y)"], ["(x)"], ["(x)"]]
+    for _ in range(2):
+        assert [[str(p) for p in ass_enumerate(Q)] for Q in quotients] == want
+
+
+def test_registries_keep_their_own_primes():
+    """Equal keys, different attestations: the cache holds verdicts only,
+    so each registry gets its own prime objects back."""
+    ring, p, m, registry = twisted_setup()
+    x, y, z = ring.gens()
+    M = QuotientModule.of_ring(ring)
+    Q = M.module_of(M.span([(x,), (z,)])).with_denominator(
+        M.span([(g,) for g in p.power(2).gens])
+    )
+    mine = CandidateRegistry(
+        [
+            PrimeIdeal(ring, [x, z], attestation=ATTEST_FINITE),
+            PrimeIdeal(ring, [x, y, z], attestation=ATTEST_ASSUMED),
+        ]
+    )
+    first = ass_enumerate(Q, registry)
+    misses = cache.ASS_MEMBERS.misses
+    second = ass_enumerate(Q, mine)
+    assert cache.ASS_MEMBERS.misses == misses  # answered from the cache
+    assert [str(q) for q in first] == [str(q) for q in second] == ["(x, y, z)"]
+    assert first.primes[0] is m and m.attestation == ATTEST_MONOMIAL
+    assert second.primes[0] is mine.primes[1]
+    assert second.primes[0].attestation == ATTEST_ASSUMED
+
+
+def test_prime_over_another_ring_still_raises_after_a_hit():
+    ring, x, y = xy_ring()
+    M = QuotientModule.of_ring(ring)
+    Q = M.with_denominator(M.span(((x * x,), (x * y,))))
+    assert ass_contains(PrimeIdeal(ring, [x]), Q)
+    other = PolyRing(GF(5), ("x", "y"))
+    stranger = PrimeIdeal(other, [other.gen(0)])
+    assert stranger.key() == PrimeIdeal(ring, [x]).key()
+    with pytest.raises(RingMismatchError):
+        ass_contains(stranger, Q)
+    with pytest.raises(RingMismatchError):
+        ass_contains(PrimeIdeal(twisted_ring(), [twisted_ring().gen(0)]), Q)
+
+
+def test_non_monomial_presentation_still_needs_a_registry():
+    ring, x, y = xy_ring()
+    M = QuotientModule.of_ring(ring)
+    monomial_q = M.with_denominator(M.span(((x * x,), (x * y,))))
+    mixed_q = M.with_denominator(M.span(((x * x + x * y,), (x * y,))))
+    assert mixed_q.key() == monomial_q.key()
+    assert len(ass_enumerate(monomial_q)) == 2
+    with pytest.raises(IncompleteRegistryError):
+        ass_enumerate(mixed_q)

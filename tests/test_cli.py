@@ -171,6 +171,28 @@ def test_bad_flags_are_usage_errors(tmp_path, capsys, flags):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "abc", ""])
+def test_bad_max_steps_environment_is_usage_error(tmp_path, capsys, monkeypatch, value):
+    """GPFKIT_MAX_STEPS is the --max-steps default and is checked the same
+    way: exit 1 before any command prints."""
+    monkeypatch.setenv("GPFKIT_MAX_STEPS", value)
+    assert _run(tmp_path, CHAIN, "--json") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-steps" in captured.err
+
+
+def test_max_steps_environment_sets_the_default(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GPFKIT_MAX_STEPS", "1")
+    assert _run(tmp_path, CHAIN, "--json") == 2  # the gpf needs two steps
+    assert "within 1 steps" in capsys.readouterr().err
+    assert _run(tmp_path, CHAIN, "--json", "--max-steps", "2") == 0
+    capsys.readouterr()
+    # a given flag wins, and a bad environment value is then never read
+    monkeypatch.setenv("GPFKIT_MAX_STEPS", "abc")
+    assert _run(tmp_path, CHAIN, "--json", "--max-steps", "2") == 0
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -1,6 +1,9 @@
 """Every private helper, public function and method in gpfkit has a user."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gpfkit
@@ -119,3 +122,96 @@ def test_no_unreferenced_public_functions():
         used |= _names_used(tree, None) | _strings(tree)
     dead = sorted("%s in %s" % (name, defined[name]) for name in set(defined) - used)
     assert not dead, "unreferenced public functions: %s" % ", ".join(dead)
+
+
+_MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__"}
+_DICT_CALLS = {"dict", "OrderedDict", "defaultdict"}
+_FUNCTOOLS_MEMOS = {"lru_cache", "cache", "cached_property"}
+
+
+def _module_dicts(tree):
+    """Names bound to a dict at module level."""
+    out = set()
+    for node in tree.body:
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        if not targets:
+            continue
+        is_dict = isinstance(value, (ast.Dict, ast.DictComp)) or (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "id", getattr(value.func, "attr", None))
+            in _DICT_CALLS
+        )
+        if is_dict:
+            out |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return out
+
+
+def _writes_in_functions(tree, names):
+    """Module-level dicts among names that a function body writes to."""
+    out = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for sub in ast.walk(fn):
+            if (
+                isinstance(sub, ast.Subscript)
+                and isinstance(sub.ctx, (ast.Store, ast.Del))
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id in names
+            ):
+                out.add(sub.value.id)
+            elif (
+                isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr in _MUTATORS
+                and isinstance(sub.func.value, ast.Name)
+                and sub.func.value.id in names
+            ):
+                out.add(sub.func.value.id)
+    return out
+
+
+def test_caches_live_in_the_cache_module():
+    """No module-level dict that functions fill, and no functools memo,
+    serves as a cache outside cache.py, so every cache has its bound."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cache.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in sorted(_writes_in_functions(tree, _module_dicts(tree))):
+            found.append("%s in %s" % (name, path.name))
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.ImportFrom) and sub.module == "functools":
+                memos = {a.name for a in sub.names} & _FUNCTOOLS_MEMOS
+                found += ["functools.%s in %s" % (m, path.name) for m in memos]
+            elif (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "functools"
+                and sub.attr in _FUNCTOOLS_MEMOS
+            ):
+                found.append("functools.%s in %s" % (sub.attr, path.name))
+    assert not found, "caches outside cache.py: %s" % ", ".join(found)
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """The command line starts without the dataclasses and inspect
+    modules; -S keeps site packages from importing them first."""
+    code = (
+        "import sys, gpfkit.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
