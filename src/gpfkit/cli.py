@@ -21,12 +21,13 @@ import time
 
 from . import dsl
 from .errors import (
+    BudgetError,
     GpfError,
     IncompleteRegistryError,
     ParseError,
     VerificationError,
 )
-from .filtration import rpe_filtration, verify_rpe
+from .filtration import max_steps_default, rpe_filtration, verify_rpe
 from .gpf import (
     PrimeMultiset,
     check_iff_criterion,
@@ -415,9 +416,7 @@ def build_parser():
     parser.add_argument(
         "--max-steps",
         type=_step_budget,
-        # argparse checks a string default with _step_budget, so a bad
-        # GPFKIT_MAX_STEPS is a usage error before any command runs
-        default=os.environ.get("GPFKIT_MAX_STEPS"),
+        default=None,
         help="filtration step budget (default from GPFKIT_MAX_STEPS or 64)",
     )
     parser.add_argument(
@@ -461,6 +460,13 @@ def _run(args, out):
         build_parser().print_usage(sys.stderr)
         sys.stderr.write("error: need a script file or --oracle\n")
         return EXIT_USAGE
+    if args.max_steps is None:
+        # a bad GPFKIT_MAX_STEPS is a usage error before any command runs
+        try:
+            args.max_steps = max_steps_default()
+        except BudgetError as exc:
+            sys.stderr.write("error: %s\n" % exc)
+            return EXIT_USAGE
     if args.oracle:
         code = _run_oracle(args, out)
         if code != EXIT_OK or args.script is None:

@@ -31,6 +31,7 @@ from .fields import GF, QQ
 from .gpf import FactorizationTarget
 from .modops import QuotientModule, partial_products
 from .primes import CandidateRegistry, PrimeIdeal
+from .record import Record
 
 COMMANDS = (
     "gpf",
@@ -45,17 +46,7 @@ COMMANDS = (
 DECLS = ("ring", "prime", "ideal", "module", "submodule", "candidates")
 
 
-class _Record:
-    """A parsed record whose fields, given positionally, are its slots."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            setattr(self, name, value)
-
-
-class Token(_Record):
+class Token(Record):
     __slots__ = ("kind", "value", "line", "col")
 
 
@@ -114,47 +105,47 @@ def tokenize(text):
 #   | ("pow", node, n) | ("mul", [nodes]) | ("sum", [(sign, node)])
 
 
-class Item(_Record):
+class Item(Record):
     """One entry of a generator list: a scalar or a vector of polynomials."""
 
     __slots__ = ("entries", "line", "col")
 
 
-class IdealFactor(_Record):
+class IdealFactor(Record):
     # base is a name string or a list of poly nodes
     __slots__ = ("base", "exponent", "line", "col")
 
 
-class RingDecl(_Record):
+class RingDecl(Record):
     __slots__ = ("name", "fieldspec", "variables", "relations", "line", "col")
 
 
-class PrimeDecl(_Record):
+class PrimeDecl(Record):
     __slots__ = ("name", "gens", "line", "col")
 
 
-class IdealDecl(_Record):
+class IdealDecl(Record):
     __slots__ = ("name", "factors", "line", "col")
 
 
-class ModuleDecl(_Record):
+class ModuleDecl(Record):
     __slots__ = ("name", "rank", "denom", "line", "col")
 
 
-class SubmoduleDecl(_Record):
+class SubmoduleDecl(Record):
     __slots__ = ("name", "module", "items", "line", "col")
 
 
-class CandidatesDecl(_Record):
+class CandidatesDecl(Record):
     # entries are names or generator lists
     __slots__ = ("entries", "line", "col")
 
 
-class Command(_Record):
+class Command(Record):
     __slots__ = ("op", "args", "line", "col")
 
 
-class Script(_Record):
+class Script(Record):
     __slots__ = ("statements",)
 
 

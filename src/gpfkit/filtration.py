@@ -33,6 +33,7 @@ from .primes import (
     is_maximal_in,
     sort_primes,
 )
+from .record import Record
 
 DEFAULT_MAX_STEPS = 64
 
@@ -50,20 +51,11 @@ def max_steps_default():
     return val
 
 
-class StepFlags:
+class StepFlags(Record):
     """What has actually been checked about a filtration step."""
 
     __slots__ = ("prime_extension_verified", "maximal_verified", "regular_verified")
-
-    def __init__(
-        self,
-        prime_extension_verified=False,
-        maximal_verified=False,
-        regular_verified=False,
-    ):
-        self.prime_extension_verified = prime_extension_verified
-        self.maximal_verified = maximal_verified
-        self.regular_verified = regular_verified
+    _defaults = (False, False, False)
 
     def __eq__(self, other):
         if not isinstance(other, StepFlags):
@@ -78,22 +70,16 @@ class StepFlags:
         )
 
 
-class PrimeExtensionStep:
+class PrimeExtensionStep(Record):
     """One step lower < upper with Ass(upper/lower) = {prime}."""
 
     __slots__ = ("lower", "upper", "prime", "flags")
-
-    def __init__(self, lower, upper, prime, flags=None):
-        self.lower = lower
-        self.upper = upper
-        self.prime = prime
-        self.flags = StepFlags() if flags is None else flags
 
     def describe(self):
         return "%s --%s--> %s" % (self.lower, self.prime, self.upper)
 
 
-class Filtration:
+class Filtration(Record):
     """A verified chain of submodules of the ambient quotient module.
 
     Every step was built (or re-verified) as a regular maximal prime
@@ -102,13 +88,7 @@ class Filtration:
     """
 
     __slots__ = ("ambient", "base", "steps", "ass_complete", "source")
-
-    def __init__(self, ambient, base, steps, ass_complete=True, source=MONOMIAL):
-        self.ambient = ambient
-        self.base = base
-        self.steps = steps
-        self.ass_complete = ass_complete
-        self.source = source
+    _defaults = (True, MONOMIAL)
 
     def modules(self):
         out = [self.base]
@@ -301,20 +281,15 @@ def interchange(filt, i):
         raise VerificationError(
             "interchange produced a degenerate middle module"
         )
-    new_lo = PrimeExtensionStep(lower=lo.lower, upper=mid, prime=p_high)
-    new_hi = PrimeExtensionStep(lower=mid, upper=hi.upper, prime=p_low)
-    for step in (new_lo, new_hi):
-        flags, problems = verify_step(
-            step.lower, step.upper, step.prime, filt.ambient, filt.source
-        )
+    steps = list(filt.steps)
+    new = ((i - 1, lo.lower, mid, p_high), (i, mid, hi.upper, p_low))
+    for j, lower, upper, p in new:
+        flags, problems = verify_step(lower, upper, p, filt.ambient, filt.source)
         if not flags.all_verified():
             raise VerificationError(
                 "interchanged step failed re-verification", report=problems
             )
-        step.flags = flags
-    steps = list(filt.steps)
-    steps[i - 1] = new_lo
-    steps[i] = new_hi
+        steps[j] = PrimeExtensionStep(lower, upper, p, flags)
     return Filtration(
         filt.ambient, filt.base, tuple(steps), filt.ass_complete, filt.source
     )

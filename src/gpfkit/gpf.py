@@ -53,6 +53,7 @@ from .filtration import (
     rpe_filtration,
     verify_step,
 )
+from .record import Record
 
 
 class PrimeMultiset:
@@ -215,7 +216,7 @@ def gpf(N, M, source=MONOMIAL, tie_break="lex", max_steps=None):
     return PrimeMultiset.from_primes(filt.primes())
 
 
-class SuppCondition:
+class SuppCondition(Record):
     """One support test p in Supp(J M) with its evidence."""
 
     __slots__ = (
@@ -227,15 +228,7 @@ class SuppCondition:
         "ann_witness",
     )
 
-    def __init__(
-        self, index, prime, scaled, holds, module_is_zero, ann_witness=None
-    ):
-        self.index = index
-        self.prime = prime
-        self.scaled = scaled
-        self.holds = holds
-        self.module_is_zero = module_is_zero
-        self.ann_witness = ann_witness
+    _defaults = (None,)
 
     def describe(self):
         verdict = "holds" if self.holds else "fails"
@@ -267,12 +260,8 @@ def _supp_condition(index, p, scaled, M):
     return SuppCondition(index, p, scaled, False, zero, witness)
 
 
-class SuppReport:
+class SuppReport(Record):
     __slots__ = ("all_hold", "conditions")
-
-    def __init__(self, all_hold, conditions):
-        self.all_hold = all_hold
-        self.conditions = conditions
 
     def first_failure(self):
         for c in self.conditions:
@@ -298,16 +287,11 @@ def check_supp_conditions(target, M):
     return SuppReport(all(c.holds for c in conditions), conditions)
 
 
-class ExistsReport:
+class ExistsReport(Record):
     """Verdict of the incomparable-product existence test."""
 
     __slots__ = ("verdict", "witness", "conditions", "factors")
-
-    def __init__(self, verdict, witness, conditions, factors=None):
-        self.verdict = verdict
-        self.witness = witness
-        self.conditions = conditions
-        self.factors = factors
+    _defaults = (None,)
 
 
 def exists_incomparable(primes, M, source=MONOMIAL, tie_break="lex"):
@@ -485,19 +469,11 @@ def construct_general(target, M, source=MONOMIAL, tie_break="lex"):
     return N
 
 
-class NecessaryReport:
+class NecessaryReport(Record):
     """Necessary support conditions for an existing factorization."""
 
     __slots__ = ("applicable", "reason", "factors", "conditions", "all_hold")
-
-    def __init__(
-        self, applicable, reason, factors=None, conditions=None, all_hold=True
-    ):
-        self.applicable = applicable
-        self.reason = reason
-        self.factors = factors
-        self.conditions = [] if conditions is None else conditions
-        self.all_hold = all_hold
+    _defaults = ((), True)
 
 
 def check_necessary_conditions(N, M, source=MONOMIAL, tie_break="lex"):
@@ -533,26 +509,15 @@ def check_necessary_conditions(N, M, source=MONOMIAL, tie_break="lex"):
     )
 
 
-class IffSegment:
+class IffSegment(Record):
     __slots__ = ("index", "prime", "found", "ok")
 
-    def __init__(self, index, prime, found, ok):
-        self.index = index
-        self.prime = prime
-        self.found = found
-        self.ok = ok
 
-
-class IffReport:
+class IffReport(Record):
     """Exact criterion for the product ideal times M."""
 
     __slots__ = ("verdict", "segments", "filtration", "failed_index")
-
-    def __init__(self, verdict, segments, filtration=None, failed_index=None):
-        self.verdict = verdict
-        self.segments = segments
-        self.filtration = filtration
-        self.failed_index = failed_index
+    _defaults = (None, None)
 
 
 def check_iff_criterion(target, M, source=MONOMIAL):

@@ -37,6 +37,7 @@ from .fields import GF
 from .modops import QuotientModule, colon_ideal, colon_module, ideal_power
 from .primes import PrimeIdeal, ass_enumerate
 from .gpf import gpf
+from .record import Record
 
 DEFAULT_BUDGET = 4096
 
@@ -457,14 +458,8 @@ def rpe_bruteforce(N, M, tie_break="lex", z_max=1, max_steps=32):
 # bundled fixtures
 
 
-class Fixture:
+class Fixture(Record):
     __slots__ = ("name", "description", "build", "checks")
-
-    def __init__(self, name, description, build, checks):
-        self.name = name
-        self.description = description
-        self.build = build
-        self.checks = checks
 
 
 def _image_vec(M, polys):

@@ -53,6 +53,7 @@ from .modops import (
     colon_ideal,
     colon_module,
 )
+from .record import Record
 
 ATTEST_MONOMIAL = "monomial-verified"
 ATTEST_FINITE = "finite-verified"
@@ -242,16 +243,11 @@ def is_maximal_in(p, primes):
     )
 
 
-class AssEvidence:
+class AssEvidence(Record):
     """The verdict of a membership test with the colon module K and, when
     K != N, the annihilator of K/N."""
 
     __slots__ = ("member", "colon", "ann")
-
-    def __init__(self, member, colon, ann):
-        self.member = member
-        self.colon = colon
-        self.ann = ann
 
 
 def supp_contains(p, Q):

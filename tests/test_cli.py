@@ -179,7 +179,7 @@ def test_bad_max_steps_environment_is_usage_error(tmp_path, capsys, monkeypatch,
     assert _run(tmp_path, CHAIN, "--json") == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--max-steps" in captured.err
+    assert "error: GPFKIT_MAX_STEPS must be" in captured.err
 
 
 def test_max_steps_environment_sets_the_default(tmp_path, capsys, monkeypatch):

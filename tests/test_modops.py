@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpfkit import modops
+from gpfkit import cache, clear_caches, modops
 from gpfkit.arith import PolyRing
 from gpfkit.errors import RingMismatchError
 from gpfkit.fields import GF, QQ
@@ -396,10 +396,15 @@ def test_rank_mismatch_rejected():
 
 def _general(op, *args):
     """op(*args) with the monomial split forced off, so colon, transporter
-    and intersection take the kernel-basis path."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modops, "_monomial_parts", lambda *groups: None)
-        return op(*args)
+    and intersection take the kernel-basis path.  The memo tables are
+    emptied before and after, so no answer from the other path is read."""
+    clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modops, "_monomial_parts", lambda *groups: None)
+            return op(*args)
+    finally:
+        clear_caches()
 
 
 @st.composite
@@ -545,11 +550,15 @@ def test_filtration_agrees_on_both_paths(picks):
     aM = module_scale(FactorizationTarget.reordered(pairs).product_ideal(), M)
 
     def run():
+        before = cache.ASS_MEMBERS.misses
         filt = rpe_filtration(aM, M)
         report = verify_rpe(filt)
         steps = [(str(s.prime), s.upper.gens) for s in filt.steps]
-        return steps, report["ok"], [r["flags"] for r in report["steps"]]
+        flags = [r["flags"] for r in report["steps"]]
+        # from empty tables, one computed membership per distinct question
+        return steps, report["ok"], flags, cache.ASS_MEMBERS.misses - before
 
+    clear_caches()
     fast = run()
-    assert fast[1]
+    assert fast[1] and fast[3] > 0
     assert _general(run) == fast
