@@ -1,4 +1,4 @@
-"""Multivariate polynomials over exact fields, monomial orders, and rings.
+"""Multivariate polynomials over exact fields, the term order, and rings.
 
 Monomials are exponent tuples, polynomials are immutable term maps attached
 to a `PolyRing`.  A ring may carry quotient relations; the reduced basis of
@@ -6,16 +6,15 @@ the relation ideal is computed once on first use and kept on the ring,
 and `PolyRing.reduce` puts an element into canonical representative form
 by its normal form against that basis.
 
-Monomial orders (`TermOrder`) are lex and graded reverse lex, extended to
+There is one term order: graded reverse lex (`mono_key`), extended to
 terms of a free module position over term with component 0 taking the
-highest precedence, which is the order the module layer's kernels need.
+highest precedence (`term_key`), which is the order the module layer's
+kernels need.
 """
 
 from __future__ import annotations
 
 from .errors import RingMismatchError
-
-Monomial = tuple
 
 # ---------------------------------------------------------------------------
 # monomial helpers
@@ -52,37 +51,20 @@ def mono_is_one(a):
 
 
 # ---------------------------------------------------------------------------
-# orders
+# the term order
 
 
-class TermOrder:
-    """A total, multiplicative monomial order with 1 as least element.
-
-    kind is "lex" or "grevlex".  Terms of a free module are ordered
-    position over term, with component 0 taking the highest precedence.
-    """
-
-    def __init__(self, kind="grevlex"):
-        if kind not in ("lex", "grevlex"):
-            raise ValueError("unknown order kind %r" % kind)
-        self.kind = kind
-
-    def mono_key(self, m):
-        if self.kind == "lex":
-            return m
-        return (sum(m), tuple(-e for e in reversed(m)))
-
-    def term_key(self, term):
-        """Sort key for a module term (component, monomial)."""
-        comp, m = term
-        return (-comp, self.mono_key(m))
-
-    def __repr__(self):
-        return "TermOrder(%r)" % self.kind
+def mono_key(m):
+    """Grevlex sort key of a monomial: degree first, then the smaller
+    exponent in the last differing variable ranks higher."""
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
-GREVLEX = TermOrder("grevlex")
-LEX = TermOrder("lex")
+def term_key(term):
+    """Sort key of a module term (component, monomial): position over
+    term, component 0 highest."""
+    comp, m = term
+    return (-comp, mono_key(m))
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +222,11 @@ class Polynomial:
     def is_term(self):
         return len(self._terms) == 1
 
-    def leading_term(self, order=GREVLEX):
-        """The greatest (monomial, coefficient) pair under the order."""
+    def leading_term(self):
+        """The grevlex-greatest (monomial, coefficient) pair."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self._terms, key=order.mono_key)
+        m = max(self._terms, key=mono_key)
         return m, self._terms[m]
 
     def key(self):
@@ -349,7 +331,7 @@ class Polynomial:
             return "0"
         field = self.ring.field
         one = field.one
-        items = sorted(self._terms.items(), key=lambda t: GREVLEX.mono_key(t[0]), reverse=True)
+        items = sorted(self._terms.items(), key=lambda t: mono_key(t[0]), reverse=True)
         chunks = []
         for i, (m, c) in enumerate(items):
             mono = self._mono_str(m)

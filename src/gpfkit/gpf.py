@@ -40,6 +40,7 @@ from .primes import (
     MONOMIAL,
     PrimeIdeal,
     PrimeSet,
+    ass_contains,
     ass_enumerate,
     ass_membership,
     incomparable,
@@ -395,8 +396,8 @@ def construct_prime_power(p, r, M, source=MONOMIAL, tie_break="lex"):
     B = module_scale(ideal_power(p.ideal, r), M)
     A = module_scale(ideal_power(p.ideal, r - 1), M)
     Q = M.module_of(A).with_denominator(B)
-    ev = ass_membership(p, Q)
-    if not ev.member:
+    if not ass_contains(p, Q):
+        ev = ass_membership(p, Q)
         raise HypothesisError(
             "%s is not associated to p^%d M / p^%d M" % (p, r - 1, r),
             evidence={"colon": ev.colon, "ann": ev.ann},
@@ -576,6 +577,6 @@ def _refined_chain(primes, chain, M, source):
         ambient=M,
         base=chain[0],
         steps=tuple(steps),
-        ass_complete=(source is MONOMIAL or source is None),
+        ass_complete=source is MONOMIAL,
         source=source,
     )

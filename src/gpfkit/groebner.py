@@ -18,7 +18,7 @@ classical criteria:
     and both mixed pairs are no longer pending.
 
 Every basis is computed under grevlex extended position over term
-(`arith.GREVLEX`), so the vectors of a basis that vanish on the leading
+(`arith.term_key`), so the vectors of a basis that vanish on the leading
 components form a basis of that kernel (`GroebnerBasis.tail`); the
 module layer reads colon, intersection and transporter off such kernels.
 
@@ -36,7 +36,6 @@ import heapq
 
 from . import cache
 from .arith import (
-    GREVLEX,
     Polynomial,
     mono_div,
     mono_divides,
@@ -44,10 +43,9 @@ from .arith import (
     mono_is_one,
     mono_lcm,
     mono_mul,
+    term_key,
 )
 from .errors import RingMismatchError
-
-_term_key = GREVLEX.term_key
 
 
 def vector_key(v):
@@ -76,7 +74,7 @@ def _unflatten(d, ring, rank):
 def _entry(d, field):
     """The monic basis entry (leading term, term map, components) of a
     nonzero term map."""
-    lt = max(d, key=_term_key)
+    lt = max(d, key=term_key)
     inv = field.invert(d[lt])
     dd = {t: field.mul(inv, c) for t, c in d.items()}
     return lt, dd, frozenset(c for c, _ in dd)
@@ -88,7 +86,7 @@ def _nf(f, entries, field):
     rem = dict(f)
     out = {}
     while rem:
-        t = max(rem, key=_term_key)
+        t = max(rem, key=term_key)
         c = rem.pop(t)
         hit = None
         for lt, g, _ in entries:
@@ -213,7 +211,7 @@ def buchberger(gens, *, ring, rank, include_relations=True):
             lti = entries[i][0]
             if lti[0] == ltj[0]:
                 t = (lti[0], mono_lcm(lti[1], ltj[1]))
-                heapq.heappush(heap, (_term_key(t), (i, j), t))
+                heapq.heappush(heap, (term_key(t), (i, j), t))
                 pending.add((i, j))
 
     for j in range(len(entries)):
@@ -251,7 +249,7 @@ def buchberger(gens, *, ring, rank, include_relations=True):
             add_pairs(len(entries) - 1)
 
     # minimalize: drop entries whose leading term another one divides
-    entries.sort(key=lambda e: _term_key(e[0]))
+    entries.sort(key=lambda e: term_key(e[0]))
     kept = []
     for e in entries:
         lt = e[0]
@@ -265,7 +263,7 @@ def buchberger(gens, *, ring, rank, include_relations=True):
     for idx, e in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
         final.append(_entry(_nf(e[1], others, field), field))
-    final.sort(key=lambda e: _term_key(e[0]))
+    final.sort(key=lambda e: term_key(e[0]))
     gb = GroebnerBasis(ring, rank, final)
     cache.BASES.put(ckey, gb)
     return gb

@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 
 from . import monomial
-from .arith import GREVLEX
+from .arith import mono_key
 from .errors import RingMismatchError
 from .groebner import buchberger, vector_key
 
@@ -56,7 +56,7 @@ def _sort_polys(polys):
     return tuple(
         sorted(
             polys,
-            key=lambda p: (GREVLEX.mono_key(p.leading_term()[0]), p.key()),
+            key=lambda p: (mono_key(p.leading_term()[0]), p.key()),
             reverse=True,
         )
     )

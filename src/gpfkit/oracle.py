@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 
-from .arith import GREVLEX, Polynomial, PolyRing, mono_degree, mono_divides
+from .arith import Polynomial, PolyRing, mono_degree, mono_divides, mono_key
 from .errors import BudgetError, VerificationError
 from .fields import GF
 from .modops import QuotientModule, colon_ideal, colon_module, ideal_power
@@ -132,7 +132,7 @@ class FiniteRing:
             rels.append({mono: self.field.one})
         self.model = PolyRing(self.field, names, relations=tuple(rels))
         lts = [
-            g.leading_term(GREVLEX)[0]
+            g.leading_term()[0]
             for g in self.model.relation_basis()
             if not g.is_zero()
         ]
@@ -140,7 +140,7 @@ class FiniteRing:
         for exps in itertools.product(*(range(c) for c in self.caps)):
             if not any(mono_divides(lt, exps) for lt in lts):
                 basis.append(exps)
-        basis.sort(key=lambda m: (mono_degree(m), GREVLEX.mono_key(m)))
+        basis.sort(key=mono_key)
         self.basis = tuple(basis)
         self.dim = len(basis)
         self.index = {m: i for i, m in enumerate(basis)}

@@ -319,7 +319,7 @@ def ass_enumerate(Q, source=MONOMIAL):
     if isinstance(source, CandidateRegistry):
         candidates = list(source)
         complete = False
-    elif source is MONOMIAL or source is None:
+    elif source is MONOMIAL:
         if not monomial_eligible(Q):
             raise IncompleteRegistryError(
                 "associated prime enumeration needs monomial generators over "

@@ -1,16 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpfkit.arith import (
-    GREVLEX,
-    LEX,
     PolyRing,
     mono_degree,
     mono_div,
     mono_divides,
     mono_gcd,
+    mono_key,
     mono_lcm,
     mono_mul,
 )
@@ -38,10 +38,17 @@ def test_poly_str_is_canonical():
 
 
 def test_leading_terms_differ_by_order():
+    """Leading terms are grevlex, not lex, and mono_key sorts monomials
+    as sympy's grevlex does."""
     ring, x, y = xy_ring()
     f = x + y * y
-    assert f.leading_term(LEX)[0] == (1, 0)
-    assert f.leading_term(GREVLEX)[0] == (0, 2)
+    assert f.leading_term()[0] == (0, 2)
+    orderings = pytest.importorskip("sympy.polys.orderings")
+    assert max(f.monomials(), key=orderings.lex) == (1, 0)
+    rng = random.Random(0)
+    for nvars in (1, 2, 3, 4):
+        monos = [tuple(rng.randrange(4) for _ in range(nvars)) for _ in range(80)]
+        assert sorted(monos, key=mono_key) == sorted(monos, key=orderings.grevlex)
 
 
 def test_quotient_reduce_rewrites():

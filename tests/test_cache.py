@@ -1,5 +1,7 @@
 """The bounded memo tables in gpfkit.cache and what they may not change."""
 
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,7 @@ from gpfkit.cache import LRU, clear_caches
 from gpfkit.errors import IncompleteRegistryError, RingMismatchError
 from gpfkit.fields import GF, QQ
 from gpfkit.groebner import buchberger
-from gpfkit.modops import QuotientModule
+from gpfkit.modops import QuotientModule, ideal_power, module_scale
 from gpfkit.primes import (
     ATTEST_ASSUMED,
     ATTEST_FINITE,
@@ -94,6 +96,33 @@ def test_each_membership_question_is_computed_once(monkeypatch):
     assert [str(p) for p in ass_enumerate(quotient())] == first
     assert ass_contains(PrimeIdeal(ring, [y, x]), quotient())
     assert len(calls) == made
+
+
+def test_prime_power_construction_reads_the_cached_verdict(monkeypatch):
+    """construct_prime_power asks ass_contains whether p is associated to
+    p^{r-1}M / p^r M; a verdict already cached is not computed again."""
+    ring, x, y = xy_ring()
+    m = PrimeIdeal(ring, [x, y])
+    M = QuotientModule.of_ring(ring)
+    Q = M.module_of(module_scale(m.ideal, M)).with_denominator(
+        module_scale(ideal_power(m.ideal, 2), M)
+    )
+    assert ass_contains(m, Q)
+    compute = primes.ass_membership
+    repeats = []
+
+    def counting(p, quotient):
+        if (p.key(), quotient.key()) == (m.key(), Q.key()):
+            repeats.append(p.token())
+        return compute(p, quotient)
+
+    # the gpf module, which the package's gpf function shadows
+    gpf_module = importlib.import_module("gpfkit.gpf")
+    monkeypatch.setattr(primes, "ass_membership", counting)
+    monkeypatch.setattr(gpf_module, "ass_membership", counting)
+    N = gpf_module.construct_prime_power(m, 2, M)
+    assert N.equals(M.span(((x * x,), (x * y,), (y * y,))))
+    assert repeats == []
 
 
 def _shape(found):

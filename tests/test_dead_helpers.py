@@ -1,4 +1,5 @@
-"""Every private helper, public function and method in gpfkit has a user."""
+"""Every private helper, public function, method and module-level name in
+gpfkit has a user."""
 
 import ast
 import os
@@ -122,6 +123,49 @@ def test_no_unreferenced_public_functions():
         used |= _names_used(tree, None) | _strings(tree)
     dead = sorted("%s in %s" % (name, defined[name]) for name in set(defined) - used)
     assert not dead, "unreferenced public functions: %s" % ", ".join(dead)
+
+
+def _reads(tree):
+    """Names a module reads: loaded names, attributes and imported names;
+    a name that is only assigned is not read."""
+    out = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def test_no_unread_module_level_names():
+    """A name a gpfkit module assigns at top level is read somewhere in
+    the package, the tests or the benchmark; dunder names are exempt."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    for extra in ("tests", "gpfbench"):
+        sources += sorted((ROOT / extra).glob("*.py"))
+    read = set()
+    for path in sources:
+        read |= _reads(ast.parse(path.read_text(encoding="utf-8")))
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if not isinstance(name, ast.Name):
+                        continue
+                    if name.id.startswith("__") and name.id.endswith("__"):
+                        continue
+                    if name.id not in read:
+                        unread.append("%s in %s" % (name.id, path.name))
+    assert not unread, "unread module-level names: %s" % ", ".join(sorted(unread))
 
 
 _MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__"}

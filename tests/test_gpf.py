@@ -192,6 +192,7 @@ def test_construct_prime_power_needs_association():
     with pytest.raises(HypothesisError) as err:
         construct_prime_power(p, 2, M, source=registry)
     assert "not associated" in str(err.value)
+    assert set(err.value.evidence) == {"colon", "ann"}
 
 
 def test_construct_general_descending_product():

@@ -189,6 +189,8 @@ def test_ass_enumerate_needs_monomial_or_registry():
     Q = M.with_denominator(M.span([(g,) for g in p2.gens]))
     with pytest.raises(IncompleteRegistryError):
         ass_enumerate(Q)
+    with pytest.raises(TypeError):
+        ass_enumerate(Q, source=None)
     found = ass_enumerate(Q, source=registry)
     assert not found.complete
     assert sorted(str(q) for q in found) == ["(x, y, z)", "(x, z)"]
