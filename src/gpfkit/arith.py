@@ -219,9 +219,6 @@ class Polynomial:
     def __len__(self):
         return len(self._terms)
 
-    def is_term(self):
-        return len(self._terms) == 1
-
     def leading_term(self):
         """The grevlex-greatest (monomial, coefficient) pair."""
         if not self._terms:

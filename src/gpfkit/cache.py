@@ -1,15 +1,18 @@
 """The library's memo tables, all bounded by one entry count.
 
-Two tables remember answers that depend only on canonical keys, so a
+Three tables remember answers that depend only on canonical keys, so a
 hit returns exactly what the computation would return again:
 
 * `BASES`: reduced bases from `groebner.buchberger`, keyed by the ring
-  key, the rank and the set of `vector_key`s of the nonzero generators;
+  key, the rank and the set of `vector_key`s of the nonzero generators
+  (monomial bases are read off exponents and never stored);
 * `ASS_MEMBERS`: the verdicts of `primes.ass_contains`, keyed by the
-  ring key, the rank, the quotient's key and the prime's key.
+  ring key, the rank, the quotient's key and the prime's key;
+* `VARIABLE_PRIMES`: the variable primes monomial-mode Ass enumeration
+  tests, keyed by the ring key and the tuple of variable indices.
 
 Each table keeps at most `MAX_ENTRIES` entries and drops the least
-recently used one beyond that.  `clear_caches()` empties both.
+recently used one beyond that.  `clear_caches()` empties them all.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from __future__ import annotations
 from collections import OrderedDict
 
 # Entries per table.  One pass of a bench corpus (gpfbench, seeds 1 and
-# 11) peaks at 248 bases and 263 verdicts, about 6% of it, so nothing is
+# 11) peaks at 263 verdicts, about 6% of it, 33 bases (one quotient-ring
+# script; monomial corpora store none) and 22 primes, so nothing is
 # evicted there; a longer-lived process evicts instead of growing.
 MAX_ENTRIES = 4096
 
@@ -61,9 +65,10 @@ class LRU:
 
 BASES = LRU()
 ASS_MEMBERS = LRU()
+VARIABLE_PRIMES = LRU()
 
 
 def clear_caches():
     """Empty every memo table and reset its counts."""
-    for table in (BASES, ASS_MEMBERS):
+    for table in (BASES, ASS_MEMBERS, VARIABLE_PRIMES):
         table.clear()

@@ -53,6 +53,9 @@ class Token(Record):
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUM = re.compile(r"[0-9]+")
 _PUNCT = "(){}[],;=^*+-/:"
+# Parentheses inside one polynomial nest at most this deep; the parser
+# and the evaluator recurse once per level.
+MAX_NESTING = 100
 
 
 def tokenize(text):
@@ -85,7 +88,11 @@ def tokenize(text):
             continue
         m = _NUM.match(text, i)
         if m:
-            toks.append(Token("int", int(m.group(0)), line, col))
+            try:
+                value = int(m.group(0))
+            except ValueError:  # beyond the interpreter's digit limit
+                raise ParseError("number too long", line, col) from None
+            toks.append(Token("int", value, line, col))
             i = m.end()
             col += len(m.group(0))
             continue
@@ -153,6 +160,7 @@ class Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     @property
     def cur(self):
@@ -447,8 +455,12 @@ class Parser:
             return ("const", value, tok.line, tok.col)
         if tok.kind == "(":
             self.advance()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError("parentheses nested too deep", tok.line, tok.col)
             node = self.poly()
             self.expect(")")
+            self.depth -= 1
             return node
         raise ParseError(
             "expected a polynomial, found %r" % str(tok.value),

@@ -27,7 +27,9 @@ memoized in the bounded `cache.BASES` table, keyed by ring, rank and the
 set of `vector_key`s of the nonzero generators; the key is built before
 any flattening.  For quotient rings the relation ideal times each unit
 vector is adjoined to every generating set; the relation basis itself
-is computed with `include_relations=False`.
+is computed with `include_relations=False`.  The basis of a direct sum
+of monomial ideals is its minimal generators, read off exponents by
+`monomial_basis` with no Buchberger run and no `cache.BASES` entry.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def vector_key(v):
     return tuple(p.key() for p in v)
 
 
-def _check(v, ring, rank):
+def check_vector(v, ring, rank):
     if len(v) != rank:
         raise RingMismatchError("vector of length %d in rank %d" % (len(v), rank))
     for p in v:
@@ -142,12 +144,12 @@ class GroebnerBasis:
         self.vectors = tuple(_unflatten(e[1], ring, rank) for e in self._entries)
 
     def normal_form(self, v):
-        _check(v, self.ring, self.rank)
+        check_vector(v, self.ring, self.rank)
         d = _nf(_flatten(v), self._entries, self.ring.field)
         return _unflatten(d, self.ring, self.rank)
 
     def contains(self, v):
-        _check(v, self.ring, self.rank)
+        check_vector(v, self.ring, self.rank)
         return not _nf(_flatten(v), self._entries, self.ring.field)
 
     def is_zero(self):
@@ -183,6 +185,20 @@ def relation_vectors(ring, rank):
     return out
 
 
+def monomial_basis(ring, ideals):
+    """The reduced basis of the direct sum of monomial ideals I_c e_c over
+    a ring without relations, each given by its minimal exponent tuples:
+    the monic terms themselves, as `buchberger` would return them."""
+    one = ring.field.one
+    entries = [
+        ((c, m), {(c, m): one}, frozenset((c,)))
+        for c, gens in enumerate(ideals)
+        for m in gens
+    ]
+    entries.sort(key=lambda e: term_key(e[0]))
+    return GroebnerBasis(ring, len(ideals), entries)
+
+
 def buchberger(gens, *, ring, rank, include_relations=True):
     """Reduced basis of the submodule of ring^rank the vectors generate."""
     gens = [tuple(v) for v in gens]
@@ -190,7 +206,7 @@ def buchberger(gens, *, ring, rank, include_relations=True):
         gens = gens + relation_vectors(ring, rank)
     nonzero = {}
     for v in gens:
-        _check(v, ring, rank)
+        check_vector(v, ring, rank)
         if any(v):
             nonzero.setdefault(vector_key(v), v)
     ckey = (ring.key(), rank, frozenset(nonzero))

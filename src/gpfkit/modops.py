@@ -19,12 +19,13 @@ by (f_1, ..., f_s) has rows (f_1 m | ... | f_s m | m), intersection
 Saturation repeats the colon until it stops growing.  Each result is
 built once, from its basis (`Submodule.of_basis`).
 
-Colon, transporter and intersection first try a monomial path, chosen
-from the inputs alone: over a ring without relations, when every
-generator involved is a monomial vector and every ideal generator a
-monomial, the submodules split by component into monomial ideals and
-the result is exponent arithmetic from `monomial`.  It passes through
-the same canonical form, so its bytes equal the kernel's.
+Over a ring without relations a submodule of monomial vectors splits
+once by component into monomial ideals I_c (`Submodule.monomial_split`)
+and never reaches Buchberger: its basis is the minimal generators
+(`groebner.monomial_basis`) and membership is divisibility.  Colon,
+transporter and intersection of split inputs read the splits and
+compute by exponent arithmetic from `monomial`; the result passes
+through the same canonical form, so its bytes equal the kernel's.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ import logging
 from . import monomial
 from .arith import mono_key
 from .errors import RingMismatchError
-from .groebner import buchberger, vector_key
+from .groebner import buchberger, check_vector, monomial_basis, vector_key
 
 log = logging.getLogger("gpfkit")
+
+_UNSPLIT = object()  # `Submodule._split` not yet computed; None: no split
 
 
 def _dedup_vectors(vectors):
@@ -169,6 +172,7 @@ class Submodule:
             checked.append(v)
         self.gens = _dedup_vectors(checked)
         self._gb = None
+        self._split = _UNSPLIT
         self._canonical = None
 
     @classmethod
@@ -196,9 +200,23 @@ class Submodule:
         sub.gens = sub.canonical()
         return sub
 
+    def monomial_split(self):
+        """The minimal exponent tuples of each component ideal I_c, once
+        computed, when the ring has no relations and every generator is a
+        monomial vector (this is then the sum of the I_c e_c); else None."""
+        if self._split is _UNSPLIT:
+            self._split = (
+                None if self.ring.relations else monomial.split(self.rank, self.gens)
+            )
+        return self._split
+
     def groebner(self):
         if self._gb is None:
-            self._gb = buchberger(self.gens, ring=self.ring, rank=self.rank)
+            split = self.monomial_split()
+            if split is None:
+                self._gb = buchberger(self.gens, ring=self.ring, rank=self.rank)
+            else:
+                self._gb = monomial_basis(self.ring, split)
         return self._gb
 
     def canonical(self):
@@ -215,7 +233,16 @@ class Submodule:
         return tuple(vector_key(v) for v in self.canonical())
 
     def contains(self, v):
-        return self.groebner().contains(tuple(v))
+        """Membership; on a split submodule every term of component c must
+        be divisible by a generator of I_c."""
+        v = tuple(v)
+        split = self.monomial_split()
+        if split is None:
+            return self.groebner().contains(v)
+        check_vector(v, self.ring, self.rank)
+        return all(
+            monomial.member(gens, m) for gens, p in zip(split, v) for m in p.monomials()
+        )
 
     def contains_module(self, other):
         self._compat(other)
@@ -348,16 +375,11 @@ def _kernel(ring, rows, bottom, s, k):
     return buchberger(work, ring=ring, rank=rank).tail(width)
 
 
-def _monomial_parts(ring, rank, *groups):
-    """Each group split by component into monomial ideals, or None (the
-    general path) unless all are monomial vectors over a plain ring."""
-    parts = [monomial.split(ring, rank, g) for g in groups]
+def _monomial_parts(*subs):
+    """The cached monomial splits of the submodules, or None (the general
+    path) unless every one of them splits."""
+    parts = [s.monomial_split() for s in subs]
     return None if None in parts else parts
-
-
-def _monomial_basis(ring, rank, ideals):
-    """The reduced basis of the direct sum of monomial ideals."""
-    return Submodule(ring, rank, monomial.vectors(ring, ideals)).groebner()
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +418,18 @@ def colon_module(N, ideal, M):
     if not fs:
         log.debug("colon by the zero ideal returns the whole module")
         return Submodule.of_basis(M.full().groebner())
-    gens_n = N.gens + M.denom.gens
-    gens_m = M.top.gens + M.denom.gens
-    parts = _monomial_parts(M.ring, M.rank, gens_n, gens_m)
-    f_parts = _monomial_parts(M.ring, 1, [(f,) for f in fs])
-    if parts is not None and f_parts is not None:
+    parts = _monomial_parts(N, M.denom, M.full(), ideal.as_submodule())
+    if parts is not None:
+        n_parts, d_parts, m_parts, (f_exps,) = parts
         acc = []
-        for n_c, m_c in zip(*parts):
-            for f in f_parts[0][0]:  # one group of rank 1
-                m_c = monomial.intersection(m_c, monomial.colon(n_c, f))
+        for n_c, d_c, m_c in zip(n_parts, d_parts, m_parts):
+            for f in f_exps:
+                m_c = monomial.intersection(m_c, monomial.colon(n_c + d_c, f))
             acc.append(m_c)
-        gb = _monomial_basis(M.ring, M.rank, acc)
+        gb = monomial_basis(M.ring, acc)
     else:
+        gens_n = N.gens + M.denom.gens
+        gens_m = M.top.gens + M.denom.gens
         rows = [tuple(f * p for f in fs for p in m) + m for m in gens_m]
         gb = _kernel(M.ring, rows, gens_n, len(fs), M.rank)
     return Submodule.of_basis(gb)
@@ -421,18 +443,17 @@ def colon_ideal(B, A):
     ring = B.ring
     if not A.contains_module(B):
         raise ValueError("transporter wants B inside A")
-    bgb = B.groebner()
-    outside = [a for a in A.gens if not bgb.contains(a)]
+    outside = [a for a in A.gens if not B.contains(a)]
     if not outside:
         return unit_ideal(ring)
     k = B.rank
-    parts = _monomial_parts(ring, k, B.gens, outside)
+    parts = _monomial_parts(B, A)
     if parts is not None:
         exps = [(0,) * ring.nvars]
         for b_c, a_c in zip(*parts):
             for a in a_c:
                 exps = monomial.intersection(exps, monomial.colon(b_c, a))
-        gb = _monomial_basis(ring, 1, [exps])
+        gb = monomial_basis(ring, [exps])
     else:
         row = tuple(p for a in outside for p in a) + (ring.one(),)
         gb = _kernel(ring, [row], B.gens, len(outside), k)
@@ -459,10 +480,10 @@ def intersect(N1, N2):
     """N1 intersected with N2: one kernel with rows (n | n) over the
     generators n of N1 and N2 as the bottom."""
     N1._compat(N2)
-    parts = _monomial_parts(N1.ring, N1.rank, N1.gens, N2.gens)
+    parts = _monomial_parts(N1, N2)
     if parts is not None:
         got = [monomial.intersection(a, b) for a, b in zip(*parts)]
-        gb = _monomial_basis(N1.ring, N1.rank, got)
+        gb = monomial_basis(N1.ring, got)
     else:
         rows = [n + n for n in N1.gens]
         gb = _kernel(N1.ring, rows, N2.gens, 1, N1.rank)

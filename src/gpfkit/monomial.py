@@ -13,32 +13,23 @@ from __future__ import annotations
 from .arith import mono_div, mono_divides, mono_gcd, mono_lcm
 
 
-def split(ring, rank, vectors):
-    """The monomial ideals, one per component, that the vectors of
-    ring^rank generate; None when the ring has relations or some vector
-    is not a monomial vector."""
-    if ring.relations:
-        return None
+def split(rank, vectors):
+    """The minimal generators of the monomial ideals, one per component,
+    that the vectors of a rank-`rank` free module generate; None when some
+    vector is not a monomial vector.  The caller checks that the ring has
+    no relations."""
     out = [[] for _ in range(rank)]
     for v in vectors:
         if sum(len(p) for p in v) != 1:
             return None
         c = next(i for i, p in enumerate(v) if p)
         out[c].extend(v[c].monomials())
-    return out
+    return [minimal(gens) for gens in out]
 
 
-def vectors(ring, ideals):
-    """Monomial vectors with unit coefficients generating the direct sum
-    of the ideals, one per component: the inverse of `split`."""
-    zero = ring.zero()
-    out = []
-    for c, gens in enumerate(ideals):
-        for g in gens:
-            v = [zero] * len(ideals)
-            v[c] = ring.monomial(g)
-            out.append(tuple(v))
-    return out
+def member(gens, m):
+    """Whether x^m lies in the monomial ideal: some generator divides it."""
+    return any(mono_divides(g, m) for g in gens)
 
 
 def minimal(gens):
@@ -46,7 +37,7 @@ def minimal(gens):
     in degree order keeps exactly the generators no other one divides."""
     out = []
     for g in sorted(set(gens), key=lambda g: (sum(g), g)):
-        if not any(mono_divides(h, g) for h in out):
+        if not member(out, g):
             out.append(g)
     return out
 

@@ -32,10 +32,11 @@ Membership depends only on the module and the prime, and both are named
 by canonical reduced-basis keys, so `ass_contains` answers each (module,
 prime) question once and keeps the verdict in the bounded
 `cache.ASS_MEMBERS` table; a hit returns what the same exact computation
-would.  Only the boolean is kept: candidates are still built from the
-current source on every enumeration, so registry attestations and the
-order of a `PrimeSet` come from the caller's primes, and
-`ass_membership`, which returns evidence, always computes.
+would.  Only the boolean is kept: registry candidates are the caller's
+own primes on every enumeration, so their attestations and the order of
+a `PrimeSet` come from the caller, and `ass_membership`, which returns
+evidence, always computes.  Monomial candidates carry nothing of the
+caller's: each is built once per ring and support (`cache.VARIABLE_PRIMES`).
 `filtration.verify_rpe` still re-derives every property of a
 filtration; what it no longer repeats is the computation behind a
 membership question already answered.
@@ -48,8 +49,10 @@ import logging
 
 from . import cache, monomial
 from .errors import BudgetError, IncompleteRegistryError, RingMismatchError
+from .groebner import monomial_basis
 from .modops import (
     Ideal,
+    Submodule,
     colon_ideal,
     colon_module,
 )
@@ -77,20 +80,6 @@ class _MonomialSource:
 MONOMIAL = _MonomialSource()
 
 
-def _variable_index(poly):
-    """Index of the variable if the polynomial is a single variable."""
-    if not poly.is_term():
-        return None
-    mono = next(iter(poly.monomials()))
-    hit = None
-    for i, e in enumerate(mono):
-        if e == 1 and hit is None:
-            hit = i
-        elif e != 0:
-            return None
-    return hit
-
-
 def _relations_vanish(ring, var_indices):
     """Every monomial of every relation is divisible by one of the
     variables, so the relations die in the residue ring."""
@@ -115,13 +104,13 @@ class PrimeIdeal(Ideal):
         self.attestation = attestation
 
     def _monomial_check(self):
-        idxs = []
-        for g in self.canonical_gens():
-            i = _variable_index(g)
-            if i is None:
-                return False
-            idxs.append(i)
-        return _relations_vanish(self.ring, idxs)
+        """Whether the canonical generators split into exponent tuples of
+        degree 1, distinct variables, modulo which every relation
+        vanishes."""
+        split = monomial.split(1, [(g,) for g in self.canonical_gens()])
+        if split is None or any(sum(g) != 1 for g in split[0]):
+            return False
+        return _relations_vanish(self.ring, [g.index(1) for g in split[0]])
 
     @classmethod
     def from_variables(cls, ring, indices):
@@ -287,22 +276,32 @@ def ass_contains(p, Q):
 
 
 def monomial_eligible(Q):
-    """Whether exhaustive monomial enumeration applies to the quotient."""
-    gens = tuple(Q.top.gens) + tuple(Q.denom.gens)
-    return monomial.split(Q.ring, Q.rank, gens) is not None
+    """Whether exhaustive monomial enumeration applies to the quotient:
+    its top and denominator both split."""
+    return None not in (Q.top.monomial_split(), Q.denom.monomial_split())
 
 
 def _monomial_candidates(Q):
-    """Variable subsets, smallest first, whose primes can be associated
-    to the monomial quotient Q: (top + D)/D sits inside R^k/D, the direct
-    sum of the R/I_c, and Ass(R/I_c) is the set of supports of the
-    irreducible components of I_c."""
+    """The variable primes, smallest first, that can be associated to the
+    monomial quotient Q: (top + D)/D sits inside R^k/D, the direct sum of
+    the R/I_c, and Ass(R/I_c) is the set of supports of the irreducible
+    components of I_c.  Each is built once per ring and support, its basis
+    read off the variables' exponents, and then kept in
+    `cache.VARIABLE_PRIMES`."""
     supports = {
         tuple(sorted(comp))
-        for gens in monomial.split(Q.ring, Q.rank, Q.denom.gens)
+        for gens in Q.denom.monomial_split()
         for comp in monomial.irreducible_components(gens)
     }
-    return sorted(supports, key=lambda s: (len(s), s))
+    ring, out = Q.ring, []
+    for s in sorted(supports, key=lambda s: (len(s), s)):
+        p = cache.VARIABLE_PRIMES.get((ring.key(), s))
+        if p is None:
+            exps = [tuple(int(i == j) for j in range(ring.nvars)) for i in s]
+            p = PrimeIdeal(ring, Submodule.of_basis(monomial_basis(ring, [exps])))
+            cache.VARIABLE_PRIMES.put((ring.key(), s), p)
+        out.append(p)
+    return out
 
 
 def ass_enumerate(Q, source=MONOMIAL):
@@ -331,9 +330,7 @@ def ass_enumerate(Q, source=MONOMIAL):
                 "variable subset enumeration over %d variables exceeds the "
                 "bound %d" % (m, MAX_ENUM_VARS)
             )
-        candidates = [
-            PrimeIdeal.from_variables(Q.ring, s) for s in _monomial_candidates(Q)
-        ]
+        candidates = _monomial_candidates(Q)
         complete = True
     else:
         raise TypeError("ass source must be MONOMIAL or a CandidateRegistry")

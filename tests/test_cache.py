@@ -253,3 +253,41 @@ def test_non_monomial_presentation_still_needs_a_registry():
     assert len(ass_enumerate(monomial_q)) == 2
     with pytest.raises(IncompleteRegistryError):
         ass_enumerate(mixed_q)
+
+
+def test_variable_primes_are_built_once_per_ring_and_support(monkeypatch):
+    """Monomial enumerations share one candidate prime per ring and
+    variable support: another presentation of the same quotient builds
+    none, another ring builds its own, and each candidate has the
+    attestation and the basis a prime built from its variables has."""
+    built = []
+    init = PrimeIdeal.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PrimeIdeal, "__init__", counting)
+
+    def enumerate_over(ring, *gens):
+        x, y = ring.gen(0), ring.gen(1)
+        M = QuotientModule.of_ring(ring)
+        Q = M.with_denominator(M.span([(g(x, y),) for g in gens]))
+        return list(ass_enumerate(Q))
+
+    ring = xy_ring()[0]
+    first = enumerate_over(ring, lambda x, y: x * x, lambda x, y: x * y)
+    made = len(built)
+    assert made == 2 and len(cache.VARIABLE_PRIMES) == 2
+    again = enumerate_over(ring, lambda x, y: x * y, lambda x, y: 3 * x * x)
+    assert len(built) == made
+    assert all(p is q for p, q in zip(first, again))
+    other = PolyRing(GF(5), ("x", "y"))
+    there = enumerate_over(other, lambda x, y: x * x, lambda x, y: x * y)
+    assert built[made:] == [other, other]
+    assert [p.ring for p in there] == [other, other]
+    assert [str(p) for p in first] == [str(p) for p in there] == ["(x)", "(x, y)"]
+    for p in first + there:
+        ref = buchberger([(g,) for g in p.gens], ring=p.ring, rank=1)
+        assert p.as_submodule().groebner().key() == ref.key()
+        assert p.attestation == ATTEST_MONOMIAL

@@ -1,6 +1,14 @@
-import pytest
+import contextlib
+import io
+import re
+import sys
+from pathlib import Path
+from unittest import mock
 
-from gpfkit import dsl
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gpfkit import cli, dsl
 from gpfkit.errors import ParseError
 
 
@@ -209,3 +217,95 @@ def test_comments_and_whitespace():
         "ring R = QQ[x]; # trailing comment\n# full line\nass R in R;"
     )
     assert commands[0].op == "ass"
+
+
+# ---------------------------------------------------------------------------
+# parser fuzz over mutated README scripts
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_scripts():
+    """The README's script blocks: fenced blocks that declare a ring."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\w*\n(.*?)^```$", text, re.S | re.M)
+    return [b for b in blocks if re.search(r"^ring \w+ = ", b, re.M)]
+
+
+# pieces a mutation inserts: the language's punctuation and words, digit
+# runs, whitespace, and characters the tokenizer does not know
+_PIECES = list("(){}[],;=^*+-/:#\n\t ") + [
+    "ring", "prime", "in", "free", "check-iff", "check", "-iff", "QQ", "F5",
+    "F4", "x", "0", "00", "1/0", "99999999999999999999", "é", "\x00", "٣",
+]
+
+
+@st.composite
+def mutated_scripts(draw):
+    text = draw(st.sampled_from(_readme_scripts()))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        op = draw(
+            st.sampled_from(
+                ["delete", "insert", "replace", "repeat", "nest", "digits", "truncate"]
+            )
+        )
+        piece = draw(st.sampled_from(_PIECES))
+        if op == "delete":
+            text = text[:i] + text[j:]
+        elif op == "insert":
+            text = text[:i] + piece + text[i:]
+        elif op == "replace":
+            text = text[:i] + piece + text[j:]
+        elif op == "repeat":
+            text = text[:j] + text[i:j] * draw(st.integers(2, 40)) + text[j:]
+        elif op == "nest":
+            k = draw(st.integers(1, 600))
+            text = text[:i] + "(" * k + text[i:j] + ")" * k + text[j:]
+        elif op == "digits":
+            text = text[:i] + "9" * draw(st.integers(1, 6000)) + text[i:]
+        else:
+            text = text[:i]
+    return text
+
+
+def test_readme_scripts_parse():
+    scripts = _readme_scripts()
+    assert len(scripts) == 2
+    for text in scripts:
+        dsl.parse(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_scripts())
+def test_mutated_readme_scripts_parse_or_raise_parse_error(text):
+    """dsl.parse either succeeds or raises ParseError; on a ParseError the
+    command line prints one error line and exits 1, with no traceback."""
+    try:
+        dsl.parse(text)
+    except ParseError:
+        pass
+    else:
+        return
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["-", "--json"])
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_nesting_and_number_length_are_parse_errors():
+    """Parentheses nested past MAX_NESTING and numbers past the
+    interpreter's digit limit are parse errors, not a RecursionError or
+    ValueError; nesting up to the bound still evaluates."""
+    deep = "(" * dsl.MAX_NESTING + "x" + ")" * dsl.MAX_NESTING
+    env, _ = _env("ring R = QQ[x]; prime p = (%s);" % deep)
+    assert str(env.names["p"][1]) == "(x)"
+    too_deep = "(" + deep + ")"
+    with pytest.raises(ParseError, match="nested too deep"):
+        dsl.parse("ring R = QQ[x]; prime p = (%s);" % too_deep)
+    with pytest.raises(ParseError, match="too long"):
+        dsl.parse("ring R = QQ[x]; prime p = (x^%s);" % ("9" * 5000))

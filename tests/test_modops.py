@@ -276,14 +276,25 @@ def test_quotient_module_basics():
 
 
 def test_quotient_module_full_keeps_its_basis():
-    """full() is one submodule per quotient, so the basis the first
-    containment test computes serves every later call."""
+    """full() is one submodule per quotient, so what the first containment
+    test computes serves every later call: the monomial split of a
+    monomial quotient, the basis of any other."""
     ring, M, N = counterexample_module()
     full = M.full()
     assert M.full() is full
     assert M.contains_submodule(N)
+    assert full._gb is None
+    assert full._split == [[(0, 0)], [(0, 0)]]
+    assert M.full().monomial_split() is full._split
+    assert M.full().groebner() is full.groebner()
+    ring = twisted_ring()
+    x, z = ring.gen(0), ring.gen(2)
+    T = QuotientModule.of_ring(ring)
+    full = T.full()
+    assert T.contains_submodule(T.span(((x * z,),)))
+    assert full._split is None
     assert full._gb is not None
-    assert M.full().groebner() is full._gb
+    assert T.full().groebner() is full._gb
 
 
 @pytest.mark.parametrize("ambient", ["xyz", "rank2", "counterexample", "twisted"])
@@ -395,9 +406,12 @@ def test_rank_mismatch_rejected():
 
 
 def _general(op, *args):
-    """op(*args) with the monomial split forced off, so colon, transporter
-    and intersection take the kernel-basis path.  The memo tables are
-    emptied before and after, so no answer from the other path is read."""
+    """op(*args) with colon, transporter and intersection forced onto the
+    kernel-basis path.  It forces only that path: a split submodule still
+    reads its own basis and containment off its exponents, which
+    `test_split_submodule_matches_buchberger` checks against `buchberger`.
+    The memo tables are emptied before and after, so no answer from the
+    other path is read."""
     clear_caches()
     try:
         with pytest.MonkeyPatch.context() as mp:
@@ -411,7 +425,8 @@ def _general(op, *args):
 def monomial_colon_inputs(draw):
     """(M, N, ideal, X, Y): a monomial quotient M of R^k (free, with a
     denominator, or a check=False step quotient upper/lower), a submodule
-    N of M made of monomial multiples of the top generators, a monomial
+    N of M made of monomial multiples of the top generators, with or
+    without the denominator adjoined, a monomial
     ideal, and two monomial submodules X, Y of R^k.  Exponents reach 0 in
     every variable, so unit generators occur, and rank 2 leaves components
     empty."""
@@ -444,7 +459,8 @@ def monomial_colon_inputs(draw):
         v = draw(st.sampled_from(tops))
         m = monomial()
         multiples.append(tuple(m * p for p in v))
-    N = M.span(multiples)
+    # colon_module adds the denominator to N itself, so N may omit it
+    N = M.span(multiples) if draw(st.booleans()) else Submodule(ring, rank, multiples)
     ideal = Ideal(ring, [monomial() for _ in range(draw(st.integers(1, 2)))])
     X = Submodule(ring, rank, vectors(0, 3))
     Y = Submodule(ring, rank, vectors(0, 3))
@@ -477,7 +493,8 @@ def _count_calls(monkeypatch, name):
 
 def test_monomial_inputs_skip_the_elimination(monkeypatch):
     """Monomial colon, transporter, intersection and saturation build no
-    kernel basis: every basis they ask for is of rank 1."""
+    kernel and call no Buchberger at all: every basis and containment
+    test, preconditions included, is read off exponents."""
     ring, x, y, z = xyz_ring()
     M = QuotientModule.of_ring(ring)
     N = M.span(((x * x,), (x * y,)))
@@ -489,7 +506,77 @@ def test_monomial_inputs_skip_the_elimination(monkeypatch):
     N2 = M.span(((x * x * y,), (x * y * y,)))
     assert saturate(N2, x, M).equals(ideal_sub(ring, y))
     assert not kernels
-    assert all(kwargs["rank"] == 1 for _, kwargs in bases)
+    assert not bases
+
+
+@st.composite
+def split_inputs(draw):
+    """(sub, gens, probes): a split submodule of R^k, k from 1 to 3 over QQ
+    or GF(5), from random monomial generators with coefficients 1 and 3,
+    among them unit generators, zero vectors and duplicates, with empty
+    components; and vectors to test for membership: monomial, binomial
+    and mixed, many of them multiples of the generators."""
+    nvars = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 3))
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    ring = PolyRing(field, ("x", "y", "z")[:nvars])
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    zero = ring.zero()
+    gens = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["monomial", "monomial", "zero", "repeat"]))
+        vec = [zero] * rank
+        if kind == "repeat" and gens:
+            vec = list(draw(st.sampled_from(gens)))
+        elif kind != "zero":
+            coeff = draw(st.sampled_from([1, 3]))
+            vec[draw(st.integers(0, rank - 1))] = ring.monomial(draw(exps), coeff)
+        gens.append(tuple(vec))
+
+    def term():
+        """A monomial, often a multiple of a generator's term."""
+        m = draw(exps)
+        tops = [v for v in gens if any(v)]
+        if tops and draw(st.booleans()):
+            v = draw(st.sampled_from(tops))
+            c = next(i for i, p in enumerate(v) if p)
+            return c, tuple(a + b for a, b in zip(next(iter(v[c].monomials())), m))
+        return draw(st.integers(0, rank - 1)), m
+
+    probes = []
+    for _ in range(6):
+        vec = [zero] * rank
+        for _ in range(draw(st.integers(1, 3))):
+            c, m = term()
+            vec[c] = vec[c] + ring.monomial(m, draw(st.sampled_from([1, 2])))
+        probes.append(tuple(vec))
+    return Submodule(ring, rank, gens), gens, probes
+
+
+@settings(max_examples=80, deadline=None)
+@given(split_inputs())
+def test_split_submodule_matches_buchberger(case):
+    """The basis, key, canonical form and membership a split submodule
+    reads off its exponents are those of `buchberger` on its generators,
+    and a vector of the wrong rank or ring is still rejected."""
+    sub, gens, probes = case
+    ring, rank = sub.ring, sub.rank
+    assert sub.monomial_split() is not None
+    clear_caches()
+    ref = buchberger(gens, ring=ring, rank=rank)
+    gb = sub.groebner()
+    assert gb._entries == ref._entries
+    assert gb.vectors == ref.vectors
+    assert gb.key() == ref.key()
+    assert sub.canonical() == tuple(reversed(ref.vectors))
+    assert sub.key() == Submodule.of_basis(ref).key()
+    for v in probes:
+        assert sub.contains(v) == ref.contains(v)
+    with pytest.raises(RingMismatchError):
+        sub.contains(probes[0] + (ring.zero(),))
+    other = PolyRing(GF(7), ring.names)
+    with pytest.raises(RingMismatchError):
+        sub.contains(tuple(other.one() for _ in range(rank)))
 
 
 def test_non_monomial_inputs_take_the_elimination(monkeypatch):
