@@ -35,7 +35,6 @@ from .gpf import (
     exists_incomparable,
 )
 from .modops import colon_module
-from .oracle import run_fixture_checks
 from .primes import ATTEST_MONOMIAL, MONOMIAL, ass_enumerate
 
 EXIT_OK = 0
@@ -364,6 +363,9 @@ class Runner:
 
 
 def _run_oracle(args, out):
+    # the oracle is only imported when asked for, to keep start-up short
+    from .oracle import run_fixture_checks
+
     report = run_fixture_checks()
     if args.json:
         out.write(json.dumps(report, sort_keys=True) + "\n")

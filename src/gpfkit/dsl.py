@@ -17,7 +17,7 @@ allowed.  Example:
 
 Coefficient fields are QQ or F<q> for a prime q.  Exponents in ideal
 expressions must be at least 1; polynomial exponents may be any
-nonnegative integer.  `#` starts a comment.
+nonnegative integer up to MAX_EXPONENT.  `#` starts a comment.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 
 from .arith import PolyRing
-from .errors import ParseError
+from .errors import BudgetError, ParseError
 from .fields import GF, QQ
 from .gpf import FactorizationTarget
 from .modops import QuotientModule, partial_products
@@ -56,6 +56,9 @@ _PUNCT = "(){}[],;=^*+-/:"
 # Parentheses inside one polynomial nest at most this deep; the parser
 # and the evaluator recurse once per level.
 MAX_NESTING = 100
+# A polynomial power p^n is n multiplications; a larger n is refused
+# before any of them runs.
+MAX_EXPONENT = 1000
 
 
 def tokenize(text):
@@ -609,11 +612,11 @@ class Env:
             _, value, line, col = node
             return self.ring.const(self._coeff(value, line, col))
         if kind == "pow":
-            base = self.poly(node[1])
-            out = self.ring.one()
-            for _ in range(node[2]):
-                out = out * base
-            return out
+            if node[2] > MAX_EXPONENT:
+                raise BudgetError(
+                    "exponent %d is over the bound %d" % (node[2], MAX_EXPONENT)
+                )
+            return self.poly(node[1]) ** node[2]
         if kind == "mul":
             out = self.ring.one()
             for sub in node[1]:

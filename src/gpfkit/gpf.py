@@ -317,8 +317,8 @@ def exists_incomparable(primes, M, source=MONOMIAL, tie_break="lex"):
     K = construct_incomparable(
         primes, M, source=source, tie_break=tie_break
     )
-    factors = gpf(K, M, source=source, tie_break=tie_break)
-    return ExistsReport(True, K, conditions, factors)
+    # construct_incomparable has verified that K factors as exactly these
+    return ExistsReport(True, K, conditions, PrimeMultiset.from_primes(primes))
 
 
 def construct_incomparable(primes, M, N0=None, source=MONOMIAL, tie_break="lex"):

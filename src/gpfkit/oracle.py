@@ -30,12 +30,14 @@ zero submodule) where the zero ideal would genuinely be associated.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from functools import partial
 
 from .arith import Polynomial, PolyRing, mono_degree, mono_divides, mono_key
 from .errors import BudgetError, VerificationError
 from .fields import GF
-from .modops import QuotientModule, colon_ideal, colon_module, ideal_power
-from .primes import PrimeIdeal, ass_enumerate
+from .modops import Ideal, QuotientModule, colon_ideal, colon_module
+from .primes import ass_enumerate
 from .gpf import gpf
 from .record import Record
 
@@ -456,23 +458,64 @@ def rpe_bruteforce(N, M, tie_break="lex", z_max=1, max_steps=32):
 
 # ---------------------------------------------------------------------------
 # bundled fixtures
+#
+# Every fixture lives over F2.  Polynomials are written as sums of
+# products, such as "x*x + y*z" (0 and 1 are the constants), and a vector
+# of rank 1 may be written as its single entry.
 
 
 class Fixture(Record):
     __slots__ = ("name", "description", "build", "checks")
 
 
-def _image_vec(M, polys):
-    return M.flatten([M.ring.from_poly(p) for p in polys])
+class _Model(Record):
+    """A fixture's symbolic module and submodule beside their images in
+    the finite model."""
+
+    __slots__ = ("sym", "module", "ambient", "Nsym", "Nspace")
 
 
-def _image_submodule(M, sub):
-    return M.closure([_image_vec(M, v) for v in sub.gens])
+def _poly(ring, text):
+    out = ring.zero()
+    for term in text.split("+"):
+        mono = ring.one()
+        for name in term.split("*"):
+            name = name.strip()
+            mono = mono * (ring.var(name) if name.isalpha() else ring.const(int(name)))
+        out = out + mono
+    return out
+
+
+def _vectors(ring, rows):
+    return [
+        tuple(_poly(ring, t) for t in (row if isinstance(row, tuple) else (row,)))
+        for row in rows
+    ]
+
+
+def _image(ring, polys):
+    """The flattened model vector of a vector of polynomials."""
+    return tuple(c for p in polys for c in ring.from_poly(p))
+
+
+def _closure(M, vectors):
+    return M.closure([_image(M.ring, v) for v in vectors])
+
+
+def _build(variables, caps, relations=(), rank=1, denom=(), N=()):
+    plain = PolyRing(GF(2), variables)
+    sym = PolyRing(
+        GF(2), plain.names, relations=[_poly(plain, r) for r in relations]
+    )
+    ring = FiniteRing(sym, caps)
+    denom, N = _vectors(sym, denom), _vectors(sym, N)
+    module = FiniteModule(ring, rank, [_image(ring, v) for v in denom])
+    ambient = QuotientModule.free(sym, rank, denom)
+    return _Model(sym, module, ambient, ambient.span(N), _closure(module, N))
 
 
 def _varset_of(prime):
     """Variable indices of a monomial prime over its symbolic ring."""
-    names = prime.ring.names
     out = []
     for g in prime.ideal.canonical_gens():
         mono = next(iter(g.monomials()))
@@ -481,391 +524,182 @@ def _varset_of(prime):
     return tuple(sorted(out))
 
 
-def _gpf_counter(ms):
-    return {tuple(_varset_of(p)): r for p, r in ms.entries()}
+def _model_gens(ctx, gens):
+    return [ctx.module.ring.from_poly(_poly(ctx.sym, g)) for g in gens]
 
 
-def _rpe_counter(varsets):
-    out = {}
-    for S in varsets:
-        out[S] = out.get(S, 0) + 1
-    return out
+# generic checks
 
 
-def _membership_check(samples):
+def _membership(*samples):
+    """Both engines agree on whether each sample lies in N."""
+
     def run(ctx):
-        M, Nsp, Nsym = ctx["module"], ctx["Nspace"], ctx["Nsym"]
-        for vec in samples:
-            sym_in = Nsym.contains(vec)
-            model_in = Nsp.contains(_image_vec(M, vec))
-            if sym_in != model_in:
-                return False
-        return True
+        return all(
+            ctx.Nsym.contains(v) == ctx.Nspace.contains(_image(ctx.module.ring, v))
+            for v in _vectors(ctx.sym, samples)
+        )
 
     return run
 
 
-def _monomial_fixture():
-    sym = PolyRing(GF(2), ("x", "y"))
-    x, y = sym.gen(0), sym.gen(1)
-    fr = FiniteRing(sym, 3)
-    RM = QuotientModule.of_ring(sym)
-    M = FiniteModule(fr, 1)
-    N = RM.span(((x * x,), (x * y,)))
-    return {
-        "sym": sym,
-        "ring": fr,
-        "module": M,
-        "ambient": RM,
-        "Nsym": N,
-        "Nspace": M.closure([_image_vec(M, v) for v in ((x * x,), (x * y,))]),
-        "x": x,
-        "y": y,
-    }
+def _colon(gens, want):
+    """The model colon (N : gens) is the span of the expected vectors."""
 
-
-def _colon_check(gens_of, expected_of):
     def run(ctx):
-        M = ctx["module"]
-        gens = [M.ring.from_poly(g) for g in gens_of(ctx)]
-        got = colon_bruteforce(ctx["Nspace"], gens, M)
-        want = _image_submodule(M, expected_of(ctx))
-        return got.equals(want)
+        got = colon_bruteforce(ctx.Nspace, _model_gens(ctx, gens), ctx.module)
+        return got.equals(_closure(ctx.module, _vectors(ctx.sym, want)))
 
     return run
 
 
 def _ass_check(ctx):
-    M = ctx["module"]
-    sym_ass = ass_enumerate(ctx["ambient"].with_denominator(ctx["Nsym"]))
+    sym_ass = ass_enumerate(ctx.ambient.with_denominator(ctx.Nsym))
     want = sorted(_varset_of(p) for p in sym_ass)
-    got = ass_bruteforce(ctx["Nspace"], M)
-    return got == want
+    return ass_bruteforce(ctx.Nspace, ctx.module) == want
 
 
 def _gpf_check(ctx):
-    M = ctx["module"]
-    sym = _gpf_counter(gpf(ctx["Nsym"], ctx["ambient"]))
-    lex = _rpe_counter(rpe_bruteforce(ctx["Nspace"], M, tie_break="lex"))
-    rev = _rpe_counter(rpe_bruteforce(ctx["Nspace"], M, tie_break="revlex"))
+    sym = {_varset_of(p): r for p, r in gpf(ctx.Nsym, ctx.ambient).entries()}
+    lex = Counter(rpe_bruteforce(ctx.Nspace, ctx.module, tie_break="lex"))
+    rev = Counter(rpe_bruteforce(ctx.Nspace, ctx.module, tie_break="revlex"))
     return sym == lex == rev
 
 
-def _fixture_monomial_chain():
-    def build():
-        ctx = _monomial_fixture()
-        return ctx
+# bespoke checks
 
-    def colon_one(ctx):
-        M = ctx["module"]
-        got = colon_bruteforce(ctx["Nspace"], [M.ring.one()], M)
-        return got.equals(ctx["Nspace"])
 
-    def empty_ass(ctx):
-        M = ctx["module"]
-        return ass_bruteforce(M.full_space(), M) == []
+def _empty_ass(ctx):
+    M = ctx.module
+    return ass_bruteforce(M.full_space(), M) == []
 
-    def membership(ctx):
-        x, y = ctx["x"], ctx["y"]
-        return _membership_check(
-            (
-                (x * x,),
-                (x * y,),
-                (y * y,),
-                (y,),
-                (x * x + x * y,),
-                (x,),
-            )
-        )(ctx)
 
-    return Fixture(
-        name="monomial-chain",
-        description="(x^2, xy) in F2[x,y] truncated at degree 3",
-        build=build,
-        checks=[
-            ("membership agrees on degree-2 samples", membership),
-            (
-                "colon by the maximal ideal is (x)",
-                _colon_check(
-                    lambda ctx: [ctx["x"], ctx["y"]],
-                    lambda ctx: ctx["ambient"].span(((ctx["x"],),)),
-                ),
-            ),
-            (
-                "colon by (x) is the maximal ideal",
-                _colon_check(
-                    lambda ctx: [ctx["x"]],
-                    lambda ctx: ctx["ambient"].span(
-                        ((ctx["x"],), (ctx["y"],))
-                    ),
-                ),
-            ),
-            ("colon by the unit returns the submodule", colon_one),
-            ("associated primes are {(x), (x,y)}", _ass_check),
-            ("filtration multiset matches under both tie-breaks", _gpf_check),
-            ("no associated prime when the submodule is everything", empty_ass),
-        ],
+def _colon_matches(ctx):
+    """(N : (x, z)) by brute force, by the symbolic colon, and as (x, y, z)."""
+    M = ctx.module
+    got = colon_bruteforce(ctx.Nspace, _model_gens(ctx, ("x", "z")), M)
+    x, _, z = ctx.sym.gens()
+    sym_colon = colon_module(ctx.Nsym, Ideal(ctx.sym, [x, z]), ctx.ambient)
+    if not got.equals(_closure(M, sym_colon.gens)):
+        return False
+    return got.equals(_closure(M, _vectors(ctx.sym, ("x", "y", "z"))))
+
+
+def _ann_of_prime(ctx):
+    """(0 : (x, z)) by brute force and by the symbolic transporter."""
+    M = ctx.module
+    got = colon_bruteforce(M.closure([]), _model_gens(ctx, ("x", "z")), M)
+    ann = colon_ideal(
+        ctx.ambient.span(()), ctx.ambient.span(_vectors(ctx.sym, ("x", "z")))
     )
+    return got.equals(_closure(M, ann.as_submodule().gens))
 
 
-def _fixture_maximal_square():
-    def build():
-        ctx = _monomial_fixture()
-        x, y = ctx["x"], ctx["y"]
-        gens = ((x * x,), (x * y,), (y * y,))
-        ctx["Nsym"] = ctx["ambient"].span(gens)
-        ctx["Nspace"] = ctx["module"].closure(
-            [_image_vec(ctx["module"], v) for v in gens]
-        )
-        return ctx
+_CHAIN = ("x*x", "x*y")
 
-    return Fixture(
-        name="maximal-square",
-        description="the square of (x,y) in F2[x,y] truncated at degree 3",
-        build=build,
-        checks=[
+_FIXTURES = (
+    Fixture(
+        "monomial-chain",
+        "(x^2, xy) in F2[x,y] truncated at degree 3",
+        partial(_build, ("x", "y"), 3, N=_CHAIN),
+        (
             (
                 "membership agrees on degree-2 samples",
-                lambda ctx: _membership_check(
-                    (
-                        (ctx["x"] * ctx["x"],),
-                        (ctx["y"] * ctx["y"],),
-                        (ctx["x"],),
-                        (ctx["x"] * ctx["y"] + ctx["y"] * ctx["y"],),
-                    )
-                )(ctx),
+                _membership("x*x", "x*y", "y*y", "y", "x*x + x*y", "x"),
+            ),
+            ("colon by the maximal ideal is (x)", _colon(("x", "y"), ("x",))),
+            ("colon by (x) is the maximal ideal", _colon(("x",), ("x", "y"))),
+            ("colon by the unit returns the submodule", _colon(("1",), _CHAIN)),
+            ("associated primes are {(x), (x,y)}", _ass_check),
+            ("filtration multiset matches under both tie-breaks", _gpf_check),
+            ("no associated prime when the submodule is everything", _empty_ass),
+        ),
+    ),
+    Fixture(
+        "maximal-square",
+        "the square of (x,y) in F2[x,y] truncated at degree 3",
+        partial(_build, ("x", "y"), 3, N=("x*x", "x*y", "y*y")),
+        (
+            (
+                "membership agrees on degree-2 samples",
+                _membership("x*x", "y*y", "x", "x*y + y*y"),
             ),
             (
                 "colon by the maximal ideal is the maximal ideal",
-                _colon_check(
-                    lambda ctx: [ctx["x"], ctx["y"]],
-                    lambda ctx: ctx["ambient"].span(
-                        ((ctx["x"],), (ctx["y"],))
-                    ),
-                ),
+                _colon(("x", "y"), ("x", "y")),
             ),
             ("the only associated prime is (x,y)", _ass_check),
             ("filtration multiset is (x,y) twice", _gpf_check),
-        ],
-    )
-
-
-def _fixture_two_lines():
-    def build():
-        ctx = _monomial_fixture()
-        x, y = ctx["x"], ctx["y"]
-        gens = ((x * y,),)
-        ctx["Nsym"] = ctx["ambient"].span(gens)
-        ctx["Nspace"] = ctx["module"].closure(
-            [_image_vec(ctx["module"], v) for v in gens]
-        )
-        return ctx
-
-    return Fixture(
-        name="two-lines",
-        description="(xy) in F2[x,y] truncated at degree 3",
-        build=build,
-        checks=[
-            (
-                "colon by (x) is (y)",
-                _colon_check(
-                    lambda ctx: [ctx["x"]],
-                    lambda ctx: ctx["ambient"].span(((ctx["y"],),)),
-                ),
-            ),
-            (
-                "colon by (y) is (x)",
-                _colon_check(
-                    lambda ctx: [ctx["y"]],
-                    lambda ctx: ctx["ambient"].span(((ctx["x"],),)),
-                ),
-            ),
+        ),
+    ),
+    Fixture(
+        "two-lines",
+        "(xy) in F2[x,y] truncated at degree 3",
+        partial(_build, ("x", "y"), 3, N=("x*y",)),
+        (
+            ("colon by (x) is (y)", _colon(("x",), ("y",))),
+            ("colon by (y) is (x)", _colon(("y",), ("x",))),
             ("associated primes are {(x), (y)}", _ass_check),
             ("filtration multiset is (x)(y) either way", _gpf_check),
-        ],
-    )
-
-
-def _fixture_counterexample_module():
-    def build():
-        sym = PolyRing(GF(2), ("x", "y"))
-        x, y = sym.gen(0), sym.gen(1)
-        zero = sym.zero()
-        fr = FiniteRing(sym, 3)
-        RM = QuotientModule.free(sym, 2, ((x, zero), (zero, x)))
-        M = FiniteModule(
-            fr, 2, ([_image_vec_raw(fr, (x, zero)), _image_vec_raw(fr, (zero, x))])
-        )
-        N = RM.span(((y, zero),))
-        return {
-            "sym": sym,
-            "ring": fr,
-            "module": M,
-            "ambient": RM,
-            "Nsym": N,
-            "Nspace": M.closure([_image_vec(M, ((y, zero)))]),
-            "x": x,
-            "y": y,
-            "zero": zero,
-        }
-
-    def first_step(ctx):
-        M, x, y, zero = ctx["module"], ctx["x"], ctx["y"], ctx["zero"]
-        got = colon_bruteforce(
-            ctx["Nspace"], [M.ring.from_poly(x), M.ring.from_poly(y)], M
-        )
-        one = ctx["sym"].one()
-        want = _image_submodule(M, ctx["ambient"].span(((one, zero),)))
-        return got.equals(want)
-
-    return Fixture(
-        name="free-counterexample",
-        description="the span of (y,0) in (F2[x,y]/(x))^2, truncated",
-        build=build,
-        checks=[
+        ),
+    ),
+    Fixture(
+        "free-counterexample",
+        "the span of (y,0) in (F2[x,y]/(x))^2, truncated",
+        partial(
+            _build,
+            ("x", "y"),
+            3,
+            rank=2,
+            denom=(("x", "0"), ("0", "x")),
+            N=(("y", "0"),),
+        ),
+        (
             (
                 "membership agrees on low-degree samples",
-                lambda ctx: _membership_check(
-                    (
-                        (ctx["y"], ctx["zero"]),
-                        (ctx["zero"], ctx["y"]),
-                        (ctx["x"], ctx["zero"]),
-                        (ctx["sym"].one(), ctx["zero"]),
-                    )
-                )(ctx),
+                _membership(("y", "0"), ("0", "y"), ("x", "0"), ("1", "0")),
             ),
-            ("colon by the maximal ideal adds the first unit vector", first_step),
+            (
+                "colon by the maximal ideal adds the first unit vector",
+                _colon(("x", "y"), (("1", "0"),)),
+            ),
             ("associated primes are {(x), (x,y)}", _ass_check),
             ("filtration multiset matches the symbolic engine", _gpf_check),
-        ],
-    )
-
-
-def _fixture_residue_field():
-    def build():
-        sym = PolyRing(GF(2), ("x", "y"))
-        x, y = sym.gen(0), sym.gen(1)
-        fr = FiniteRing(sym, 3)
-        RM = QuotientModule.free(sym, 1, ((x,), (y,)))
-        M = FiniteModule(
-            fr, 1, [_image_vec_raw(fr, (x,)), _image_vec_raw(fr, (y,))]
-        )
-        return {
-            "sym": sym,
-            "ring": fr,
-            "module": M,
-            "ambient": RM,
-            "Nsym": RM.span(()),
-            "Nspace": M.closure([]),
-            "x": x,
-            "y": y,
-        }
-
-    return Fixture(
-        name="residue-field",
-        description="the zero submodule of F2[x,y]/(x,y)",
-        build=build,
-        checks=[
+        ),
+    ),
+    Fixture(
+        "residue-field",
+        "the zero submodule of F2[x,y]/(x,y)",
+        partial(_build, ("x", "y"), 3, denom=("x", "y")),
+        (
             ("the maximal ideal is the only associated prime", _ass_check),
             ("filtration multiset is a single (x,y)", _gpf_check),
-        ],
-    )
-
-
-def _fixture_binomial_quotient():
-    def build():
-        sym0 = PolyRing(GF(2), ("x", "y", "z"))
-        x0, y0, z0 = sym0.gen(0), sym0.gen(1), sym0.gen(2)
-        sym = PolyRing(
-            GF(2),
+        ),
+    ),
+    Fixture(
+        "binomial-quotient",
+        "p = (x,z) in F2[x,y,z]/(xy+z^2, x^2+yz), truncated at 4",
+        partial(
+            _build,
             ("x", "y", "z"),
-            relations=(x0 * y0 + z0 * z0, x0 * x0 + y0 * z0),
-        )
-        x, y, z = sym.gen(0), sym.gen(1), sym.gen(2)
-        fr = FiniteRing(sym, 4)
-        RM = QuotientModule.of_ring(sym)
-        M = FiniteModule(fr, 1)
-        p = PrimeIdeal(sym, [x, z])
-        gens = [(g,) for g in ideal_power(p.ideal, 2).gens]
-        Nsym = RM.span(gens)
-        return {
-            "sym": sym,
-            "ring": fr,
-            "module": M,
-            "ambient": RM,
-            "Nsym": Nsym,
-            "Nspace": M.closure([_image_vec(M, v) for v in gens]),
-            "p": p,
-            "x": x,
-            "y": y,
-            "z": z,
-        }
-
-    def ann_of_prime(ctx):
-        M = ctx["module"]
-        zero_space = M.closure([])
-        gens = [M.ring.from_poly(ctx["x"]), M.ring.from_poly(ctx["z"])]
-        got = colon_bruteforce(zero_space, gens, M)
-        ann = colon_ideal(
-            ctx["ambient"].span(()),
-            ctx["ambient"].span(((ctx["x"],), (ctx["z"],))),
-        )
-        want = _image_submodule(M, ann.as_submodule())
-        return got.equals(want)
-
-    def colon_matches(ctx):
-        M = ctx["module"]
-        gens = [M.ring.from_poly(ctx["x"]), M.ring.from_poly(ctx["z"])]
-        got = colon_bruteforce(ctx["Nspace"], gens, M)
-        sym_colon = colon_module(ctx["Nsym"], ctx["p"].ideal, ctx["ambient"])
-        if not got.equals(_image_submodule(M, sym_colon)):
-            return False
-        want_max = _image_submodule(
-            M,
-            ctx["ambient"].span(((ctx["x"],), (ctx["y"],), (ctx["z"],))),
-        )
-        return got.equals(want_max)
-
-    return Fixture(
-        name="binomial-quotient",
-        description="p = (x,z) in F2[x,y,z]/(xy+z^2, x^2+yz), truncated at 4",
-        build=build,
-        checks=[
+            4,
+            relations=("x*y + z*z", "x*x + y*z"),
+            N=("x*x", "x*z", "z*z"),
+        ),
+        (
             (
                 "membership agrees through the defining relations",
-                lambda ctx: _membership_check(
-                    (
-                        (ctx["x"] * ctx["x"],),
-                        (ctx["x"] * ctx["y"],),
-                        (ctx["y"] * ctx["z"],),
-                        (ctx["y"] * ctx["y"],),
-                        (ctx["y"],),
-                        (ctx["z"],),
-                    )
-                )(ctx),
+                _membership("x*x", "x*y", "y*z", "y*y", "y", "z"),
             ),
-            ("(p^2 : p) is the maximal ideal, both engines", colon_matches),
-            ("the annihilator of p is principal, both engines", ann_of_prime),
-        ],
-    )
-
-
-def _image_vec_raw(fr, polys):
-    out = []
-    for p in polys:
-        out.extend(fr.from_poly(p))
-    return tuple(out)
+            ("(p^2 : p) is the maximal ideal, both engines", _colon_matches),
+            ("the annihilator of p is principal, both engines", _ann_of_prime),
+        ),
+    ),
+)
 
 
 def bundled_fixtures():
-    return [
-        _fixture_monomial_chain(),
-        _fixture_maximal_square(),
-        _fixture_two_lines(),
-        _fixture_counterexample_module(),
-        _fixture_residue_field(),
-        _fixture_binomial_quotient(),
-    ]
+    return list(_FIXTURES)
 
 
 def run_fixture_checks(names=None):

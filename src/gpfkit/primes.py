@@ -5,9 +5,10 @@ an `Ideal` (it inherits membership, containment, equality and products)
 that carries an attestation of how its primality is known:
 
 * ``monomial-verified``: the reduced basis consists of distinct variables
-  and every ring relation vanishes modulo those variables, so the residue
-  ring is a polynomial ring and the ideal is prime.  Checked structurally
-  at construction.
+  and every ring relation vanishes modulo those variables and the
+  variables that are relations themselves, so the residue ring is a
+  polynomial ring and the ideal is prime.  Checked structurally at
+  construction.
 * ``finite-verified``: primality was confirmed by exhaustive products in
   a finite model; used by the brute-force oracle.
 * ``assumed``: supplied by the caller, typically through a candidate
@@ -106,11 +107,19 @@ class PrimeIdeal(Ideal):
     def _monomial_check(self):
         """Whether the canonical generators split into exponent tuples of
         degree 1, distinct variables, modulo which every relation
-        vanishes."""
+        vanishes.  The canonical generators leave out the variables that
+        are themselves relations; they lie in the preimage of the ideal,
+        so they join the variable set."""
         split = monomial.split(1, [(g,) for g in self.canonical_gens()])
         if split is None or any(sum(g) != 1 for g in split[0]):
             return False
-        return _relations_vanish(self.ring, [g.index(1) for g in split[0]])
+        indices = {g.index(1) for g in split[0]}
+        if self.ring.relations:
+            for rel in self.ring.relation_basis():
+                mono = next(iter(rel.monomials()))
+                if len(rel) == 1 and sum(mono) == 1:
+                    indices.add(mono.index(1))
+        return _relations_vanish(self.ring, indices)
 
     @classmethod
     def from_variables(cls, ring, indices):

@@ -245,10 +245,12 @@ def test_caches_live_in_the_cache_module():
 
 def test_cli_import_skips_dataclasses_and_inspect():
     """The command line starts without the dataclasses and inspect
-    modules; -S keeps site packages from importing them first."""
+    modules, and without the oracle, which only --oracle imports; -S keeps
+    site packages from importing them first."""
     code = (
         "import sys, gpfkit.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'gpfkit.oracle'} "
+        "& set(sys.modules)))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(

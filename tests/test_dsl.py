@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpfkit import cli, dsl
-from gpfkit.errors import ParseError
+from gpfkit.errors import BudgetError, ParseError
 
 
 def _env(text):
@@ -309,3 +309,22 @@ def test_nesting_and_number_length_are_parse_errors():
         dsl.parse("ring R = QQ[x]; prime p = (%s);" % too_deep)
     with pytest.raises(ParseError, match="too long"):
         dsl.parse("ring R = QQ[x]; prime p = (x^%s);" % ("9" * 5000))
+
+
+def test_polynomial_exponent_over_the_bound_is_a_budget_error(monkeypatch):
+    """An exponent above MAX_EXPONENT fails with BudgetError before any
+    multiplication, and the command line exits 2; the bound itself still
+    evaluates."""
+    monkeypatch.setattr(dsl, "MAX_EXPONENT", 2)
+    env, _ = _env("ring R = QQ[x,y]; prime p = ((x+y)^2);")
+    assert str(env.names["p"][1]) == "(x^2 + 2*x*y + y^2)"
+    with pytest.raises(BudgetError, match="over the bound 2"):
+        _env("ring R = QQ[x,y]; prime p = (x^3);")
+    out, err = io.StringIO(), io.StringIO()
+    text = "ring R = QQ[x,y]; submodule N in R = (x*y^3); gpf N in R;"
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["-", "--json"])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert "over the bound 2" in err.getvalue()

@@ -136,13 +136,43 @@ def test_rpe_bruteforce_matches_symbolic_order():
     assert rpe_bruteforce(lines, mod, tie_break="revlex") == [(1,), (0,)]
 
 
+# Every check of the battery, in order: dropping or renaming one fails.
+BATTERY = [
+    ("monomial-chain", "membership agrees on degree-2 samples"),
+    ("monomial-chain", "colon by the maximal ideal is (x)"),
+    ("monomial-chain", "colon by (x) is the maximal ideal"),
+    ("monomial-chain", "colon by the unit returns the submodule"),
+    ("monomial-chain", "associated primes are {(x), (x,y)}"),
+    ("monomial-chain", "filtration multiset matches under both tie-breaks"),
+    ("monomial-chain", "no associated prime when the submodule is everything"),
+    ("maximal-square", "membership agrees on degree-2 samples"),
+    ("maximal-square", "colon by the maximal ideal is the maximal ideal"),
+    ("maximal-square", "the only associated prime is (x,y)"),
+    ("maximal-square", "filtration multiset is (x,y) twice"),
+    ("two-lines", "colon by (x) is (y)"),
+    ("two-lines", "colon by (y) is (x)"),
+    ("two-lines", "associated primes are {(x), (y)}"),
+    ("two-lines", "filtration multiset is (x)(y) either way"),
+    ("free-counterexample", "membership agrees on low-degree samples"),
+    ("free-counterexample", "colon by the maximal ideal adds the first unit vector"),
+    ("free-counterexample", "associated primes are {(x), (x,y)}"),
+    ("free-counterexample", "filtration multiset matches the symbolic engine"),
+    ("residue-field", "the maximal ideal is the only associated prime"),
+    ("residue-field", "filtration multiset is a single (x,y)"),
+    ("binomial-quotient", "membership agrees through the defining relations"),
+    ("binomial-quotient", "(p^2 : p) is the maximal ideal, both engines"),
+    ("binomial-quotient", "the annihilator of p is principal, both engines"),
+]
+
+
 def test_fixture_battery_is_green():
     report = run_fixture_checks()
     assert report["ok"]
     names = [f["name"] for f in report["fixtures"]]
     assert names == [f.name for f in bundled_fixtures()]
     assert all(c["ok"] for f in report["fixtures"] for c in f["checks"])
-    assert sum(len(f["checks"]) for f in report["fixtures"]) >= 20
+    pairs = [(f["name"], c["check"]) for f in report["fixtures"] for c in f["checks"]]
+    assert pairs == BATTERY
 
 
 def test_fixture_selection_by_name():

@@ -90,6 +90,31 @@ def test_claimed_monomial_attestation_is_checked():
         PrimeIdeal(ring, [x * x], attestation=ATTEST_MONOMIAL)
 
 
+@pytest.mark.parametrize("indices", [(0,), (0, 1), (1,), (1, 2)])
+def test_attestation_counts_variables_that_are_relations(indices):
+    """Over QQ[x,y,z]/(x) every variable ideal has a polynomial ring as
+    its residue ring, though x is zero and drops out of the canonical
+    generators."""
+    plain = PolyRing(QQ, ("x", "y", "z"))
+    ring = PolyRing(QQ, ("x", "y", "z"), relations=(plain.gen(0),))
+    p = PrimeIdeal.from_variables(ring, indices)
+    assert p.attestation == ATTEST_MONOMIAL
+    gens = [ring.gen(i) for i in indices]
+    claimed = PrimeIdeal(ring, gens, attestation=ATTEST_MONOMIAL)
+    assert claimed.equals(p)
+
+
+def test_attestation_still_refuses_non_domains():
+    """(0) of QQ[x,y,z]/(x, yz) and (z) of QQ[x,y,z]/(xy) are not prime:
+    a relation is left over modulo the variables."""
+    plain = PolyRing(QQ, ("x", "y", "z"))
+    x, y, z = plain.gens()
+    for rels, indices in (((x, y * z), ()), ((x * y,), (2,))):
+        ring = PolyRing(QQ, plain.names, relations=rels)
+        p = PrimeIdeal.from_variables(ring, indices)
+        assert p.attestation == ATTEST_ASSUMED
+
+
 def test_prime_ordering_and_containment():
     ring, x, y = xy_ring()
     px = PrimeIdeal(ring, [x])
