@@ -35,7 +35,7 @@ from .gpf import (
     exists_incomparable,
 )
 from .modops import colon_module
-from .primes import ATTEST_MONOMIAL, MONOMIAL, ass_enumerate
+from .primes import ATTEST_LINEAR, MONOMIAL, ass_enumerate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,7 +67,7 @@ def _attestation_notes(primes):
     notes = []
     seen = set()
     for p in primes:
-        if p.attestation != ATTEST_MONOMIAL and p.key() not in seen:
+        if p.attestation != ATTEST_LINEAR and p.key() not in seen:
             seen.add(p.key())
             notes.append("%s: %s" % (p, p.attestation))
     return notes

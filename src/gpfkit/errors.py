@@ -41,5 +41,6 @@ class IncompleteRegistryError(GpfError):
 
 
 class BudgetError(GpfError):
-    """A size or iteration budget was exceeded (variable count, element
-    count of a finite model, saturation steps)."""
+    """A size or iteration budget was exceeded (irreducible components,
+    ideal product generators, polynomial exponents, element count of a
+    finite model, filtration steps)."""

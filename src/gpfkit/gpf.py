@@ -321,6 +321,16 @@ def exists_incomparable(primes, M, source=MONOMIAL, tie_break="lex"):
     return ExistsReport(True, K, conditions, PrimeMultiset.from_primes(primes))
 
 
+def _verified(N, M, want, source, tie_break):
+    """N, once an independent filtration run in M factors it as want."""
+    got = gpf(N, M, source=source, tie_break=tie_break)
+    if not got.equals(want):
+        raise VerificationError(
+            "constructed submodule factors as %s, not %s" % (got, want)
+        )
+    return N
+
+
 def construct_incomparable(primes, M, N0=None, source=MONOMIAL, tie_break="lex"):
     """A submodule K with factorization exactly the given primes, each once.
 
@@ -373,13 +383,7 @@ def construct_incomparable(primes, M, N0=None, source=MONOMIAL, tie_break="lex")
             pos += 1
         boundary -= 1
     K = filt.modules()[n - len(primes)]
-    got = gpf(K, M, source=source, tie_break=tie_break)
-    want = PrimeMultiset.from_primes(primes)
-    if not got.equals(want):
-        raise VerificationError(
-            "constructed submodule factors as %s, not %s" % (got, want)
-        )
-    return K
+    return _verified(K, M, PrimeMultiset.from_primes(primes), source, tie_break)
 
 
 def construct_prime_power(p, r, M, source=MONOMIAL, tie_break="lex"):
@@ -428,13 +432,7 @@ def construct_prime_power(p, r, M, source=MONOMIAL, tie_break="lex"):
                 "witness product %s unexpectedly lies in %s" % (f, p)
             )
         N = saturate(B, f, M)
-    got = gpf(N, M, source=source, tie_break=tie_break)
-    want = PrimeMultiset([(p, r)])
-    if not got.equals(want):
-        raise VerificationError(
-            "constructed submodule factors as %s, not %s" % (got, want)
-        )
-    return N
+    return _verified(N, M, PrimeMultiset([(p, r)]), source, tie_break)
 
 
 def construct_general(target, M, source=MONOMIAL, tie_break="lex"):
@@ -461,13 +459,7 @@ def construct_general(target, M, source=MONOMIAL, tie_break="lex"):
     for p, r in reversed(target.pairs):
         N = construct_prime_power(p, r, cur, source=source, tie_break=tie_break)
         cur = M.module_of(N)
-    got = gpf(N, M, source=source, tie_break=tie_break)
-    want = target.multiset()
-    if not got.equals(want):
-        raise VerificationError(
-            "constructed submodule factors as %s, not %s" % (got, want)
-        )
-    return N
+    return _verified(N, M, target.multiset(), source, tie_break)
 
 
 class NecessaryReport(Record):

@@ -4,11 +4,14 @@ Primality of an arbitrary ideal is not decided here.  A `PrimeIdeal` is
 an `Ideal` (it inherits membership, containment, equality and products)
 that carries an attestation of how its primality is known:
 
-* ``monomial-verified``: the reduced basis consists of distinct variables
-  and every ring relation vanishes modulo those variables and the
-  variables that are relations themselves, so the residue ring is a
-  polynomial ring and the ideal is prime.  Checked structurally at
-  construction.
+* ``linear-verified``: every leading term of the reduced basis of p + J
+  in the polynomial ring S, where J is the ring's relation ideal, is a
+  single variable.  Grevlex is degree-compatible, so each entry is that
+  variable minus an affine-linear form in the others, and in a reduced
+  basis no leading variable occurs in another entry; S/(p + J) is then
+  the polynomial ring in the remaining variables, a domain (Cox, Little
+  & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2).  The unit
+  ideal's basis {1} fails.  Checked structurally at construction.
 * ``finite-verified``: primality was confirmed by exhaustive products in
   a finite model; used by the brute-force oracle.
 * ``assumed``: supplied by the caller, typically through a candidate
@@ -49,8 +52,7 @@ import itertools
 import logging
 
 from . import cache, monomial
-from .errors import BudgetError, IncompleteRegistryError, RingMismatchError
-from .groebner import monomial_basis
+from .errors import IncompleteRegistryError, RingMismatchError
 from .modops import (
     Ideal,
     Submodule,
@@ -59,14 +61,9 @@ from .modops import (
 )
 from .record import Record
 
-ATTEST_MONOMIAL = "monomial-verified"
+ATTEST_LINEAR = "linear-verified"
 ATTEST_FINITE = "finite-verified"
 ATTEST_ASSUMED = "assumed"
-
-# Monomial-mode enumeration tests one variable prime per distinct support
-# of an irreducible component of the denominator, at most 2^m of them;
-# beyond this many variables it raises BudgetError instead.
-MAX_ENUM_VARS = 14
 
 log = logging.getLogger("gpfkit")
 
@@ -81,45 +78,20 @@ class _MonomialSource:
 MONOMIAL = _MonomialSource()
 
 
-def _relations_vanish(ring, var_indices):
-    """Every monomial of every relation is divisible by one of the
-    variables, so the relations die in the residue ring."""
-    for rel in ring.relations:
-        for mono in rel.monomials():
-            if not any(mono[i] > 0 for i in var_indices):
-                return False
-    return True
-
-
 class PrimeIdeal(Ideal):
     """An ideal together with an attestation of primality."""
 
     def __init__(self, ring, gens, attestation=None):
         super().__init__(ring, gens)
+        linear = all(
+            sum(v[0].leading_term()[0]) == 1
+            for v in self.as_submodule().groebner().vectors
+        )
         if attestation is None:
-            attestation = (
-                ATTEST_MONOMIAL if self._monomial_check() else ATTEST_ASSUMED
-            )
-        elif attestation == ATTEST_MONOMIAL and not self._monomial_check():
-            raise ValueError("generators do not pass the monomial prime check")
+            attestation = ATTEST_LINEAR if linear else ATTEST_ASSUMED
+        elif attestation == ATTEST_LINEAR and not linear:
+            raise ValueError("generators do not pass the linear prime check")
         self.attestation = attestation
-
-    def _monomial_check(self):
-        """Whether the canonical generators split into exponent tuples of
-        degree 1, distinct variables, modulo which every relation
-        vanishes.  The canonical generators leave out the variables that
-        are themselves relations; they lie in the preimage of the ideal,
-        so they join the variable set."""
-        split = monomial.split(1, [(g,) for g in self.canonical_gens()])
-        if split is None or any(sum(g) != 1 for g in split[0]):
-            return False
-        indices = {g.index(1) for g in split[0]}
-        if self.ring.relations:
-            for rel in self.ring.relation_basis():
-                mono = next(iter(rel.monomials()))
-                if len(rel) == 1 and sum(mono) == 1:
-                    indices.add(mono.index(1))
-        return _relations_vanish(self.ring, indices)
 
     @classmethod
     def from_variables(cls, ring, indices):
@@ -307,7 +279,7 @@ def _monomial_candidates(Q):
         p = cache.VARIABLE_PRIMES.get((ring.key(), s))
         if p is None:
             exps = [tuple(int(i == j) for j in range(ring.nvars)) for i in s]
-            p = PrimeIdeal(ring, Submodule.of_basis(monomial_basis(ring, [exps])))
+            p = PrimeIdeal(ring, Submodule.of_split(ring, [monomial.minimal(exps)]))
             cache.VARIABLE_PRIMES.put((ring.key(), s), p)
         out.append(p)
     return out
@@ -321,8 +293,10 @@ def ass_enumerate(Q, source=MONOMIAL):
     supports of the irreducible components of the denominator's monomial
     ideals, a superset of Ass(Q) usually far smaller than all 2^m variable
     subsets; each is confirmed by `ass_contains` and the result is
-    complete.  With a CandidateRegistry only its candidates are tested and
-    the result is flagged incomplete (relative to the candidates).
+    complete.  A decomposition past `monomial.MAX_COMPONENTS` components
+    raises BudgetError.  With a CandidateRegistry only its candidates are
+    tested and the result is flagged incomplete (relative to the
+    candidates).
     """
     if isinstance(source, CandidateRegistry):
         candidates = list(source)
@@ -332,12 +306,6 @@ def ass_enumerate(Q, source=MONOMIAL):
             raise IncompleteRegistryError(
                 "associated prime enumeration needs monomial generators over "
                 "a plain polynomial ring; supply a candidate registry otherwise"
-            )
-        m = len(Q.ring.names)
-        if m > MAX_ENUM_VARS:
-            raise BudgetError(
-                "variable subset enumeration over %d variables exceeds the "
-                "bound %d" % (m, MAX_ENUM_VARS)
             )
         candidates = _monomial_candidates(Q)
         complete = True

@@ -15,7 +15,7 @@ from gpfkit.modops import QuotientModule, ideal_power, module_scale
 from gpfkit.primes import (
     ATTEST_ASSUMED,
     ATTEST_FINITE,
-    ATTEST_MONOMIAL,
+    ATTEST_LINEAR,
     MONOMIAL,
     CandidateRegistry,
     PrimeIdeal,
@@ -225,7 +225,7 @@ def test_registries_keep_their_own_primes():
     second = ass_enumerate(Q, mine)
     assert cache.ASS_MEMBERS.misses == misses  # answered from the cache
     assert [str(q) for q in first] == [str(q) for q in second] == ["(x, y, z)"]
-    assert first.primes[0] is m and m.attestation == ATTEST_MONOMIAL
+    assert first.primes[0] is m and m.attestation == ATTEST_LINEAR
     assert second.primes[0] is mine.primes[1]
     assert second.primes[0].attestation == ATTEST_ASSUMED
 
@@ -290,4 +290,4 @@ def test_variable_primes_are_built_once_per_ring_and_support(monkeypatch):
     for p in first + there:
         ref = buchberger([(g,) for g in p.gens], ring=p.ring, rank=1)
         assert p.as_submodule().groebner().key() == ref.key()
-        assert p.attestation == ATTEST_MONOMIAL
+        assert p.attestation == ATTEST_LINEAR

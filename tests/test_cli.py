@@ -111,6 +111,34 @@ def test_construct_failure_exit_two(tmp_path, capsys):
     assert "support condition" in err
 
 
+def test_linear_prime_prints_no_attestation_note(tmp_path, capsys):
+    script = (
+        "ring R = QQ[x,y,z];\n"
+        "prime p = (x - 1, y - z);\n"
+        "prime q = (x - y^2);\n"
+        "submodule N in R = (x - 1);\n"
+        "colon N : p in R;\n"
+        "colon N : q in R;\n"
+    )
+    assert _run(tmp_path, script, "--json") == 0
+    linear, other = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert linear["attestations"] == []
+    assert [note.endswith(": assumed") for note in other["attestations"]] == [True]
+
+
+def test_ideal_product_over_the_bound_exit_two(tmp_path, capsys, monkeypatch):
+    """The support condition of m^4 multiplies out m^3, which may have
+    C(5, 3) = 10 generators: with the bound at 9 it is refused."""
+    from gpfkit import modops
+
+    monkeypatch.setattr(modops, "MAX_PRODUCT_GENS", 9)
+    script = "ring R = QQ[x,y,z];\nprime m = (x, y, z);\nconstruct m^4 in R;"
+    code = _run(tmp_path, script)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "up to 10 generators is over the bound 9" in err
+
+
 def test_missing_registry_exit_three(tmp_path, capsys):
     script = "\n".join(
         line

@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpfkit import cache, clear_caches, modops
+from gpfkit import cache, clear_caches, modops, monomial
 from gpfkit.arith import PolyRing
-from gpfkit.errors import RingMismatchError
+from gpfkit.errors import BudgetError, RingMismatchError
 from gpfkit.fields import GF, QQ
 from gpfkit.filtration import rpe_filtration, verify_rpe
 from gpfkit.gpf import FactorizationTarget
@@ -236,6 +236,19 @@ def test_partial_products_accumulate():
     assert prods[0].equals(Ideal(ring, [ring.one()]))
     assert prods[1].equals(a)
     assert prods[2].equals(ideal_product(a, b))
+
+
+def test_partial_products_refuse_a_predicted_blowup(monkeypatch):
+    """(x, y)^3 (x, y, z) may have C(4, 3) * 3 = 12 generators: refused
+    when the bound is 11, computed when it is 12."""
+    ring, x, y, z = xyz_ring()
+    a, b = Ideal(ring, [x, y]), Ideal(ring, [x, y, z])
+    monkeypatch.setattr(modops, "MAX_PRODUCT_GENS", 11)
+    with pytest.raises(BudgetError, match="up to 12 generators is over the bound 11"):
+        partial_products([(a, 3), (b, 1)])
+    monkeypatch.setattr(modops, "MAX_PRODUCT_GENS", 12)
+    got = partial_products([(a, 3), (b, 1)])[-1]
+    assert got.equals(ideal_product(ideal_power(a, 3), b))
 
 
 def test_colon_law_product_equals_iterated():
@@ -470,12 +483,20 @@ def monomial_colon_inputs(draw):
 @settings(max_examples=40, deadline=None)
 @given(monomial_colon_inputs())
 def test_monomial_path_matches_elimination(case):
+    """Same generators as the kernel path, and each fast-path result keeps
+    the split its own generators give."""
     M, N, ideal, X, Y = case
     got = colon_module(N, ideal, M)
-    assert got.gens == _general(colon_module, N, ideal, M).gens
-    assert colon_ideal(N, M.full()).gens == _general(colon_ideal, N, M.full()).gens
-    assert colon_ideal(N, got).gens == _general(colon_ideal, N, got).gens
-    assert intersect(X, Y).gens == _general(intersect, X, Y).gens
+    pairs = [
+        (got, _general(colon_module, N, ideal, M)),
+        (colon_ideal(N, M.full()), _general(colon_ideal, N, M.full())),
+        (colon_ideal(N, got), _general(colon_ideal, N, got)),
+        (intersect(X, Y), _general(intersect, X, Y)),
+    ]
+    for fast, general in pairs:
+        assert fast.gens == general.gens
+        sub = fast if isinstance(fast, Submodule) else fast.as_submodule()
+        assert sub.monomial_split() == monomial.split(sub.rank, sub.gens)
 
 
 def _count_calls(monkeypatch, name):

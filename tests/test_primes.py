@@ -9,11 +9,11 @@ from gpfkit.errors import (
     IncompleteRegistryError,
     RingMismatchError,
 )
-from gpfkit import primes
+from gpfkit import monomial, primes
 from gpfkit.modops import Ideal, QuotientModule
 from gpfkit.primes import (
     ATTEST_ASSUMED,
-    ATTEST_MONOMIAL,
+    ATTEST_LINEAR,
     MONOMIAL,
     CandidateRegistry,
     PrimeIdeal,
@@ -27,7 +27,7 @@ from gpfkit.primes import (
     supp_contains,
 )
 from gpfkit.arith import PolyRing
-from gpfkit.fields import QQ
+from gpfkit.fields import GF, QQ
 
 from helpers import (
     counterexample_module,
@@ -41,7 +41,7 @@ from helpers import (
 def test_attestation_monomial_over_plain_ring():
     ring, x, y = xy_ring()
     p = PrimeIdeal(ring, [x])
-    assert p.attestation == ATTEST_MONOMIAL
+    assert p.attestation == ATTEST_LINEAR
     q = PrimeIdeal(ring, [x + y * y])
     assert q.attestation == ATTEST_ASSUMED
 
@@ -77,42 +77,96 @@ def test_prime_ideal_is_an_ideal(ring_kind):
 
 
 def test_attestation_monomial_over_quotient():
-    """Variable-generated ideals stay verified when every relation
-    vanishes modulo the chosen variables."""
+    """(x, z) and (x, y, z) contain the twisted cubic's relations, so the
+    basis of p + J is p's own: variables."""
     ring, p, m, _ = twisted_setup()
-    assert p.attestation == ATTEST_MONOMIAL
-    assert m.attestation == ATTEST_MONOMIAL
+    assert p.attestation == ATTEST_LINEAR
+    assert m.attestation == ATTEST_LINEAR
 
 
 def test_claimed_monomial_attestation_is_checked():
     ring, x, y = xy_ring()
     with pytest.raises(ValueError):
-        PrimeIdeal(ring, [x * x], attestation=ATTEST_MONOMIAL)
+        PrimeIdeal(ring, [x * x], attestation=ATTEST_LINEAR)
 
 
-@pytest.mark.parametrize("indices", [(0,), (0, 1), (1,), (1, 2)])
-def test_attestation_counts_variables_that_are_relations(indices):
-    """Over QQ[x,y,z]/(x) every variable ideal has a polynomial ring as
-    its residue ring, though x is zero and drops out of the canonical
-    generators."""
-    plain = PolyRing(QQ, ("x", "y", "z"))
-    ring = PolyRing(QQ, ("x", "y", "z"), relations=(plain.gen(0),))
-    p = PrimeIdeal.from_variables(ring, indices)
-    assert p.attestation == ATTEST_MONOMIAL
-    gens = [ring.gen(i) for i in indices]
-    claimed = PrimeIdeal(ring, gens, attestation=ATTEST_MONOMIAL)
-    assert claimed.equals(p)
+def _twisted(x, y, z):
+    return (x * y - z * z, x * x - y * z)
 
 
-def test_attestation_still_refuses_non_domains():
-    """(0) of QQ[x,y,z]/(x, yz) and (z) of QQ[x,y,z]/(xy) are not prime:
-    a relation is left over modulo the variables."""
-    plain = PolyRing(QQ, ("x", "y", "z"))
-    x, y, z = plain.gens()
-    for rels, indices in (((x, y * z), ()), ((x * y,), (2,))):
-        ring = PolyRing(QQ, plain.names, relations=rels)
-        p = PrimeIdeal.from_variables(ring, indices)
-        assert p.attestation == ATTEST_ASSUMED
+# (id, variables, relations, generators, whether S/(p + J) is attested a
+# domain), relations and generators as functions of the variables.
+ATTESTATION_CASES = [
+    ("affine-line", "xyz", None, lambda x, y, z: [x - 1, y - z], True),
+    ("twisted-point", "xyz", _twisted, lambda x, y, z: [x - 1, y - 1, z - 1], True),
+    ("xy-branch-point", "xy", lambda x, y: (x * y,), lambda x, y: [x - 1], True),
+    # over QQ[x,y,z]/(x) the variable x is zero and drops out of the
+    # canonical generators, yet every residue ring is a polynomial ring
+    ("x-zero-(x)", "xyz", lambda x, y, z: (x,), lambda x, y, z: [x], True),
+    ("x-zero-(x,y)", "xyz", lambda x, y, z: (x,), lambda x, y, z: [x, y], True),
+    ("x-zero-(y)", "xyz", lambda x, y, z: (x,), lambda x, y, z: [y], True),
+    ("x-zero-(y,z)", "xyz", lambda x, y, z: (x,), lambda x, y, z: [y, z], True),
+    ("unit", "xy", None, lambda x, y: [x, y - 1, x + 1], False),
+    ("xy-cusp", "xy", lambda x, y: (x * y,), lambda x, y: [x - y**2], False),
+    ("xy-(x^2)", "xy", lambda x, y: (x * y,), lambda x, y: [x * x], False),
+    ("xy-(xy)", "xy", lambda x, y: (x * y,), lambda x, y: [x * y], False),
+    ("xy-(0)", "xy", lambda x, y: (x * y,), lambda x, y: [], False),
+    # p + J is the unit ideal: (1, 2, 3) is not on the twisted cubic
+    ("twisted-off-curve", "xyz", _twisted, lambda x, y, z: [x - 1, y - 2, z - 3], False),
+    # a relation is left over modulo the variables
+    ("x,yz-(0)", "xyz", lambda x, y, z: (x, y * z), lambda x, y, z: [], False),
+    ("xy-(z)", "xyz", lambda x, y, z: (x * y,), lambda x, y, z: [z], False),
+]
+
+
+@pytest.mark.parametrize(
+    "names, relations, gens, linear",
+    [pytest.param(*case[1:], id=case[0]) for case in ATTESTATION_CASES],
+)
+def test_attestation_reads_the_basis_of_p_plus_relations(names, relations, gens, linear):
+    """A prime is attested exactly when every entry of the reduced basis
+    of p + J leads with a variable; an explicit claim is checked the same
+    way."""
+    plain = PolyRing(QQ, tuple(names))
+    rels = relations(*plain.gens()) if relations else ()
+    ring = PolyRing(QQ, plain.names, relations=rels)
+    gens = gens(*ring.gens())
+    p = PrimeIdeal(ring, gens)
+    assert p.attestation == (ATTEST_LINEAR if linear else ATTEST_ASSUMED)
+    if linear:
+        assert PrimeIdeal(ring, gens, attestation=ATTEST_LINEAR).equals(p)
+    else:
+        with pytest.raises(ValueError):
+            PrimeIdeal(ring, gens, attestation=ATTEST_LINEAR)
+
+
+@st.composite
+def affine_images(draw):
+    """A variable prime (x_i : i in S) and its image under a triangular
+    affine automorphism x_i -> x_i + l_i(x_j : j > i) + c_i of k[x_1..x_m],
+    over QQ or GF(5).  An automorphism maps primes to primes, so the image
+    is prime whatever rule attests it."""
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    m = draw(st.integers(1, 4))
+    ring = PolyRing(field, ("x", "y", "z", "u")[:m])
+    xs = ring.gens()
+    coeff = st.integers(-3, 3)
+    image = [
+        xs[i] + sum((draw(coeff) * xs[j] for j in range(i + 1, m)), ring.zero())
+        + draw(coeff)
+        for i in range(m)
+    ]
+    support = draw(st.sets(st.integers(0, m - 1)))
+    return ring, [image[i] for i in sorted(support)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(affine_images())
+def test_affine_images_of_variable_primes_are_attested(case):
+    ring, gens = case
+    p = PrimeIdeal(ring, gens)
+    assert p.attestation == ATTEST_LINEAR
+    assert len(p.canonical_gens()) == len(gens)
 
 
 def test_prime_ordering_and_containment():
@@ -230,13 +284,23 @@ def test_registry_rejects_foreign_primes():
         CandidateRegistry([p, q])
 
 
-def test_ass_enumerate_budget_guard():
+def test_ass_enumerate_budget_guard(monkeypatch):
+    """The number of variables is no budget: R/(x_0) over 15 variables has
+    one candidate.  The number of irreducible components is: (ad, be, cf)
+    has 8, refused when the bound is 7."""
     names = tuple("x%d" % i for i in range(15))
     ring = PolyRing(QQ, names)
     M = QuotientModule.of_ring(ring)
     N = M.span(((ring.gen(0),),))
-    with pytest.raises(BudgetError):
-        ass_enumerate(M.with_denominator(N))
+    assert [str(p) for p in ass_enumerate(M.with_denominator(N))] == ["(x0)"]
+    ring = PolyRing(QQ, ("a", "b", "c", "d", "e", "f"))
+    a, b, c, d, e, f = ring.gens()
+    M = QuotientModule.of_ring(ring)
+    Q = M.with_denominator(M.span(((a * d,), (b * e,), (c * f,))))
+    assert len(ass_enumerate(Q)) == 8
+    monkeypatch.setattr(monomial, "MAX_COMPONENTS", 7)
+    with pytest.raises(BudgetError, match="over the bound 7"):
+        ass_enumerate(Q)
 
 
 def test_supp_contains_annihilator_test():
