@@ -41,6 +41,6 @@ class IncompleteRegistryError(GpfError):
 
 
 class BudgetError(GpfError):
-    """A size or iteration budget was exceeded (irreducible components,
-    ideal product generators, polynomial exponents, element count of a
+    """A size or iteration budget was exceeded (grown irreducible
+    components, predicted ideal product generators, polynomial exponents, element count of a
     finite model, filtration steps)."""

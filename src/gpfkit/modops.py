@@ -153,13 +153,18 @@ def partial_products(pairs):
     pairs; the last entry is the ordered product.
 
     a^r of an ideal with g generators has at most C(g + r - 1, r) of them,
-    the monomials of degree r in g letters; a product whose predicted
-    count passes MAX_PRODUCT_GENS raises BudgetError before multiplying.
+    the monomials of degree r in g letters.  The exponents of a repeated
+    ideal (one pair per copy of m) are summed first, so the prediction, the
+    product of C(g + R - 1, R), bounds every entry; past MAX_PRODUCT_GENS
+    it raises BudgetError before multiplying.
     """
     if not pairs:
         raise ValueError("need at least one ideal")
-    # (0)^0 = (1) has one generator, though g + r - 1 = -1 there
-    count = math.prod(math.comb(max(len(a.gens) + r - 1, 0), r) for a, r in pairs)
+    exps = {}
+    for a, r in pairs:
+        exps[a.gens] = exps.get(a.gens, 0) + r
+    # (0)^0 = (1) has one generator, though g + R - 1 = -1 there
+    count = math.prod(math.comb(max(len(g) + R - 1, 0), R) for g, R in exps.items())
     if count > MAX_PRODUCT_GENS:
         raise BudgetError(
             "ideal product of up to %d generators is over the bound %d"

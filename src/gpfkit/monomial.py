@@ -68,7 +68,7 @@ def irreducible_components(monomials):
     distributivity C + (g) is the intersection of C + (x_i^g_i) over the
     support of g, and each of those is irreducible.  A component that
     contains another is redundant and dropped.  More than MAX_COMPONENTS
-    grown components raise BudgetError.
+    grown components, counted before that filter, raise BudgetError.
     """
     comps = [{}]
     for g in monomials:

@@ -139,6 +139,17 @@ def test_ideal_product_over_the_bound_exit_two(tmp_path, capsys, monkeypatch):
     assert "up to 10 generators is over the bound 9" in err
 
 
+def test_check_iff_at_the_product_bound_exit_zero(tmp_path, capsys, monkeypatch):
+    """check-iff m^3 multiplies m^3 and the chain m, m m, m m m; each is
+    predicted at C(5, 3) = 10 generators, so a bound of 10 admits it."""
+    from gpfkit import modops
+
+    monkeypatch.setattr(modops, "MAX_PRODUCT_GENS", 10)
+    script = "ring R = QQ[x,y,z];\nprime m = (x, y, z);\ncheck-iff m^3 in R;"
+    assert _run(tmp_path, script) == 0
+    assert "verdict: True" in capsys.readouterr().out
+
+
 def test_missing_registry_exit_three(tmp_path, capsys):
     script = "\n".join(
         line

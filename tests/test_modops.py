@@ -251,6 +251,19 @@ def test_partial_products_refuse_a_predicted_blowup(monkeypatch):
     assert got.equals(ideal_product(ideal_power(a, 3), b))
 
 
+def test_partial_products_sum_the_exponents_of_a_repeated_ideal(monkeypatch):
+    """m m m, one pair per copy as colon_chain passes it, is predicted as
+    m^3 with C(5, 3) = 10 generators, not 3^3 = 27."""
+    ring, x, y, z = xyz_ring()
+    m = Ideal(ring, [x, y, z])
+    monkeypatch.setattr(modops, "MAX_PRODUCT_GENS", 10)
+    got = partial_products([(m, 1)] * 3)[-1]
+    assert got.equals(ideal_power(m, 3))
+    monkeypatch.setattr(modops, "MAX_PRODUCT_GENS", 9)
+    with pytest.raises(BudgetError, match="up to 10 generators is over the bound 9"):
+        partial_products([(m, 1)] * 3)
+
+
 def test_colon_law_product_equals_iterated():
     """(N : IJ) = ((N : I) : J) on a random monomial battery."""
     ring, x, y = xy_ring()
