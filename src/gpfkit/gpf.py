@@ -31,7 +31,6 @@ import itertools
 from .errors import HypothesisError, VerificationError
 from .modops import (
     QuotientModule,
-    ideal_power,
     module_scale,
     partial_products,
     saturate,
@@ -397,8 +396,9 @@ def construct_prime_power(p, r, M, source=MONOMIAL, tie_break="lex"):
     r = int(r)
     if r < 1:
         raise ValueError("exponent must be >= 1")
-    B = module_scale(ideal_power(p.ideal, r), M)
-    A = module_scale(ideal_power(p.ideal, r - 1), M)
+    _, below, power = partial_products([(p.ideal, r - 1), (p.ideal, 1)])
+    B = module_scale(power, M)
+    A = module_scale(below, M)
     Q = M.module_of(A).with_denominator(B)
     if not ass_contains(p, Q):
         ev = ass_membership(p, Q)

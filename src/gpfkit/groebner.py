@@ -26,8 +26,10 @@ Reduced bases are canonical for a given submodule, so results are
 memoized in the bounded `cache.BASES` table, keyed by ring, rank and the
 set of `vector_key`s of the nonzero generators; the key is built before
 any flattening.  For quotient rings the relation ideal times each unit
-vector is adjoined to every generating set; the relation basis itself
-is computed with `include_relations=False`.  The basis of a direct sum
+vector is adjoined to every generating set except the relation basis
+itself and a seeded kernel's blocks, which hold them (both computed
+with `include_relations=False`); a pair inside one such block, already
+a reduced basis, is never formed.  The basis of a direct sum
 of monomial ideals is its minimal generators, read off exponents by
 `monomial_basis` with no Buchberger run and no `cache.BASES` entry.
 """
@@ -199,33 +201,40 @@ def monomial_basis(ring, ideals):
     return GroebnerBasis(ring, len(ideals), entries)
 
 
-def buchberger(gens, *, ring, rank, include_relations=True):
-    """Reduced basis of the submodule of ring^rank the vectors generate."""
+def buchberger(gens, *, ring, rank, include_relations=True, _groups=None):
+    """Reduced basis of the submodule of ring^rank the vectors generate.
+
+    `_groups`, passed only by `modops._kernel`, labels each generator; a
+    label other than None promises that its generators are already a
+    reduced basis, so no pair forms inside it.  It is not in the key."""
     gens = [tuple(v) for v in gens]
+    groups = list(_groups or [None] * len(gens))
     if include_relations and ring.is_quotient:
-        gens = gens + relation_vectors(ring, rank)
+        rel = relation_vectors(ring, rank)
+        gens, groups = gens + rel, groups + [None] * len(rel)
     nonzero = {}
-    for v in gens:
+    for v, g in zip(gens, groups):
         check_vector(v, ring, rank)
         if any(v):
-            nonzero.setdefault(vector_key(v), v)
+            nonzero.setdefault(vector_key(v), (v, g))
     ckey = (ring.key(), rank, frozenset(nonzero))
     hit = cache.BASES.get(ckey)
     if hit is not None:
         return hit
 
     field = ring.field
-    entries = [_entry(_flatten(v), field) for v in nonzero.values()]
+    entries = [_entry(_flatten(v), field) for v, _ in nonzero.values()]
+    groups = [g for _, g in nonzero.values()]
 
     # a heap of (lcm key, pair, lcm term); the chain criterion reads `pending`
     heap = []
     pending = set()
 
     def add_pairs(j):
-        ltj = entries[j][0]
+        ltj, gj = entries[j][0], groups[j]
         for i in range(j):
             lti = entries[i][0]
-            if lti[0] == ltj[0]:
+            if lti[0] == ltj[0] and (gj is None or groups[i] != gj):
                 t = (lti[0], mono_lcm(lti[1], ltj[1]))
                 heapq.heappush(heap, (term_key(t), (i, j), t))
                 pending.add((i, j))
@@ -262,6 +271,7 @@ def buchberger(gens, *, ring, rank, include_relations=True):
         h = _nf(s, entries, field)
         if h:
             entries.append(_entry(h, field))
+            groups.append(None)
             add_pairs(len(entries) - 1)
 
     # minimalize: drop entries whose leading term another one divides

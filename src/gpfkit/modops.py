@@ -7,8 +7,9 @@ its generators span, seen through polynomials; prime ideals
 subquotient top/denominator of R^k; every submodule of it is represented
 by generators in R^k with the denominator generators adjoined, and each
 operation taking the quotient as context adds the denominator before
-computing.  Over quotient rings the relation ideal is adjoined
-automatically by the basis layer, in every component.
+computing.  Over quotient rings the relation ideal is adjoined in every
+component: by the basis layer, or in a kernel by its seeded blocks and
+its x block's relation vectors.
 
 Colon, transporter and intersection share one primitive, `_kernel`: the
 x whose images in rows (image_1 | ... | image_s | x) all lie in a bottom
@@ -35,7 +36,7 @@ from __future__ import annotations
 import logging
 import math
 
-from . import monomial
+from . import groebner, monomial
 from .arith import mono_key
 from .errors import BudgetError, RingMismatchError
 from .groebner import buchberger, check_vector, monomial_basis, vector_key
@@ -395,17 +396,29 @@ def _kernel(ring, rows, bottom, s, k):
     block entries, read off by `GroebnerBasis.tail` (Cox, Little &
     O'Shea, *Using Algebraic Geometry*, ch. 5).  No rows give the zero
     submodule of R^k.
+
+    Each block is seeded with the bottom's reduced basis (usually a
+    cached one) as one labelled group, so no pair forms inside it, as
+    Singular's `std(G, p)` extends a known basis G.  The seed holds a
+    quotient ring's relations even for an empty bottom, so they are
+    adjoined, as one more group, to the x block alone.
     """
     if not rows:
         return Submodule.zero(ring, k).groebner()
     width, rank = s * k, len(rows[0])
-    work = list(rows)
+    seed = buchberger(bottom, ring=ring, rank=k).vectors
+    zero = ring.zero()
+    work, groups = list(rows), [None] * len(rows)
     for start in range(0, width, k):
-        for b in bottom:
-            vec = [ring.zero()] * rank
-            vec[start : start + k] = b
-            work.append(tuple(vec))
-    return buchberger(work, ring=ring, rank=rank).tail(width)
+        pad = (zero,) * (rank - start - k)
+        work += [(zero,) * start + b + pad for b in seed]
+        groups += [start] * len(seed)
+    if ring.is_quotient:
+        rel = groebner.relation_vectors(ring, rank - width)
+        work += [(zero,) * width + r for r in rel]
+        groups += [width] * len(rel)
+    gb = buchberger(work, ring=ring, rank=rank, include_relations=False, _groups=groups)
+    return gb.tail(width)
 
 
 def _monomial_parts(*subs):

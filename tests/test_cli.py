@@ -139,6 +139,21 @@ def test_ideal_product_over_the_bound_exit_two(tmp_path, capsys, monkeypatch):
     assert "up to 10 generators is over the bound 9" in err
 
 
+@pytest.mark.parametrize("bound, exit_code", [(9, 2), (10, 0)])
+def test_construct_prime_power_meets_the_product_bound(
+    tmp_path, capsys, monkeypatch, bound, exit_code
+):
+    """construct m^3 forms m^3 itself, predicted at C(5, 3) = 10
+    generators: refused under a bound of 9, built under a bound of 10."""
+    from gpfkit import modops
+
+    monkeypatch.setattr(modops, "MAX_PRODUCT_GENS", bound)
+    script = "ring R = QQ[x,y,z];\nprime m = (x, y, z);\nconstruct m^3 in R;"
+    assert _run(tmp_path, script) == exit_code
+    if exit_code:
+        assert "up to 10 generators is over the bound 9" in capsys.readouterr().err
+
+
 def test_check_iff_at_the_product_bound_exit_zero(tmp_path, capsys, monkeypatch):
     """check-iff m^3 multiplies m^3 and the chain m, m m, m m m; each is
     predicted at C(5, 3) = 10 generators, so a bound of 10 admits it."""

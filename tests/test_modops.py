@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpfkit import cache, clear_caches, modops, monomial
+from gpfkit import cache, clear_caches, groebner, modops, monomial
 from gpfkit.arith import PolyRing
 from gpfkit.errors import BudgetError, RingMismatchError
 from gpfkit.fields import GF, QQ
@@ -683,3 +683,135 @@ def test_filtration_agrees_on_both_paths(picks):
     fast = run()
     assert fast[1] and fast[3] > 0
     assert _general(run) == fast
+
+
+# ---------------------------------------------------------------------------
+# the seeded kernel against the unseeded construction
+
+
+def _unseeded_kernel(ring, rows, bottom, s, k):
+    """The kernel built without seeding: the raw bottom generators in
+    every block and the default `buchberger`, relations adjoined in every
+    component and every pair formed."""
+    width, rank = s * k, len(rows[0])
+    work = list(rows)
+    for start in range(0, width, k):
+        for b in bottom:
+            vec = [ring.zero()] * rank
+            vec[start : start + k] = b
+            work.append(tuple(vec))
+    return buchberger(work, ring=ring, rank=rank).tail(width)
+
+
+def _cold(op, *args):
+    """op(*args) from empty memo tables, so neither construction reads a
+    basis the other one computed."""
+    clear_caches()
+    try:
+        return op(*args)
+    finally:
+        clear_caches()
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(ring, rows, bottom, s, k) over QQ[x,y,z], F_5[x,y,z] or the
+    binomial quotient QQ[x,y,z]/(xy - z^2, x^2 - yz): one or two rows of
+    length s k + k and up to three bottom vectors of rank k (none is an
+    empty bottom), entries of up to two terms of degree at most 2."""
+    kind = draw(st.sampled_from(["QQ", "GF5", "twisted"]))
+    if kind == "twisted":
+        ring = twisted_ring()
+    else:
+        ring = PolyRing(QQ if kind == "QQ" else GF(5), ("x", "y", "z"))
+    k = draw(st.integers(1, 2))
+    s = draw(st.integers(1, 3))
+
+    def poly():
+        p = ring.zero()
+        for _ in range(draw(st.integers(0, 2))):
+            exps = draw(st.tuples(*[st.integers(0, 2)] * 3))
+            p = p + ring.monomial(exps, draw(st.sampled_from([1, 2, -1])))
+        return p
+
+    def vector(length):
+        return tuple(poly() for _ in range(length))
+
+    rows = [vector(s * k + k) for _ in range(draw(st.integers(1, 2)))]
+    bottom = [vector(k) for _ in range(draw(st.integers(0, 3)))]
+    return ring, rows, bottom, s, k
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_inputs())
+def test_seeded_kernel_matches_the_unseeded_construction(case):
+    """Seeding the blocks with the bottom's basis, skipping the pairs
+    inside a block and adjoining the relations to the x block only give
+    the same reduced basis as the plain construction."""
+    assert _cold(modops._kernel, *case).vectors == _cold(_unseeded_kernel, *case).vectors
+
+
+def test_seeded_kernel_with_an_empty_bottom_keeps_the_relations():
+    """With no bottom the seed is the relation basis times the unit
+    vectors: dropping it would lose the relations from the blocks."""
+    ring = twisted_ring()
+    x, y, z = ring.gens()
+    zero = ring.zero()
+    for rows, s, k in [
+        ([(x, z, y), (z, y, x * x)], 2, 1),
+        ([(x, zero, y, x, z, zero)], 2, 2),
+    ]:
+        seeded = _cold(modops._kernel, ring, rows, [], s, k)
+        assert seeded.vectors == _cold(_unseeded_kernel, ring, rows, [], s, k).vectors
+        assert not seeded.is_zero()
+
+
+def test_seeded_kernel_forms_fewer_pairs(monkeypatch):
+    """A guard on the work, which no byte test sees: one binomial-quotient
+    colon with two blocks forms strictly fewer S-pairs through `_kernel`
+    than through the unseeded construction, both from empty tables, and
+    none of them between two seed vectors of one block or two relation
+    vectors of the x block."""
+    ring = twisted_ring()
+    x, y, z = ring.gens()
+    zero = ring.zero()
+    M = QuotientModule.of_ring(ring)
+    N = M.span(((x,), (z * z * z,), (y * y * z,)))
+    kernels = _count_calls(monkeypatch, "_kernel")
+    colon_module(N, Ideal(ring, [x, z]), M)
+    [(args, _)] = kernels
+    assert args[3:] == (2, 1)
+
+    pairs = []
+    real = groebner._spair
+
+    def counted(*entries):
+        pairs.append(entries[:2])
+        return real(*entries)
+
+    monkeypatch.setattr(groebner, "_spair", counted)
+    seeded = _cold(modops._kernel, *args)
+    seeded_count = len(pairs)
+    pairs.clear()
+    unseeded = _cold(_unseeded_kernel, *args)
+    assert seeded.vectors == unseeded.vectors
+    assert 0 < seeded_count < len(pairs)
+
+    # the pairs of the kernel-rank run alone, the seed's basis known, read
+    # against the term map of each seed and x-block relation vector
+    _, rows, bottom, s, k = args
+    width, rank = s * k, len(rows[0])
+    clear_caches()
+    seed = buchberger(bottom, ring=ring, rank=k).vectors
+    groups = [(start, b) for start in range(0, width, k) for b in seed]
+    groups += [(width, r) for r in groebner.relation_vectors(ring, rank - width)]
+    block = {}
+    for start, b in groups:
+        vec = (zero,) * start + b + (zero,) * (rank - start - len(b))
+        block[frozenset(groebner._flatten(vec).items())] = start
+    pairs.clear()
+    modops._kernel(*args)
+    clear_caches()
+    labels = [[block.get(frozenset(e[1].items())) for e in pair] for pair in pairs]
+    assert labels
+    assert not [b for b in labels if b[0] is not None and b[0] == b[1]]

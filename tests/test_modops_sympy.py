@@ -10,10 +10,12 @@ A + (1 - t f) for the saturation by f.  Results are compared as reduced
 grevlex bases computed by sympy, over a quotient ring with the relations
 adjoined on both sides.  Random cases with polynomials of several terms
 take gpfkit's kernel path; the fixed monomial case takes its
-exponent-arithmetic path.
+exponent-arithmetic path.  A rank-2 colon is compared as a module: R^2 is
+encoded by tag variables e1, e2, and membership is tested both ways.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -173,3 +175,80 @@ def test_saturate_over_the_twisted_ring_matches_sympy():
         got = _sympy_gens(saturate(Ideal(ring, a).as_submodule(), f, M))
         want = _sympy_saturate([_to_sympy(h) for h in a] + rels, _to_sympy(f), None)
         assert _canonical(got + rels, None) == _canonical(want + rels, None)
+
+
+E = sympy.symbols("e1 e2")
+
+
+def _tagged(v):
+    """A vector of R^k as the e-degree-1 form sum v_c e_c."""
+    return sum((_to_sympy(p) * e for p, e in zip(v, E)), sympy.Integer(0))
+
+
+def _tag_eliminate(exprs):
+    basis = sympy.groebner(exprs, T, *SYMS, *E, order="lex", domain=sympy.QQ)
+    return [g for g in basis.exprs if not g.has(T)]
+
+
+def _tag_colon(a, f):
+    out = []
+    for g in _tag_eliminate([T * h for h in a] + [(1 - T) * f]):
+        q, r = sympy.div(g, f, *SYMS, *E, domain=sympy.QQ)
+        assert r == 0
+        out.append(q)
+    return out
+
+
+def _from_sympy(ring, expr):
+    out = ring.zero()
+    for exps, c in sympy.Poly(expr, *SYMS).terms():
+        out = out + ring.monomial(exps, Fraction(int(c.p), int(c.q)))
+    return out
+
+
+def _degree_one_part(ring, gens):
+    """R-module generators of the e-degree-1 part of the ideal with these
+    e-homogeneous generators: each degree-1 generator as a vector, and
+    each degree-0 generator times every unit vector."""
+    zero = ring.zero()
+    out = []
+    for g in gens:
+        parts = {}
+        for (a, b), c in sympy.Poly(g, *E).terms():
+            parts[(a, b)] = _from_sympy(ring, c)
+        if (1, 0) in parts or (0, 1) in parts:
+            out.append((parts.get((1, 0), zero), parts.get((0, 1), zero)))
+        if (0, 0) in parts:
+            g0 = parts[(0, 0)]
+            out += [(g0, zero), (zero, g0)]
+    return out
+
+
+def test_rank_two_colon_over_the_twisted_ring_matches_sympy():
+    """(N : p) for N in R^2 over QQ[x,y,z]/(xy - z^2, x^2 - yz) and the
+    two-generator prime p = (x, z): a kernel with two seeded blocks.
+    sympy has no position-over-term module order, so R^2 is encoded with
+    tag variables e1, e2: N becomes the ideal I_N = (sum v_c e_c) +
+    (e1, e2)^2 + J, and (N : p) is the e-degree-1 part of (I_N : p), the
+    intersection of the colons (I_N : f) over the generators f of p.  The
+    modules are compared by membership both ways."""
+    ring = twisted_ring()
+    x, y, z = ring.gens()
+    zero = ring.zero()
+    M = QuotientModule.free(ring, 2)
+    N = M.span(((x * y, z), (z * z, zero), (zero, y * z - x), (x, x * z)))
+    p = Ideal(ring, [x, z])
+    got = colon_module(N, p, M)
+
+    e1, e2 = E
+    ideal = [_tagged(v) for v in N.gens] + [e1 * e1, e1 * e2, e2 * e2]
+    ideal += [_to_sympy(r) for r in ring.relations]
+    colons = [_tag_colon(ideal, _to_sympy(f)) for f in p.gens]
+    for colon in colons:
+        basis = sympy.groebner(colon, *SYMS, *E, order="grevlex", domain=sympy.QQ)
+        assert all(basis.contains(_tagged(v)) for v in got.gens)
+    both = _tag_eliminate([T * g for g in colons[0]] + [(1 - T) * g for g in colons[1]])
+    want = _degree_one_part(ring, both)
+    assert all(got.contains(v) for v in want)
+    assert not N.contains_module(got)
+    assert not got.contains_module(M.full())
