@@ -150,23 +150,23 @@ class Runner:
             "%s=%s" % (k, v) for k, v in sorted(inputs.items())
         )
 
-    def _result_lines(self, result, indent=""):
+    def _result_lines(self, result):
         lines = []
         for key in sorted(result):
             value = result[key]
             if isinstance(value, list):
-                lines.append("%s%s:" % (indent, key))
+                lines.append("%s:" % key)
                 for entry in value:
                     if isinstance(entry, dict):
                         parts = ", ".join(
                             "%s=%s" % (k, v)
                             for k, v in sorted(entry.items())
                         )
-                        lines.append("%s  - %s" % (indent, parts))
+                        lines.append("  - %s" % parts)
                     else:
-                        lines.append("%s  - %s" % (indent, entry))
+                        lines.append("  - %s" % (entry,))
             else:
-                lines.append("%s%s: %s" % (indent, key, value))
+                lines.append("%s: %s" % (key, value))
         return lines
 
     # --- command handlers ---

@@ -724,16 +724,8 @@ class Env:
 
     def target(self, factors, line, col):
         pairs = self.target_pairs(factors)
-        merged = []
-        for p, e in pairs:
-            for k, (q, _) in enumerate(merged):
-                if q.equals(p):
-                    merged[k] = (q, merged[k][1] + e)
-                    break
-            else:
-                merged.append((p, e))
         try:
-            return FactorizationTarget.reordered(merged, mode="descending")
+            return FactorizationTarget.reordered(pairs)
         except ValueError as exc:
             raise ParseError(str(exc), line, col)
 

@@ -12,13 +12,17 @@ the filtration.  This module answers the inverse questions:
   p^{r-1}M/p^rM; the witness is the p-primary part of p^rM, computed by
   saturating with a single element chosen inside every other associated
   prime of M/p^rM but outside p.
-* for a general product (ordered so that no earlier prime is contained in
-  a later one) a telescoping sufficient condition on supports yields a
-  witness built tail-first; the same products reduced at one exponent
-  give necessary conditions when every associated prime is minimal.
+* for a general product a telescoping sufficient condition on supports
+  yields a witness built tail-first; the same products reduced at one
+  exponent give necessary conditions when every associated prime is
+  minimal.
 * for the specific submodule aM there is an exact criterion: the colon
   chain (aM : a_i) by the partial products must have the single
   associated prime p_i at each stage.
+
+A target is a `FactorizationTarget`: a `PrimeMultiset` in descending
+order (no earlier prime contained in a later one), so it compares with a
+computed factorization directly.
 
 Every construction re-verifies its postcondition with an independent
 filtration run; nothing is trusted blind.
@@ -112,58 +116,37 @@ class PrimeMultiset:
         return " * ".join(parts)
 
 
-def _check_ordering(pairs, mode):
-    primes = [p for p, _ in pairs]
-    if mode == "incomparable":
-        for a, b in itertools.combinations(primes, 2):
-            if not incomparable(a, b):
-                raise ValueError(
-                    "primes %s and %s are comparable" % (a, b)
-                )
-    elif mode == "descending":
-        for i, a in enumerate(primes):
-            for b in primes[i + 1 :]:
+class FactorizationTarget(PrimeMultiset):
+    """A product of distinct primes with positive exponents in descending
+    order: no earlier prime is contained in a later one, so each prime is
+    maximal among itself and the primes after it.  Only `entries()` differs
+    from the multiset of its pairs: it keeps the target order."""
+
+    def __init__(self, pairs):
+        pairs = list(pairs)
+        super().__init__(pairs)
+        if not pairs:
+            raise ValueError("a factorization target needs at least one prime")
+        repeated = [p for p, r in pairs if self.multiplicity(p) != int(r)]
+        if repeated:
+            raise ValueError("repeated prime %s in target" % repeated[0])
+        self.pairs = tuple(self._entries.values())
+        for i, (a, _) in enumerate(self.pairs):
+            for b, _ in self.pairs[i + 1 :]:
                 if b.contains_ideal(a):
                     raise ValueError(
                         "ordering violated: %s is contained in the later "
                         "prime %s" % (a, b)
                     )
-    else:
-        raise ValueError("unknown ordering mode %r" % mode)
-
-
-class FactorizationTarget:
-    """An ordered product of distinct primes with positive exponents.
-
-    The declared ordering mode is verified at construction: incomparable
-    (pairwise), or descending (no earlier prime contained in a later one,
-    so each prime is maximal among itself and the primes after it).
-    """
-
-    def __init__(self, pairs, mode="descending"):
-        pairs = [(p, int(r)) for p, r in pairs]
-        if not pairs:
-            raise ValueError("a factorization target needs at least one prime")
-        for p, r in pairs:
-            if r < 1:
-                raise ValueError("exponent must be >= 1")
-        seen = set()
-        for p, _ in pairs:
-            if p.key() in seen:
-                raise ValueError("repeated prime %s in target" % p)
-            seen.add(p.key())
-        _check_ordering(pairs, mode)
-        self.pairs = tuple(pairs)
-        self.mode = mode
 
     @classmethod
-    def reordered(cls, pairs, mode="descending"):
-        """Reorder the pairs to satisfy the mode, largest primes first,
+    def reordered(cls, pairs):
+        """The pairs with repeated primes merged, largest primes first,
         breaking ties by canonical token."""
-        remaining = [(p, int(r)) for p, r in pairs]
+        remaining = PrimeMultiset(pairs).entries()
         ordered = []
         while remaining:
-            maximal = [
+            pick = next(
                 entry
                 for entry in remaining
                 if not any(
@@ -171,15 +154,14 @@ class FactorizationTarget:
                     for q, _ in remaining
                     if q is not entry[0]
                 )
-            ]
-            maximal.sort(key=lambda entry: entry[0].token())
-            pick = maximal[0]
+            )
             ordered.append(pick)
             remaining = [entry for entry in remaining if entry is not pick]
-        return cls(ordered, mode)
+        return cls(ordered)
 
-    def primes(self):
-        return [p for p, _ in self.pairs]
+    def entries(self):
+        """(prime, exponent) pairs in target order."""
+        return self.pairs
 
     def expanded(self):
         """The primes with repetition, in target order."""
@@ -191,28 +173,10 @@ class FactorizationTarget:
     def product_ideal(self):
         return partial_products(self.pairs)[-1]
 
-    def partial_ideals(self):
-        """[(1), p1^r1, p1^r1 p2^r2, ...] along the target order."""
-        return partial_products(self.pairs)
 
-    def multiset(self):
-        return PrimeMultiset(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __str__(self):
-        parts = []
-        for p, r in self.pairs:
-            parts.append(str(p) if r == 1 else "%s^%d" % (p, r))
-        return " * ".join(parts)
-
-
-def gpf(N, M, source=MONOMIAL, tie_break="lex", max_steps=None):
+def gpf(N, M, source=MONOMIAL, tie_break="lex"):
     """The factorization of N in M: the multiset of filtration primes."""
-    filt = rpe_filtration(
-        N, M, source=source, tie_break=tie_break, max_steps=max_steps
-    )
+    filt = rpe_filtration(N, M, source=source, tie_break=tie_break)
     return PrimeMultiset.from_primes(filt.primes())
 
 
@@ -270,21 +234,37 @@ class SuppReport(Record):
         return None
 
 
+def _supp_report(tests, M):
+    """For each (p, r, others), numbered from 1, whether p lies in the
+    support of p^{r-1} * others * M."""
+    conditions = []
+    for i, (p, r, others) in enumerate(tests, start=1):
+        J = partial_products([(p, r - 1), *others])[-1]
+        conditions.append(_supp_condition(i, p, module_scale(J, M), M))
+    return SuppReport(all(c.holds for c in conditions), conditions)
+
+
 def check_supp_conditions(target, M):
     """The telescoping support conditions sufficient for a witness.
 
     For each index i the module p_i^{r_i-1} p_{i+1}^{r_{i+1}} ... p_n^{r_n} M
     must have p_i in its support.  Needs no earlier prime contained in a
-    later one, which every target ordering mode guarantees.
+    later one, which the target's descending order guarantees.
     """
     pairs = target.pairs
-    conditions = []
-    for i in range(len(pairs)):
-        p, r = pairs[i]
-        J = partial_products([(p, r - 1), *pairs[i + 1 :]])[-1]
-        scaled = module_scale(J, M)
-        conditions.append(_supp_condition(i + 1, p, scaled, M))
-    return SuppReport(all(c.holds for c in conditions), conditions)
+    return _supp_report(
+        [(p, r, pairs[i + 1 :]) for i, (p, r) in enumerate(pairs)], M
+    )
+
+
+def _distinct(primes):
+    """The primes as a list, refused when empty or with a repeat."""
+    primes = list(primes)
+    if not primes:
+        raise ValueError("need at least one prime")
+    if len({p.key() for p in primes}) != len(primes):
+        raise ValueError("target primes must be distinct")
+    return primes
 
 
 class ExistsReport(Record):
@@ -301,9 +281,7 @@ def exists_incomparable(primes, M, source=MONOMIAL, tie_break="lex"):
     The criterion is support membership: every prime must contain the
     annihilator of M.  On success the witness is built over (p_1...p_n)M.
     """
-    primes = list(primes)
-    if not primes:
-        raise ValueError("need at least one prime")
+    primes = _distinct(primes)
     for a, b in itertools.combinations(primes, 2):
         if not incomparable(a, b):
             raise ValueError("primes %s and %s are comparable" % (a, b))
@@ -338,12 +316,7 @@ def construct_incomparable(primes, M, N0=None, source=MONOMIAL, tie_break="lex")
     interchanges; K is the module the tail block starts at.  Each target
     must be minimal in Ass(M/N0).
     """
-    primes = list(primes)
-    if not primes:
-        raise ValueError("need at least one prime")
-    keys = {p.key() for p in primes}
-    if len(keys) != len(primes):
-        raise ValueError("target primes must be distinct")
+    primes = _distinct(primes)
     if N0 is None:
         N0 = module_scale(partial_products([(p, 1) for p in primes])[-1], M)
     filt = rpe_filtration(N0, M, source=source, tie_break=tie_break)
@@ -459,7 +432,7 @@ def construct_general(target, M, source=MONOMIAL, tie_break="lex"):
     for p, r in reversed(target.pairs):
         N = construct_prime_power(p, r, cur, source=source, tie_break=tie_break)
         cur = M.module_of(N)
-    return _verified(N, M, target.multiset(), source, tie_break)
+    return _verified(N, M, target, source, tie_break)
 
 
 class NecessaryReport(Record):
@@ -488,17 +461,12 @@ def check_necessary_conditions(N, M, source=MONOMIAL, tie_break="lex"):
             factors,
         )
     entries = factors.entries()
-    conditions = []
-    for i, (p, r) in enumerate(entries):
-        J = partial_products([(p, r - 1), *entries[:i], *entries[i + 1 :]])[-1]
-        scaled = module_scale(J, M)
-        conditions.append(_supp_condition(i + 1, p, scaled, M))
+    report = _supp_report(
+        [(p, r, entries[:i] + entries[i + 1 :]) for i, (p, r) in enumerate(entries)],
+        M,
+    )
     return NecessaryReport(
-        True,
-        "all primes minimal",
-        factors,
-        conditions,
-        all(c.holds for c in conditions),
+        True, "all primes minimal", factors, report.conditions, report.all_hold
     )
 
 

@@ -533,11 +533,3 @@ def intersect(N1, N2):
 def module_sum(N1, N2):
     return N1.plus(N2)
 
-
-def contains(N1, N2):
-    """Whether N1 contains N2 (both taken modulo the ring relations)."""
-    return N1.contains_module(N2)
-
-
-def equals(N1, N2):
-    return N1.equals(N2)

@@ -235,7 +235,7 @@ def test_criterion_6_iff_consistency():
         target = FactorizationTarget.reordered(pairs)
         report = check_iff_criterion(target, M)
         aM = module_scale(target.product_ideal(), M)
-        same = gpf(aM, M).equals(target.multiset())
+        same = gpf(aM, M).equals(target)
         assert report.verdict == same, str(target)
     assert time.monotonic() - t0 < 120.0
 

@@ -290,3 +290,28 @@ def test_closed_stdout_ends_quietly(tmp_path, monkeypatch, capsys, flags):
     devnull.close()
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+REPEATED = """
+ring R = QQ[x,y,z];
+prime p = (x);
+prime m = (x, y, z);
+check-iff p * m * p in R;
+construct p * m * p^2 in R;
+"""
+
+
+def test_target_merges_repeated_primes(tmp_path, capsys):
+    code = _run(tmp_path, REPEATED)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "check-iff module=free(1) target=(x, y, z) * (x)^2\n" in out
+    assert "construct module=free(1) target=(x, y, z) * (x)^3\n" in out
+
+
+def test_exists_rejects_a_repeated_prime(tmp_path, capsys):
+    script = "ring R = QQ[x,y];\nprime p = (x);\nexists { p, p } in R;\n"
+    code = _run(tmp_path, script)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: target primes must be distinct\n"

@@ -89,23 +89,48 @@ def test_no_unreferenced_methods():
     assert not dead, "unreferenced methods: %s" % ", ".join(sorted(dead))
 
 
-def _strings(tree):
-    """The dotted parts of every string constant, such as the benchmark's
-    ("modops", "ideal_intersection") trace targets."""
+def _function_refs(node, own, modules, bare=True):
+    """What a statement refers to as a function: bare names it loads (when
+    bare), names it imports, and `<gpfkit module>.name` or `gk.name`
+    attributes, as (module, name) pairs, module None when any module's
+    name counts.  A method call such as `sub.contains(...)` does not
+    count."""
     out = set()
-    for sub in ast.walk(tree):
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            out |= set(sub.value.split("."))
+    for sub in ast.walk(node):
+        if bare and isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add((None, sub.id))
+        elif isinstance(sub, ast.alias):
+            out.add((None, sub.name))
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            if sub.value.id in modules:
+                out.add((sub.value.id, sub.attr))
+            elif sub.value.id == "gk":
+                out.add((None, sub.attr))
+    out.discard((None, own))
     return out
+
+
+def _traced():
+    """The (module, name) pairs of the TRACED table in gpfbench/tracer.py."""
+    path = ROOT / "gpfbench" / "tracer.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "TRACED" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("no TRACED table in %s" % path)
 
 
 def test_no_unreferenced_public_functions():
     """A public module-level function is referenced elsewhere in the
-    package, exported in gpfkit.__all__, or named by the benchmark, which
-    wraps some functions by name; imports in the package's __init__ do
-    not count, since __all__ says what it exports."""
-    used = set(gpfkit.__all__)
-    defined = {}
+    package, exported in gpfkit.__all__, or used by the benchmark, as an
+    import, a `gk.name` or `<module>.name` attribute or a (module, name)
+    pair of the functions its tracer wraps; the benchmark's bare names
+    are its own functions.  Imports in the package's __init__ do not
+    count, since __all__ says what it exports."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    used = {(None, name) for name in gpfkit.__all__} | _traced()
+    defined = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
@@ -113,15 +138,19 @@ def test_no_unreferenced_public_functions():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 own = node.name
                 if not own.startswith("_"):
-                    defined[own] = path.name
+                    defined.append((path.stem, own))
             elif isinstance(node, ast.ClassDef):
                 own = node.name
             if path.name != "__init__.py":
-                used |= _names_used(node, own)
+                used |= _function_refs(node, own, modules)
     for path in sorted((ROOT / "gpfbench").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        used |= _names_used(tree, None) | _strings(tree)
-    dead = sorted("%s in %s" % (name, defined[name]) for name in set(defined) - used)
+        used |= _function_refs(tree, None, modules, bare=False)
+    dead = sorted(
+        "%s in %s.py" % (name, mod)
+        for mod, name in defined
+        if (None, name) not in used and (mod, name) not in used
+    )
     assert not dead, "unreferenced public functions: %s" % ", ".join(dead)
 
 

@@ -13,7 +13,12 @@ from gpfkit.gpf import (
     exists_incomparable,
     gpf,
 )
-from gpfkit.modops import QuotientModule, ideal_power, module_scale
+from gpfkit.modops import (
+    QuotientModule,
+    ideal_power,
+    module_scale,
+    partial_products,
+)
 from gpfkit.primes import PrimeIdeal
 
 from helpers import counterexample_module, ideal_sub, twisted_setup, xy_ring
@@ -56,11 +61,9 @@ def test_target_validation():
         FactorizationTarget([(px, 1), (px, 2)])
     with pytest.raises(ValueError):
         FactorizationTarget([(px, 1), (m, 1)])
-    with pytest.raises(ValueError):
-        FactorizationTarget([(px, 1), (m, 1)], mode="incomparable")
     tgt = FactorizationTarget([(m, 1), (px, 1)])
     assert str(tgt) == "(x, y) * (x)"
-    inc = FactorizationTarget([(px, 1), (py, 2)], mode="incomparable")
+    inc = FactorizationTarget([(px, 1), (py, 2)])
     assert str(inc) == "(x) * (y)^2"
 
 
@@ -79,11 +82,11 @@ def test_target_products():
     assert tgt.product_ideal().equals(
         ideal_sub(ring, x * x, x * y).as_ideal()
     )
-    partials = tgt.partial_ideals()
+    partials = partial_products(tgt.pairs)
     assert len(partials) == 3
     assert partials[0].contains(ring.one())
     assert [str(p) for p in tgt.expanded()] == ["(x, y)", "(x)"]
-    assert tgt.multiset().equals(PrimeMultiset.from_primes([m, px]))
+    assert tgt.equals(PrimeMultiset.from_primes([m, px]))
 
 
 def test_gpf_monomial_chain_both_tie_breaks():
@@ -201,7 +204,7 @@ def test_construct_general_descending_product():
     target = FactorizationTarget([(m, 1), (px, 1)])
     N = construct_general(target, M)
     assert N.equals(ideal_sub(ring, x * x, x * y))
-    assert gpf(N, M).equals(target.multiset())
+    assert gpf(N, M).equals(target)
 
 
 def test_construct_general_fails_support_precheck():
@@ -247,7 +250,18 @@ def test_check_iff_true_on_monomial_product():
     assert mods[0].equals(ideal_sub(ring, x * x, x * y))
     assert mods[1].equals(ideal_sub(ring, x))
     assert mods[2].equals(M.full())
-    assert gpf(mods[0], M).equals(target.multiset())
+    assert gpf(mods[0], M).equals(target)
+
+
+def test_target_equals_gpf_of_product_when_iff_holds():
+    ring, x, y, px, py, m = _xy_primes()
+    M = QuotientModule.of_ring(ring)
+    target = FactorizationTarget([(m, 2), (px, 1)])
+    assert check_iff_criterion(target, M).verdict
+    got = gpf(module_scale(target.product_ideal(), M), M)
+    assert target.equals(got) and got.equals(target)
+    assert str(target) == "(x, y)^2 * (x)"
+    assert str(got) == "(x) * (x, y)^2"
 
 
 def test_check_iff_true_on_prime_square():
@@ -278,13 +292,8 @@ def test_check_iff_matches_gpf_of_product():
     ring, x, y, px, py, m = _xy_primes()
     M = QuotientModule.of_ring(ring)
     for pairs in ([(m, 1), (px, 1)], [(px, 1), (py, 1)], [(m, 2)]):
-        mode = (
-            "incomparable"
-            if all(len(p.ideal.canonical_gens()) == 1 for p, _ in pairs)
-            else "descending"
-        )
-        target = FactorizationTarget(pairs, mode=mode)
+        target = FactorizationTarget(pairs)
         report = check_iff_criterion(target, M)
         aM = module_scale(target.product_ideal(), M)
-        same = gpf(aM, M).equals(target.multiset())
+        same = gpf(aM, M).equals(target)
         assert report.verdict == same

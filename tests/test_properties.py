@@ -94,11 +94,11 @@ def test_iff_verdict_matches_gpf_of_product():
         M = M_cache.setdefault(ring.key, QuotientModule.of_ring(ring))
         report = check_iff_criterion(target, M)
         aM = module_scale(target.product_ideal(), M)
-        same = gpf(aM, M).equals(target.multiset())
+        same = gpf(aM, M).equals(target)
         assert report.verdict == same, str(target)
         if report.verdict:
             assert report.filtration is not None
-            assert len(report.filtration.steps) == target.multiset().total()
+            assert len(report.filtration.steps) == target.total()
 
 
 def test_reordered_targets_respect_mode():
