@@ -30,6 +30,7 @@ from .modops import colon_ideal, colon_module, partial_products
 from .primes import (
     MONOMIAL,
     ass_enumerate,
+    check_tie_break,
     is_maximal_in,
     sort_primes,
 )
@@ -195,6 +196,7 @@ def rpe_filtration(N, M, source=MONOMIAL, tie_break="lex", max_steps=None):
     Each step colons out a maximal element of the freshly enumerated
     Ass(M/current); the loop must exhaust the quotient within max_steps.
     """
+    check_tie_break(tie_break)
     if max_steps is None:
         max_steps = max_steps_default()
     if not M.contains_submodule(N):

@@ -3,8 +3,12 @@
 A finite model truncates a polynomial (or graded quotient) ring by a power
 of each variable, turning every module in play into a finite-dimensional
 vector space over F_q.  Inside the model, membership is linear algebra,
-colons are kernel scans, and associated primes come from the definition:
-a prime is associated when it is the annihilator of a single element.
+and associated primes come from the definition: a prime is associated
+when it is the annihilator of a single element.  Colons and annihilators
+are kernels, found by elimination on the images of the trusted window's
+basis; witnesses are enumerated; primality is an exhaustive product scan.
+Each model ring remembers its prime spaces and their primality verdicts,
+and each model module its associated-prime scans.
 
 Truncation is only faithful below the truncation degree: a product u*v is
 trusted when deg(u) + deg(v) stays under the least variable cap, because
@@ -149,6 +153,8 @@ class FiniteRing:
         self.cardinality = self.q ** self.dim
         self._table = {}
         self._windows = {}
+        self._prime_spaces = {}
+        self._primality = {}
         self._zero = (self.field.zero,) * self.dim
         self._one = self.from_poly(self.model.one())
 
@@ -214,31 +220,52 @@ class FiniteRing:
                         out[k] = F.add(out[k], F.mul(c, r))
         return tuple(out)
 
-    def window(self, max_deg):
-        """Every element supported in total degree <= max_deg."""
-        if max_deg in self._windows:
-            return self._windows[max_deg]
+    def window_positions(self, max_deg, rank=1, noun="elements"):
+        """The coordinates, in `rank` stacked copies of the ring, of the
+        basis monomials of degree <= max_deg; refuses a window of more
+        than `budget` vectors."""
         idxs = [
             i for i, m in enumerate(self.basis) if mono_degree(m) <= max_deg
         ]
-        count = self.q ** len(idxs)
+        count = self.q ** (len(idxs) * rank)
         if count > self.budget:
             raise BudgetError(
-                "degree window holds %d elements, over the budget %d"
-                % (count, self.budget)
+                "degree window holds %d %s, over the budget %d"
+                % (count, noun, self.budget)
             )
-        out = []
-        for combo in itertools.product(range(self.q), repeat=len(idxs)):
-            vec = [self.field.zero] * self.dim
-            for i, c in zip(idxs, combo):
-                vec[i] = c
-            out.append(tuple(vec))
-        self._windows[max_deg] = out
-        return out
+        return [c * self.dim + i for c in range(rank) for i in idxs]
+
+    def window(self, max_deg):
+        """Every element supported in total degree <= max_deg."""
+        if max_deg not in self._windows:
+            self._windows[max_deg] = _every_vector(
+                self.field, self.dim, self.window_positions(max_deg)
+            )
+        return self._windows[max_deg]
+
+    def window_basis(self, max_deg):
+        """The basis monomials of degree <= max_deg, as elements."""
+        return _unit_vectors(self.field, self.dim, self.window_positions(max_deg))
+
+    def prime_space(self, varset):
+        """The ideal generated by the variables of `varset`, as a space."""
+        if varset not in self._prime_spaces:
+            mod = FiniteModule(self, 1)
+            self._prime_spaces[varset] = mod.closure(
+                [mod.flatten([self.var(i)]) for i in varset]
+            )
+        return self._prime_spaces[varset]
 
     def is_prime_restricted(self, space):
         """Exhaustive trusted-window primality: no product of two trusted
-        elements outside the ideal lands inside it, and 1 stays outside."""
+        elements outside the ideal lands inside it, and 1 stays outside.
+        Each space is scanned once per ring."""
+        key = space.key()
+        if key not in self._primality:
+            self._primality[key] = self._primality_scan(space)
+        return self._primality[key]
+
+    def _primality_scan(self, space):
         if space.contains(self.one()):
             return False
         W = [w for w in self.window(self.trusted_degree - 1) if any(w)]
@@ -263,6 +290,7 @@ class FiniteModule:
         self.denom = self._close(denom, include_denom=False)
         free_dim = self.width - self.denom.dim
         self.cardinality = ring.q ** free_dim
+        self._ass = {}
 
     def unit_vec(self, comp):
         parts = [self.ring.zero()] * self.rank
@@ -307,33 +335,52 @@ class FiniteModule:
     def full_space(self):
         return self._close([self.unit_vec(i) for i in range(self.rank)])
 
+    def _positions(self, max_deg):
+        return self.ring.window_positions(max_deg, self.rank, "vectors")
+
     def window(self, max_deg):
         """Every vector whose components live in degree <= max_deg."""
-        ring = self.ring
-        idxs = [
-            i
-            for i, m in enumerate(ring.basis)
-            if mono_degree(m) <= max_deg
-        ]
-        slots = len(idxs) * self.rank
-        count = ring.q ** slots
-        if count > ring.budget:
-            raise BudgetError(
-                "degree window holds %d vectors, over the budget %d"
-                % (count, ring.budget)
-            )
-        out = []
-        for combo in itertools.product(range(ring.q), repeat=slots):
-            vec = [ring.field.zero] * self.width
-            for s, c in enumerate(combo):
-                comp, pos = divmod(s, len(idxs))
-                vec[comp * ring.dim + idxs[pos]] = c
-            out.append(tuple(vec))
-        return out
+        return _every_vector(self.ring.field, self.width, self._positions(max_deg))
+
+    def window_basis(self, max_deg):
+        """The unit vectors spanning window(max_deg)."""
+        return _unit_vectors(self.ring.field, self.width, self._positions(max_deg))
+
+
+def _every_vector(field, width, positions):
+    """Every vector supported on the given coordinates."""
+    out = []
+    for combo in itertools.product(range(field.char), repeat=len(positions)):
+        vec = [field.zero] * width
+        for p, c in zip(positions, combo):
+            vec[p] = c
+        out.append(tuple(vec))
+    return out
+
+
+def _unit_vectors(field, width, positions):
+    zero = (field.zero,) * width
+    return [zero[:p] + (field.one,) + zero[p + 1 :] for p in positions]
+
+
+def _kernel(field, basis, image):
+    """A basis of the span of `basis` sent to zero by the linear map
+    `image`: the rows of the echelon form of the graph {(image(v), v)}
+    whose pivot lies past the image part."""
+    if not basis:
+        return []
+    graph = [image(v) + v for v in basis]
+    cut = len(graph[0]) - len(basis[0])
+    space = Subspace(field, len(graph[0]))
+    for row in graph:
+        space.insert(row)
+    return [
+        row[cut:] for row, piv in zip(space.rows, space.pivots) if piv >= cut
+    ]
 
 
 def colon_bruteforce(N, gens, M, deg_bound=None):
-    """{x in M : g x in N for each g}, scanned over the trusted window and
+    """{x in M : g x in N for each g}, solved over the trusted window and
     closed up under the ring action."""
     ring = M.ring
     gens = [g for g in gens if any(g)]
@@ -346,21 +393,11 @@ def colon_bruteforce(N, gens, M, deg_bound=None):
         raise BudgetError(
             "colon generators exceed the trusted degree window"
         )
-    kernel = [
-        v
-        for v in M.window(deg_bound)
-        if all(N.contains(M.act(g, v)) for g in gens)
-    ]
-    return M.closure(kernel)
 
+    def image(v):
+        return tuple(c for g in gens for c in N.reduce(M.act(g, v)))
 
-def _prime_space(ring, varset, cache):
-    if varset not in cache:
-        mod = FiniteModule(ring, 1)
-        cache[varset] = mod.closure(
-            [mod.flatten([ring.var(i)]) for i in varset]
-        )
-    return cache[varset]
+    return M.closure(_kernel(ring.field, M.window_basis(deg_bound), image))
 
 
 def ass_bruteforce(N, M, z_max=1, budget=None, check_primality=True):
@@ -368,7 +405,8 @@ def ass_bruteforce(N, M, z_max=1, budget=None, check_primality=True):
 
     A subset S is accepted when some trusted witness z outside N has
     every variable of S multiplying z into N while no trusted ring
-    element outside (S) does.  Returns sorted tuples of variable indices.
+    element outside (S) does.  Returns sorted tuples of variable indices;
+    each submodule is scanned once per module and arguments.
     """
     ring = M.ring
     if budget is None:
@@ -387,45 +425,47 @@ def ass_bruteforce(N, M, z_max=1, budget=None, check_primality=True):
             "the zero submodule of a free module has no monomial "
             "associated prime; the oracle cannot certify the zero ideal"
         )
+    key = (N.key(), z_max, check_primality)
+    if key not in M._ass:
+        M._ass[key] = _ass_scan(N, M, z_max, check_primality)
+    return list(M._ass[key])
+
+
+def _ass_scan(N, M, z_max, check_primality):
+    ring = M.ring
     nvars = len(ring.model.names)
-    subsets = [
-        tuple(s)
-        for size in range(1, nvars + 1)
-        for s in itertools.combinations(range(nvars), size)
-    ]
-    pcache = {}
     varelems = [ring.var(i) for i in range(nvars)]
-    found = set()
-    kernels = []
+    # each witness z outside N: the variables that multiply it into N,
+    # and a basis of its annihilator inside the trusted window (whose
+    # budget is checked for every z, needed or not)
+    witnesses = []
     for z in M.window(z_max):
         if N.contains(z):
             continue
-        bound = ring.trusted_degree - 1 - max(M.vdeg(z), 0)
-        kern = [
-            a
-            for a in ring.window(bound)
-            if any(a) and N.contains(M.act(a, z))
-        ]
-        kernels.append((z, kern))
-    for S in subsets:
-        pspace = _prime_space(ring, S, pcache)
-        hit = False
-        for z, kern in kernels:
-            if not all(N.contains(M.act(varelems[i], z)) for i in S):
+        basis = ring.window_basis(ring.trusted_degree - 1 - max(M.vdeg(z), 0))
+        kills = {i for i, x in enumerate(varelems) if N.contains(M.act(x, z))}
+        if kills:
+            ann = _kernel(ring.field, basis, lambda a: N.reduce(M.act(a, z)))
+            witnesses.append((kills, ann))
+    found = []
+    for size in range(1, nvars + 1):
+        for S in itertools.combinations(range(nvars), size):
+            pspace = ring.prime_space(S)
+            if not any(
+                kills.issuperset(S) and all(pspace.contains(a) for a in ann)
+                for kills, ann in witnesses
+            ):
                 continue
-            if all(pspace.contains(a) for a in kern):
-                hit = True
-                break
-        if not hit:
-            continue
-        if check_primality and not ring.is_prime_restricted(pspace):
-            continue
-        found.add(S)
+            if check_primality and not ring.is_prime_restricted(pspace):
+                continue
+            found.append(S)
     return sorted(found)
 
 
 def rpe_bruteforce(N, M, tie_break="lex", z_max=1, max_steps=32):
     """Filtration primes by repeated maximal-prime colon scans."""
+    if tie_break not in ("lex", "revlex"):
+        raise ValueError("tie_break must be 'lex' or 'revlex'")
     ring = M.ring
     names = ring.model.names
     full = M.full_space()
@@ -445,8 +485,6 @@ def rpe_bruteforce(N, M, tie_break="lex", z_max=1, max_steps=32):
         maximal.sort(key=lambda S: tuple(names[i] for i in S))
         if tie_break == "revlex":
             maximal.reverse()
-        elif tie_break != "lex":
-            raise ValueError("tie_break must be 'lex' or 'revlex'")
         S = maximal[0]
         nxt = colon_bruteforce(cur, [ring.var(i) for i in S], M)
         if nxt.dim == cur.dim:

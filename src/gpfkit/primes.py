@@ -321,11 +321,15 @@ def ass_enumerate(Q, source=MONOMIAL):
     return PrimeSet(found, complete=complete)
 
 
+def check_tie_break(tie_break):
+    if tie_break not in ("lex", "revlex"):
+        raise ValueError("tie_break must be 'lex' or 'revlex'")
+
+
 def sort_primes(primes, tie_break="lex"):
     """Sort primes by token; revlex reverses the order."""
+    check_tie_break(tie_break)
     out = sorted(primes, key=PrimeIdeal.token)
     if tie_break == "revlex":
         out.reverse()
-    elif tie_break != "lex":
-        raise ValueError("tie_break must be 'lex' or 'revlex'")
     return out

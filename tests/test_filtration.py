@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gpfkit import filtration
 from gpfkit.errors import BudgetError, HypothesisError, VerificationError
 from gpfkit.filtration import (
     colon_chain,
@@ -116,6 +117,17 @@ def test_interchange_rejects_nested_pair():
     assert filt.primes()[0].strictly_contains(filt.primes()[1])
     with pytest.raises(HypothesisError):
         interchange(filt, 1)
+
+
+def test_rpe_rejects_a_bad_tie_break_on_entry(monkeypatch):
+    """An unknown tie-break is refused before Ass(M/N) is enumerated."""
+    scans = []
+    monkeypatch.setattr(filtration, "ass_enumerate", lambda *a, **k: scans.append(a))
+    ring, x, y = xy_ring()
+    M = QuotientModule.of_ring(ring)
+    with pytest.raises(ValueError):
+        rpe_filtration(M.span(((x * y,),)), M, tie_break="bogus")
+    assert scans == []
 
 
 def test_interchange_index_bounds():
