@@ -6,10 +6,12 @@ hit returns exactly what the computation would return again:
 * `BASES`: reduced bases from `groebner.buchberger`, keyed by the ring
   key, the rank and the set of `vector_key`s of the nonzero generators
   (monomial bases are read off exponents and never stored);
-* `ASS_MEMBERS`: the verdicts of `primes.ass_contains`, keyed by the
-  ring key, the rank, the quotient's key and the prime's key;
+* `ASS_MEMBERS`: the verdicts of `primes.ass_contains` on quotients
+  that need a candidate registry, keyed by the ring key, the rank, the
+  quotient's key and the prime's key (monomial quotients read their
+  primes off exponents and store none);
 * `VARIABLE_PRIMES`: the variable primes monomial-mode Ass enumeration
-  tests, keyed by the ring key and the tuple of variable indices.
+  returns, keyed by the ring key and the tuple of variable indices.
 
 Each table keeps at most `MAX_ENTRIES` entries and drops the least
 recently used one beyond that.  `clear_caches()` empties them all.
@@ -20,9 +22,9 @@ from __future__ import annotations
 from collections import OrderedDict
 
 # Entries per table.  One pass of a bench corpus (gpfbench, seeds 1 and
-# 11) peaks at 263 verdicts, about 6% of it, 33 bases (one quotient-ring
-# script; monomial corpora store none) and 22 primes, so nothing is
-# evicted there; a longer-lived process evicts instead of growing.
+# 11) peaks at 32 bases and 10 verdicts (one quotient-ring script;
+# monomial corpora store neither) and 22 primes, so nothing is evicted
+# there; a longer-lived process evicts instead of growing.
 MAX_ENTRIES = 4096
 
 

@@ -540,12 +540,20 @@ def _closure(M, vectors):
     return M.closure([_image(M.ring, v) for v in vectors])
 
 
-def _build(variables, caps, relations=(), rank=1, denom=(), N=()):
-    plain = PolyRing(GF(2), variables)
-    sym = PolyRing(
-        GF(2), plain.names, relations=[_poly(plain, r) for r in relations]
-    )
-    ring = FiniteRing(sym, caps)
+def _build(variables, caps, relations=(), rank=1, denom=(), N=(), *, rings):
+    """A fixture's model.  Fixtures over the same (variables, caps,
+    relations) share one `FiniteRing` through the `rings` dict of one
+    battery run, and with it its products, windows and primality
+    verdicts."""
+    key = (variables, caps, relations)
+    if key not in rings:
+        plain = PolyRing(GF(2), variables)
+        sym = PolyRing(
+            GF(2), plain.names, relations=[_poly(plain, r) for r in relations]
+        )
+        rings[key] = FiniteRing(sym, caps)
+    ring = rings[key]
+    sym = ring.sym
     denom, N = _vectors(sym, denom), _vectors(sym, N)
     module = FiniteModule(ring, rank, [_image(ring, v) for v in denom])
     ambient = QuotientModule.free(sym, rank, denom)
@@ -744,6 +752,7 @@ def run_fixture_checks(names=None):
     """Run every bundled fixture's checks; returns a nested report."""
     report = {"ok": True, "fixtures": []}
     fixtures = bundled_fixtures()
+    rings = {}
     if names is not None:
         known = {fx.name for fx in fixtures}
         missing = [n for n in names if n not in known]
@@ -752,7 +761,7 @@ def run_fixture_checks(names=None):
     for fx in fixtures:
         if names is not None and fx.name not in names:
             continue
-        ctx = fx.build()
+        ctx = fx.build(rings=rings)
         entry = {"name": fx.name, "ok": True, "checks": []}
         for desc, fn in fx.checks:
             ok = bool(fn(ctx))

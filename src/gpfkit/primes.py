@@ -22,28 +22,34 @@ Membership of a prime p in Ass(M/N) is decided through the colon module
 K = (N : p) inside M: p is associated exactly when the annihilator of
 K/N lies inside p, which fails automatically when K = N.  Membership in
 the support of a `QuotientModule` is the annihilator test alone.
-Associated primes of quotients presented by monomial generators over a
-plain polynomial ring are enumerated completely: the denominator splits
-by component into monomial ideals I_c, every associated prime of the
-quotient is an associated prime of some R/I_c, and those are the
-supports of the irreducible components of I_c (the split and the
-decomposition live in `monomial`).  Only these variable primes are
-tested, each by the exact membership test above.  Anything else needs a
-registry of candidate primes and the result is flagged as relative to
-those candidates.
 
-Membership depends only on the module and the prime, and both are named
-by canonical reduced-basis keys, so `ass_contains` answers each (module,
-prime) question once and keeps the verdict in the bounded
+Associated primes of quotients presented by monomial generators over a
+plain polynomial ring are read off exponents, with no membership test.
+Q = (T + D)/D splits by component into (T_c + D_c)/D_c.  Q is
+Z^n-graded with every graded piece spanned by one monomial, so each
+associated prime is (D_c : x^m) for a monomial x^m in T_c outside D_c;
+writing x^m = x^t x^u with x^t a generator of T_c, (D_c : x^m) =
+((D_c : x^t) : x^u), so the primes are exactly those of the
+R/(D_c : x^t), and Ass(R/J) of a monomial ideal J is the set of supports
+of J's irredundant irreducible components (Miller & Sturmfels,
+*Combinatorial Commutative Algebra*, ch. 1 and 5; the colon and the
+decomposition live in `monomial`).  The set is complete, so
+`ass_contains` answers a monomial quotient by looking the prime up in it.
+Anything else needs a registry of candidate primes and the result is
+flagged as relative to those candidates.
+
+Registry membership depends only on the module and the prime, and both
+are named by canonical reduced-basis keys, so `ass_contains` answers each
+(module, prime) question once and keeps the verdict in the bounded
 `cache.ASS_MEMBERS` table; a hit returns what the same exact computation
 would.  Only the boolean is kept: registry candidates are the caller's
 own primes on every enumeration, so their attestations and the order of
 a `PrimeSet` come from the caller, and `ass_membership`, which returns
-evidence, always computes.  Monomial candidates carry nothing of the
-caller's: each is built once per ring and support (`cache.VARIABLE_PRIMES`).
-`filtration.verify_rpe` still re-derives every property of a
-filtration; what it no longer repeats is the computation behind a
-membership question already answered.
+evidence, always computes.  Monomial-mode primes carry nothing of the
+caller's: each is built once per ring and support
+(`cache.VARIABLE_PRIMES`).  `filtration.verify_rpe` still re-derives
+every property of a filtration; what it no longer repeats is the
+computation behind a membership question already answered.
 """
 
 from __future__ import annotations
@@ -92,6 +98,7 @@ class PrimeIdeal(Ideal):
         elif attestation == ATTEST_LINEAR and not linear:
             raise ValueError("generators do not pass the linear prime check")
         self.attestation = attestation
+        self._token = None
 
     @classmethod
     def from_variables(cls, ring, indices):
@@ -104,8 +111,11 @@ class PrimeIdeal(Ideal):
         return self
 
     def token(self):
-        """Deterministic sort token: canonical generator strings."""
-        return tuple(str(g) for g in self.canonical_gens())
+        """Deterministic sort token: canonical generator strings, built
+        once (a prime is never changed)."""
+        if self._token is None:
+            self._token = tuple(str(g) for g in self.canonical_gens())
+        return self._token
 
     def __str__(self):
         gens = self.canonical_gens()
@@ -244,10 +254,14 @@ def ass_membership(p, Q):
 
 
 def ass_contains(p, Q):
-    """Whether p is an associated prime of the quotient Q, computed once
-    per (module, prime) and then read from `cache.ASS_MEMBERS`."""
+    """Whether p is an associated prime of the quotient Q.  A monomial
+    quotient looks p up in its complete set of associated primes; any
+    other computes once per (module, prime) and then reads the verdict
+    from `cache.ASS_MEMBERS`."""
     if p.ring != Q.ring:
         raise RingMismatchError("prime over a different ring")
+    if monomial_eligible(Q):
+        return any(q.key() == p.key() for q in _monomial_ass(Q)[0])
     key = (Q.ring.key(), Q.rank, Q.key(), p.key())
     member = cache.ASS_MEMBERS.get(key)
     if member is None:
@@ -262,17 +276,22 @@ def monomial_eligible(Q):
     return None not in (Q.top.monomial_split(), Q.denom.monomial_split())
 
 
-def _monomial_candidates(Q):
-    """The variable primes, smallest first, that can be associated to the
-    monomial quotient Q: (top + D)/D sits inside R^k/D, the direct sum of
-    the R/I_c, and Ass(R/I_c) is the set of supports of the irreducible
-    components of I_c.  Each is built once per ring and support, its basis
-    read off the variables' exponents, and then kept in
-    `cache.VARIABLE_PRIMES`."""
+def _monomial_ass(Q):
+    """The associated primes of the monomial quotient Q = (T + D)/D,
+    smallest support first, and the number of ideals decomposed: the
+    supports of the irreducible components of (D_c : x^t) for each
+    minimal generator x^t of T_c outside D_c.  Each prime is built once
+    per ring and support, its basis read off the variables' exponents,
+    and then kept in `cache.VARIABLE_PRIMES`."""
+    colons = set()
+    for tops, gens in zip(Q.top.monomial_split(), Q.denom.monomial_split()):
+        for t in tops:
+            if not monomial.member(gens, t):
+                colons.add(tuple(monomial.colon(gens, t)))
     supports = {
         tuple(sorted(comp))
-        for gens in Q.denom.monomial_split()
-        for comp in monomial.irreducible_components(gens)
+        for J in colons
+        for comp in monomial.irreducible_components(J)
     }
     ring, out = Q.ring, []
     for s in sorted(supports, key=lambda s: (len(s), s)):
@@ -282,43 +301,44 @@ def _monomial_candidates(Q):
             p = PrimeIdeal(ring, Submodule.of_split(ring, [monomial.minimal(exps)]))
             cache.VARIABLE_PRIMES.put((ring.key(), s), p)
         out.append(p)
-    return out
+    return out, len(colons)
 
 
 def ass_enumerate(Q, source=MONOMIAL):
     """The associated primes of the quotient module Q.
 
     In MONOMIAL mode the generators must be monomial vectors over a plain
-    polynomial ring.  The candidates are the variable primes on the
-    supports of the irreducible components of the denominator's monomial
-    ideals, a superset of Ass(Q) usually far smaller than all 2^m variable
-    subsets; each is confirmed by `ass_contains` and the result is
-    complete.  A decomposition past `monomial.MAX_COMPONENTS` components
-    raises BudgetError.  With a CandidateRegistry only its candidates are
-    tested and the result is flagged incomplete (relative to the
-    candidates).
+    polynomial ring; the primes are read off exponents (see the module
+    docstring), no membership is tested, and the result is complete.  A
+    decomposition past `monomial.MAX_COMPONENTS` components raises
+    BudgetError.  With a CandidateRegistry each of its candidates is
+    tested by `ass_contains` and the result is flagged incomplete
+    (relative to the candidates).
     """
     if isinstance(source, CandidateRegistry):
-        candidates = list(source)
-        complete = False
-    elif source is MONOMIAL:
-        if not monomial_eligible(Q):
-            raise IncompleteRegistryError(
-                "associated prime enumeration needs monomial generators over "
-                "a plain polynomial ring; supply a candidate registry otherwise"
-            )
-        candidates = _monomial_candidates(Q)
-        complete = True
-    else:
+        found = [p for p in source if ass_contains(p, Q)]
+        log.debug(
+            "ass_enumerate: %d candidates over %d variables, %d confirmed",
+            len(source),
+            Q.ring.nvars,
+            len(found),
+        )
+        return PrimeSet(found, complete=False)
+    if source is not MONOMIAL:
         raise TypeError("ass source must be MONOMIAL or a CandidateRegistry")
-    found = [p for p in candidates if ass_contains(p, Q)]
+    if not monomial_eligible(Q):
+        raise IncompleteRegistryError(
+            "associated prime enumeration needs monomial generators over "
+            "a plain polynomial ring; supply a candidate registry otherwise"
+        )
+    found, decomposed = _monomial_ass(Q)
     log.debug(
-        "ass_enumerate: %d candidates over %d variables, %d confirmed",
-        len(candidates),
-        Q.ring.nvars,
+        "ass_enumerate: %d primes over %d variables, decompositions: %d",
         len(found),
+        Q.ring.nvars,
+        decomposed,
     )
-    return PrimeSet(found, complete=complete)
+    return PrimeSet(found, complete=True)
 
 
 def check_tie_break(tie_break):

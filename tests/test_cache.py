@@ -65,7 +65,12 @@ def test_lru_never_holds_more_than_the_bound(monkeypatch):
 def test_clear_caches_empties_every_table():
     ring, x, y = xy_ring()
     M = QuotientModule.of_ring(ring)
+    # a monomial enumeration builds variable primes, a registry one
+    # stores verdicts
     ass_enumerate(M.with_denominator(M.span(((x * x,), (x * y,)))))
+    twisted, p, m, registry = twisted_setup()
+    T = QuotientModule.of_ring(twisted)
+    ass_enumerate(T.with_denominator(T.span([(g,) for g in p.power(2).gens])), registry)
     buchberger([(x * x,)], ring=ring, rank=1)
     tables = _tables()
     assert cache.BASES in tables and cache.ASS_MEMBERS in tables
@@ -75,6 +80,8 @@ def test_clear_caches_empties_every_table():
 
 
 def test_each_membership_question_is_computed_once(monkeypatch):
+    """Registry verdicts are computed once per (module, prime); monomial
+    quotients compute none."""
     calls = []
     compute = primes.ass_membership
 
@@ -83,26 +90,34 @@ def test_each_membership_question_is_computed_once(monkeypatch):
         return compute(p, Q)
 
     monkeypatch.setattr(primes, "ass_membership", counting)
-    ring, x, y = xy_ring()
+    ring, p, m, registry = twisted_setup()
+    x, y, z = ring.gens()
 
     def quotient():
         M = QuotientModule.of_ring(ring)
-        return M.with_denominator(M.span(((x * x,), (x * y,))))
+        return M.with_denominator(M.span([(g,) for g in p.power(2).gens]))
 
-    first = [str(p) for p in ass_enumerate(quotient())]
-    assert first == ["(x)", "(x, y)"]
+    first = [str(q) for q in ass_enumerate(quotient(), registry)]
+    assert first == ["(x, y, z)", "(x, z)"]
     made = len(calls)
+    assert made == len(registry)
     # a fresh presentation of the same module and primes asks again
-    assert [str(p) for p in ass_enumerate(quotient())] == first
-    assert ass_contains(PrimeIdeal(ring, [y, x]), quotient())
+    assert [str(q) for q in ass_enumerate(quotient(), registry)] == first
+    assert ass_contains(PrimeIdeal(ring, [z, x]), quotient())
+    assert len(calls) == made
+    plain, x, y = xy_ring()
+    M = QuotientModule.of_ring(plain)
+    Q = M.with_denominator(M.span(((x * x,), (x * y,))))
+    assert [str(q) for q in ass_enumerate(Q)] == ["(x)", "(x, y)"]
+    assert ass_contains(PrimeIdeal(plain, [y, x]), Q)
     assert len(calls) == made
 
 
 def test_prime_power_construction_reads_the_cached_verdict(monkeypatch):
-    """construct_prime_power asks ass_contains whether p is associated to
-    p^{r-1}M / p^r M; a verdict already cached is not computed again."""
-    ring, x, y = xy_ring()
-    m = PrimeIdeal(ring, [x, y])
+    """construct_prime_power asks ass_contains whether m is associated to
+    m^{r-1}M / m^r M; over the twisted ring a verdict already cached is not
+    computed again."""
+    ring, p, m, registry = twisted_setup()
     M = QuotientModule.of_ring(ring)
     Q = M.module_of(module_scale(m.ideal, M)).with_denominator(
         module_scale(ideal_power(m.ideal, 2), M)
@@ -111,17 +126,17 @@ def test_prime_power_construction_reads_the_cached_verdict(monkeypatch):
     compute = primes.ass_membership
     repeats = []
 
-    def counting(p, quotient):
-        if (p.key(), quotient.key()) == (m.key(), Q.key()):
-            repeats.append(p.token())
-        return compute(p, quotient)
+    def counting(q, quotient):
+        if (q.key(), quotient.key()) == (m.key(), Q.key()):
+            repeats.append(q.token())
+        return compute(q, quotient)
 
     # the gpf module, which the package's gpf function shadows
     gpf_module = importlib.import_module("gpfkit.gpf")
     monkeypatch.setattr(primes, "ass_membership", counting)
     monkeypatch.setattr(gpf_module, "ass_membership", counting)
-    N = gpf_module.construct_prime_power(m, 2, M)
-    assert N.equals(M.span(((x * x,), (x * y,), (y * y,))))
+    N = gpf_module.construct_prime_power(m, 2, M, source=registry)
+    assert N.equals(module_scale(ideal_power(m.ideal, 2), M))
     assert repeats == []
 
 

@@ -1,9 +1,11 @@
+import importlib
 import os
 import random
 
 import pytest
 
-from gpfkit import filtration
+from gpfkit import clear_caches, filtration, modops, primes
+from gpfkit.arith import PolyRing
 from gpfkit.errors import BudgetError, HypothesisError, VerificationError
 from gpfkit.filtration import (
     colon_chain,
@@ -12,7 +14,8 @@ from gpfkit.filtration import (
     rpe_filtration,
     verify_rpe,
 )
-from gpfkit.modops import QuotientModule, colon_module
+from gpfkit.fields import QQ
+from gpfkit.modops import QuotientModule, colon_module, module_scale
 from gpfkit.primes import PrimeIdeal, ass_enumerate
 
 from helpers import (
@@ -209,3 +212,34 @@ def test_twisted_verify_with_registry():
     filt = rpe_filtration(N, M, source=registry)
     report = verify_rpe(filt, source=registry)
     assert report["ok"]
+
+
+def test_monomial_filtration_work_is_pinned(monkeypatch):
+    """A guard on the work of a criterion-6 filtration, (x, y)^2 (x) over
+    QQ[x,y,z], which no output test sees: every associated prime is read
+    off exponents, so no membership is tested, and building and then
+    verifying the filtration make exactly these colons."""
+    gpf_module = importlib.import_module("gpfkit.gpf")
+    calls = dict.fromkeys(("colon_module", "colon_ideal", "ass_membership"), 0)
+    for name in calls:
+        for module in (modops, filtration, primes, gpf_module):
+            real = getattr(module, name, None)
+            if real is None:
+                continue
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    M = QuotientModule.of_ring(ring)
+    m = PrimeIdeal(ring, [x, y])
+    aM = module_scale(m.power(2).product(PrimeIdeal(ring, [x])), M)
+    clear_caches()
+    filt = rpe_filtration(aM, M)
+    assert [str(p) for p in filt.primes()] == ["(x, y)", "(x, y)", "(x)"]
+    assert calls == {"colon_module": 3, "colon_ideal": 0, "ass_membership": 0}
+    assert verify_rpe(filt)["ok"]
+    assert calls == {"colon_module": 6, "colon_ideal": 3, "ass_membership": 0}

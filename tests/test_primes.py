@@ -2,7 +2,7 @@ import itertools
 import logging
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gpfkit.errors import (
     BudgetError,
@@ -313,25 +313,29 @@ def test_supp_contains_annihilator_test():
 
 
 def _sweep_key(Q):
-    """Ass(Q) by testing every variable subset, the exhaustive reference."""
+    """Ass(Q) by testing every variable subset with the colon definition
+    (`ass_membership`), the exhaustive reference."""
     m = Q.ring.nvars
     found = []
     for size in range(m + 1):
         for combo in itertools.combinations(range(m), size):
             p = PrimeIdeal.from_variables(Q.ring, combo)
-            if ass_contains(p, Q):
+            if ass_membership(p, Q).member:
                 found.append(p)
     return PrimeSet(found).key()
 
 
-def _count_ass_contains(monkeypatch):
+def _count_calls(monkeypatch, module, name):
+    """The positional arguments of the calls made to module.<name> from
+    now on."""
     calls = []
+    real = getattr(module, name)
 
-    def counting(p, Q):
-        calls.append(p.token())
-        return ass_contains(p, Q)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(primes, "ass_contains", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -363,8 +367,21 @@ def monomial_quotients(draw):
     return M.module_of(upper).with_denominator(lower)
 
 
+def _xy_step(upper, lower):
+    """The step quotient upper/lower of QQ[x,y], both given as functions
+    of the variables returning generators."""
+    ring, x, y = xy_ring()
+    M = QuotientModule.of_ring(ring)
+    top = M.span([(g,) for g in upper(x, y)])
+    return M.module_of(top).with_denominator(M.span([(g,) for g in lower(x, y)]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(monomial_quotients())
+# (x, y)/(xy): each generator of the top gives its own prime
+@example(_xy_step(lambda x, y: (x, y), lambda x, y: (x * y,)))
+# (y)/(x^2, xy): (D : y) = (x), though D itself also has (x, y)
+@example(_xy_step(lambda x, y: (y,), lambda x, y: (x * x, x * y)))
 def test_ass_enumerate_matches_variable_subset_sweep(Q):
     found = ass_enumerate(Q)
     assert found.complete
@@ -372,16 +389,20 @@ def test_ass_enumerate_matches_variable_subset_sweep(Q):
 
 
 def test_ass_enumerate_tests_only_component_supports(monkeypatch):
-    """(x^2, xy) = (x) cap (x^2, y): two candidates, where the sweep over
-    five variables made 32 tests."""
+    """(x^2, xy) = (x) cap (x^2, y) over five variables: the primes are
+    the supports of one decomposition, of (D : 1) = D, and neither
+    `ass_enumerate` nor `ass_contains` tests a membership."""
     ring = PolyRing(QQ, ("x", "y", "z", "u", "v"))
     x, y = ring.gen(0), ring.gen(1)
     M = QuotientModule.of_ring(ring)
     Q = M.with_denominator(M.span(((x * x,), (x * y,))))
-    calls = _count_ass_contains(monkeypatch)
+    tests = _count_calls(monkeypatch, primes, "ass_membership")
+    decomposed = _count_calls(monkeypatch, monomial, "irreducible_components")
     found = ass_enumerate(Q)
     assert [str(p) for p in found] == ["(x)", "(x, y)"]
-    assert len(calls) <= 2
+    assert tests == []
+    assert [list(J) for J, in decomposed] == [[(1, 1, 0, 0, 0), (2, 0, 0, 0, 0)]]
+    assert ass_contains(found.primes[1], Q) and tests == []
 
 
 def test_ass_enumerate_free_summand_gives_zero_prime():
@@ -392,12 +413,14 @@ def test_ass_enumerate_free_summand_gives_zero_prime():
 
 
 def test_ass_enumerate_unit_component_contributes_nothing(monkeypatch):
+    """A component whose denominator is the unit ideal holds no generator
+    outside it, so only the other component's (x) is decomposed."""
     ring, x, y = xy_ring()
     zero = ring.zero()
-    calls = _count_ass_contains(monkeypatch)
+    calls = _count_calls(monkeypatch, monomial, "irreducible_components")
     Q = QuotientModule.free(ring, 2, ((ring.const(3), zero), (zero, x)))
     assert [str(p) for p in ass_enumerate(Q)] == ["(x)"]
-    assert calls == [("x",)]
+    assert [list(J) for J, in calls] == [[(1, 0)]]
     del calls[:]
     M = QuotientModule.of_ring(ring)
     assert not ass_enumerate(M.with_denominator(M.span(((ring.one(),),))))
@@ -413,6 +436,6 @@ def test_ass_enumerate_logs_candidates(caplog):
         ass_enumerate(Q)
     records = [r for r in caplog.records if "ass_enumerate" in r.getMessage()]
     assert [r.getMessage() for r in records] == [
-        "ass_enumerate: 2 candidates over 5 variables, 2 confirmed"
+        "ass_enumerate: 2 primes over 5 variables, decompositions: 1"
     ]
     assert all(r.name == "gpfkit" and r.levelno == logging.DEBUG for r in records)
