@@ -43,4 +43,4 @@ class IncompleteRegistryError(GpfError):
 class BudgetError(GpfError):
     """A size or iteration budget was exceeded (grown irreducible
     components, predicted ideal product generators, polynomial exponents, element count of a
-    finite model, filtration steps)."""
+    finite model, filtration steps, Buchberger pairs)."""

@@ -26,7 +26,7 @@ from .errors import (
     IncompleteRegistryError,
     VerificationError,
 )
-from .modops import colon_ideal, colon_module, partial_products
+from .modops import colon_ideal, colon_module, unit_ideal
 from .primes import (
     MONOMIAL,
     ass_enumerate,
@@ -342,6 +342,13 @@ def verify_rpe(filt, source=None):
 
 
 def colon_chain(N, primes, M):
-    """The chain of colon modules (N : p_1 ... p_i) for i = 0..n."""
-    partials = partial_products([(p, 1) for p in primes])
-    return [colon_module(N, a, M) for a in partials]
+    """The chain of colon modules (N : p_1 ... p_i) for i = 0..n.
+
+    (N : IJ) = ((N : I) : J) (Greuel & Pfister, *A Singular Introduction
+    to Commutative Algebra*, 2.8), so each module is the colon of the one
+    before by the next prime, and no partial product is formed.
+    """
+    chain = [colon_module(N, unit_ideal(M.ring), M)]
+    for p in primes:
+        chain.append(colon_module(chain[-1], p, M))
+    return chain

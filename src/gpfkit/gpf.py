@@ -411,7 +411,9 @@ def construct_prime_power(p, r, M, source=MONOMIAL, tie_break="lex"):
 def construct_general(target, M, source=MONOMIAL, tie_break="lex"):
     """A submodule with the target factorization, built tail-first.
 
-    Checks the telescoping support conditions, then walks the target from
+    Checks the telescoping support conditions, and refuses when one fails,
+    saying so when its prime lies outside Supp(M), which proves that no
+    submodule has the target factorization.  Then walks the target from
     the last prime to the first, replacing the working module by the
     verified prime-power witness inside it.  The result is re-verified by
     an independent filtration run in M.
@@ -419,14 +421,18 @@ def construct_general(target, M, source=MONOMIAL, tie_break="lex"):
     report = check_supp_conditions(target, M)
     if not report.all_hold:
         bad = report.first_failure()
-        raise HypothesisError(
-            "support condition fails at index %d: %s" % (
-                bad.index,
-                bad.describe(),
-            ),
-            index=bad.index,
-            evidence={"condition": bad},
+        message = "support condition fails at index %d: %s" % (
+            bad.index,
+            bad.describe(),
         )
+        # Ass(M/N) lies in Supp(M), so a prime outside it decides the
+        # question, where a failed sufficient condition decides nothing.
+        if not supp_contains(bad.prime, M):
+            message += (
+                "; %s lies outside Supp(M), so no submodule of M has this "
+                "factorization" % bad.prime
+            )
+        raise HypothesisError(message, index=bad.index, evidence={"condition": bad})
     cur = M
     N = None
     for p, r in reversed(target.pairs):

@@ -25,10 +25,15 @@ once by component into monomial ideals I_c (`Submodule.monomial_split`)
 and never reaches Buchberger: its basis is the minimal generators
 (`groebner.monomial_basis`) and membership is divisibility.  Colon,
 transporter and intersection of split inputs read the splits and
-compute by exponent arithmetic from `monomial`; the result passes
-through the same canonical form, so its bytes equal the kernel's, and
-keeps the exponent lists it was built from as its split
-(`Submodule.of_split`).
+compute by exponent arithmetic from `monomial`, and so do ideal
+products, powers and the scaled module ideal * M: a product of monomial
+ideals is generated by the sums of its factors' exponents (Miller &
+Sturmfels, *Combinatorial Commutative Algebra*, ch. 1).  Such a result
+holds only the exponent lists it was built from, as its split
+(`Submodule.of_split`); its key, containment and zero test read them,
+and its generators, basis and canonical vectors are built as
+polynomials only when first read, in the same canonical form as the
+kernel's, so its bytes equal the kernel's.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import logging
 import math
 
 from . import groebner, monomial
-from .arith import mono_key
+from .arith import mono_key, mono_mul
 from .errors import BudgetError, RingMismatchError
 from .groebner import buchberger, check_vector, monomial_basis, vector_key
 
@@ -89,7 +94,15 @@ class Ideal:
             self._sub = gens
         else:
             self._sub = Submodule(ring, 1, [(g,) for g in gens])
-        self.gens = tuple(v[0] for v in self._sub.gens)
+        self._gens = None
+
+    @property
+    def gens(self):
+        """The generators of the submodule, as polynomials, built on first
+        read."""
+        if self._gens is None:
+            self._gens = tuple(v[0] for v in self._sub.gens)
+        return self._gens
 
     def as_submodule(self):
         return self._sub
@@ -99,7 +112,7 @@ class Ideal:
         return tuple(v[0] for v in self._sub.canonical())
 
     def key(self):
-        return tuple(p.key() for p in self.canonical_gens())
+        return tuple(k for (k,) in self._sub.key())
 
     def contains(self, f):
         return self._sub.contains((f,))
@@ -117,8 +130,15 @@ class Ideal:
         return self._sub.is_zero()
 
     def product(self, other):
+        """The product ideal; of monomial ideals, the minimal pairwise
+        exponent sums."""
         if self.ring != other.ring:
             raise RingMismatchError("ideal product across rings")
+        parts = _monomial_parts(self._sub, other._sub)
+        if parts is not None:
+            (a,), (b,) = parts
+            prod = monomial.minimal(mono_mul(f, g) for f in a for g in b)
+            return Ideal(self.ring, Submodule.of_split(self.ring, [prod]))
         gens = [a * b for a in self.gens for b in other.gens]
         return Ideal(self.ring, _sort_polys(gens))
 
@@ -138,7 +158,9 @@ class Ideal:
 
 
 def unit_ideal(ring):
-    return Ideal(ring, [ring.one()])
+    if ring.relations:
+        return Ideal(ring, [ring.one()])
+    return Ideal(ring, Submodule.of_split(ring, [[(0,) * ring.nvars]]))
 
 
 def ideal_product(a, b):
@@ -196,10 +218,11 @@ class Submodule:
                 if p.ring != ring:
                     raise RingMismatchError("generator over a different ring")
             checked.append(v)
-        self.gens = _dedup_vectors(checked)
+        self._gens = _dedup_vectors(checked)
         self._gb = None
         self._split = _UNSPLIT
         self._canonical = None
+        self._key = None
 
     @classmethod
     def zero(cls, ring, rank):
@@ -216,6 +239,15 @@ class Submodule:
             gens.append(tuple(v))
         return cls(ring, rank, gens)
 
+    @property
+    def gens(self):
+        """The generators as given, without zero vectors and repeats; for
+        a submodule made from a basis or a split, its canonical vectors,
+        built on first read."""
+        if self._gens is None:
+            self._gens = self.canonical()
+        return self._gens
+
     @classmethod
     def of_basis(cls, gb):
         """The submodule a reduced basis spans, generated by its canonical
@@ -223,15 +255,17 @@ class Submodule:
         those generators and is kept, not computed again."""
         sub = cls(gb.ring, gb.rank, ())
         sub._gb = gb
-        sub.gens = sub.canonical()
+        sub._gens = None
         return sub
 
     @classmethod
     def of_split(cls, ring, ideals):
         """The sum of the I_c e_c, given by the minimal exponent tuples
-        `monomial.split` would return, which are kept as its split."""
-        sub = cls.of_basis(monomial_basis(ring, ideals))
+        `monomial.split` would return, which are kept as its split; its
+        basis and generators are read off them when first asked for."""
+        sub = cls(ring, len(ideals), ())
         sub._split = ideals
+        sub._gens = None
         return sub
 
     def monomial_split(self):
@@ -264,7 +298,22 @@ class Submodule:
         return self._canonical
 
     def key(self):
-        return tuple(vector_key(v) for v in self.canonical())
+        """The `vector_key`s of the canonical vectors.  A split submodule
+        builds them off its exponents in the canonical order: component 0
+        first, each component's monomials in descending grevlex, each
+        with coefficient one."""
+        if self._key is None:
+            split = self.monomial_split()
+            if split is None:
+                self._key = tuple(vector_key(v) for v in self.canonical())
+            else:
+                one, blank = self.ring.field.one, ((),) * self.rank
+                self._key = tuple(
+                    blank[:c] + (((m, one),),) + blank[c + 1 :]
+                    for c, gens in enumerate(split)
+                    for m in sorted(gens, key=mono_key, reverse=True)
+                )
+        return self._key
 
     def contains(self, v):
         """Membership; on a split submodule every term of component c must
@@ -279,15 +328,25 @@ class Submodule:
         )
 
     def contains_module(self, other):
+        """Containment; of split submodules, every generator of the other's
+        I_c lies in this one's."""
         self._compat(other)
-        return all(self.contains(v) for v in other.gens)
+        parts = _monomial_parts(self, other)
+        if parts is None:
+            return all(self.contains(v) for v in other.gens)
+        return all(
+            monomial.member(mine, m) for mine, theirs in zip(*parts) for m in theirs
+        )
 
     def equals(self, other):
         self._compat(other)
         return self.key() == other.key()
 
     def is_zero(self):
-        return not self.canonical()
+        split = self.monomial_split()
+        if split is None:
+            return not self.canonical()
+        return not any(split)
 
     def plus(self, other):
         self._compat(other)
@@ -352,8 +411,15 @@ class QuotientModule:
         return Submodule(self.ring, self.rank, tuple(vectors) + self.denom.gens)
 
     def full(self):
+        """top + denominator; of split parts, the minimal generators of
+        each T_c + D_c."""
         if self._full is None:
-            self._full = self.span(self.top.gens)
+            parts = _monomial_parts(self.top, self.denom)
+            if parts is None:
+                self._full = self.span(self.top.gens)
+            else:
+                got = [monomial.minimal(t + d) for t, d in zip(*parts)]
+                self._full = Submodule.of_split(self.ring, got)
         return self._full
 
     def module_of(self, sub):
@@ -433,9 +499,21 @@ def _monomial_parts(*subs):
 
 
 def module_scale(ideal, M):
-    """The submodule ideal * M of the quotient M, with denominator adjoined."""
+    """The submodule ideal * M of the quotient M, with denominator adjoined;
+    of split inputs, per component c the minimal exponent sums of the
+    ideal's and T_c's generators together with D_c."""
     if ideal.ring != M.ring:
         raise RingMismatchError("scaling by an ideal over a different ring")
+    parts = _monomial_parts(ideal.as_submodule(), M.top, M.denom)
+    if parts is not None:
+        (f_exps,), tops, denoms = parts
+        return Submodule.of_split(
+            M.ring,
+            [
+                monomial.minimal([mono_mul(f, t) for f in f_exps for t in t_c] + d_c)
+                for t_c, d_c in zip(tops, denoms)
+            ],
+        )
     gens = []
     for g in ideal.gens:
         for v in M.top.gens:
@@ -455,16 +533,19 @@ def colon_module(N, ideal, M):
         raise RingMismatchError("colon arguments in different ambients")
     if not M.contains_submodule(N):
         raise ValueError("N is not a submodule of M")
-    fs = {}
-    for g in ideal.gens:
-        r = M.ring.reduce(g)
-        if r:
-            fs.setdefault(r.key(), r)
-    fs = list(fs.values())
+    parts = _monomial_parts(N, M.denom, M.full(), ideal.as_submodule())
+    if parts is None:
+        fs = {}
+        for g in ideal.gens:
+            r = M.ring.reduce(g)
+            if r:
+                fs.setdefault(r.key(), r)
+        fs = list(fs.values())
+    else:
+        fs = parts[3][0]
     if not fs:
         log.debug("colon by the zero ideal returns the whole module")
         return Submodule.of_basis(M.full().groebner())
-    parts = _monomial_parts(N, M.denom, M.full(), ideal.as_submodule())
     if parts is not None:
         n_parts, d_parts, m_parts, (f_exps,) = parts
         acc = []
@@ -487,9 +568,6 @@ def colon_ideal(B, A):
     ring = B.ring
     if not A.contains_module(B):
         raise ValueError("transporter wants B inside A")
-    outside = [a for a in A.gens if not B.contains(a)]
-    if not outside:
-        return unit_ideal(ring)
     parts = _monomial_parts(B, A)
     if parts is not None:
         exps = [(0,) * ring.nvars]
@@ -497,6 +575,9 @@ def colon_ideal(B, A):
             for a in a_c:
                 exps = monomial.intersection(exps, monomial.colon(b_c, a))
         return Submodule.of_split(ring, [exps]).as_ideal()
+    outside = [a for a in A.gens if not B.contains(a)]
+    if not outside:
+        return unit_ideal(ring)
     row = tuple(p for a in outside for p in a) + (ring.one(),)
     gb = _kernel(ring, [row], B.gens, len(outside), B.rank)
     return Submodule.of_basis(gb).as_ideal()

@@ -155,8 +155,9 @@ def test_construct_prime_power_meets_the_product_bound(
 
 
 def test_check_iff_at_the_product_bound_exit_zero(tmp_path, capsys, monkeypatch):
-    """check-iff m^3 multiplies m^3 and the chain m, m m, m m m; each is
-    predicted at C(5, 3) = 10 generators, so a bound of 10 admits it."""
+    """check-iff m^3 multiplies out m^3, predicted at C(5, 3) = 10
+    generators, and colons by one m at a time, forming no other product;
+    so a bound of 10 admits it."""
     from gpfkit import modops
 
     monkeypatch.setattr(modops, "MAX_PRODUCT_GENS", 10)
@@ -315,3 +316,60 @@ def test_exists_rejects_a_repeated_prime(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: target primes must be distinct\n"
+
+
+def test_colon_echoes_the_minimal_generators_of_a_product(tmp_path, capsys):
+    """r = (x, x*y) prints as (x); the echo of r * q and r^2 is their
+    minimal generators too, not the raw pairwise products."""
+    script = (
+        "ring R = QQ[x,y,z];\n"
+        "prime r = (x, x*y);\n"
+        "prime q = (y, z);\n"
+        "module M = free(2);\n"
+        "submodule N in M = ((x^3*y, 0), (0, x*y*z));\n"
+        "colon N : r * q in M;\n"
+        "colon N : r^2 in M;\n"
+    )
+    assert _run(tmp_path, script, "--json") == 0
+    lines = capsys.readouterr().out.splitlines()
+    product, square = [json.loads(line) for line in lines]
+    assert product["inputs"]["ideal"] == "(x*y, x*z)"
+    assert product["result"]["module"] == "((x^2*y, 0), (0, y*z))"
+    assert square["inputs"]["ideal"] == "(x^2)"
+    assert square["result"]["module"] == "((x*y, 0), (0, y*z))"
+
+
+def test_construct_says_when_a_prime_outside_the_support_decides(tmp_path, capsys):
+    """Ass(M/N) lies in Supp(M), so a target prime outside Supp(M) proves
+    that no submodule has the factorization, and the refusal says so; a
+    failure at a prime inside Supp(M) decides nothing and does not."""
+    module = "ring R = QQ[x,y,z];\nmodule M = free(2) / ((x, 0), (0, x));\n"
+    outside = module + "prime p = (y, z);\nconstruct p^2 in M;\n"
+    assert _run(tmp_path, outside) == 2
+    assert capsys.readouterr().err == (
+        "error: support condition fails at index 1: condition 1 for (y, z) "
+        "fails (annihilator element x lies outside the prime); (y, z) lies "
+        "outside Supp(M), so no submodule of M has this factorization\n"
+    )
+    inside = module + "prime p = (x, y);\nprime q = (x);\nconstruct q * p in M;\n"
+    assert _run(tmp_path, inside) == 2
+    assert capsys.readouterr().err == (
+        "error: support condition fails at index 1: condition 1 for (x, y) "
+        "fails (the scaled module is zero)\n"
+    )
+
+
+def test_buchberger_over_the_pair_budget_exit_two(tmp_path, capsys, monkeypatch):
+    """A quotient-ring colon reaches Buchberger; with the pair budget at one
+    pair it is refused with exit 2."""
+    from gpfkit import clear_caches, groebner
+
+    monkeypatch.setattr(groebner, "MAX_PAIRS", 1)
+    clear_caches()
+    script = TWISTED.replace("check-iff p^2 in R;", "colon R : p in R;")
+    try:
+        code = _run(tmp_path, script)
+    finally:
+        clear_caches()
+    assert code == 2
+    assert capsys.readouterr().err == "error: Buchberger selected more than 1 pairs\n"

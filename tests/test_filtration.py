@@ -3,6 +3,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpfkit import clear_caches, filtration, modops, primes
 from gpfkit.arith import PolyRing
@@ -14,8 +15,8 @@ from gpfkit.filtration import (
     rpe_filtration,
     verify_rpe,
 )
-from gpfkit.fields import QQ
-from gpfkit.modops import QuotientModule, colon_module, module_scale
+from gpfkit.fields import GF, QQ
+from gpfkit.modops import QuotientModule, colon_module, module_scale, partial_products
 from gpfkit.primes import PrimeIdeal, ass_enumerate
 
 from helpers import (
@@ -90,6 +91,46 @@ def test_colon_chain_matches_filtration():
     assert len(chain) == len(filt.modules())
     for ours, theirs in zip(chain, filt.modules()):
         assert ours.equals(theirs)
+
+
+@st.composite
+def colon_chain_inputs(draw):
+    """(N, primes, M) over QQ[x,y,z], F_5[x,y,z] or the binomial quotient
+    QQ[x,y,z]/(xy - z^2, x^2 - yz): M free of rank 1 or 2 modulo up to two
+    monomial vectors, N spanned by one to three monomial vectors, and one
+    to three primes, repeats allowed."""
+    kind = draw(st.sampled_from(["QQ", "GF5", "twisted"]))
+    if kind == "twisted":
+        ring, p, m, _ = twisted_setup()
+        pool = [p, m]
+    else:
+        ring = PolyRing(QQ if kind == "QQ" else GF(5), ("x", "y", "z"))
+        pool = [PrimeIdeal.from_variables(ring, s) for s in ([0], [1, 2], [0, 1, 2])]
+    rank = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+
+    def vectors(lo, hi):
+        out = []
+        for _ in range(draw(st.integers(lo, hi))):
+            vec = [ring.zero()] * rank
+            vec[draw(st.integers(0, rank - 1))] = ring.monomial(draw(exps))
+            out.append(tuple(vec))
+        return out
+
+    M = QuotientModule.free(ring, rank, vectors(0, 2))
+    primes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    return M.span(vectors(1, 3)), primes, M
+
+
+@settings(max_examples=30, deadline=None)
+@given(colon_chain_inputs())
+def test_colon_chain_matches_the_partial_product_colons(case):
+    """Coloning one prime at a time gives the colons by the partial
+    products: (N : IJ) = ((N : I) : J)."""
+    N, primes, M = case
+    chain = colon_chain(N, primes, M)
+    partials = partial_products([(p, 1) for p in primes])
+    assert [c.key() for c in chain] == [colon_module(N, a, M).key() for a in partials]
 
 
 def test_interchange_swaps_incomparable_neighbors():

@@ -1,5 +1,7 @@
 import pytest
 
+from gpfkit import clear_caches
+from gpfkit.arith import Polynomial
 from gpfkit.errors import HypothesisError
 from gpfkit.gpf import (
     FactorizationTarget,
@@ -21,7 +23,14 @@ from gpfkit.modops import (
 )
 from gpfkit.primes import PrimeIdeal
 
-from helpers import counterexample_module, ideal_sub, twisted_setup, xy_ring
+from helpers import (
+    counterexample_module,
+    ideal_sub,
+    twisted_setup,
+    variable_prime,
+    xy_ring,
+    xyz_ring,
+)
 
 
 def _xy_primes():
@@ -297,3 +306,31 @@ def test_check_iff_matches_gpf_of_product():
         aM = module_scale(target.product_ideal(), M)
         same = gpf(aM, M).equals(target)
         assert report.verdict == same
+
+
+def test_monomial_inverse_questions_multiply_no_polynomials(monkeypatch):
+    """A guard on the work of the inverse questions over a plain ring,
+    which no output test sees: on (x, y)^2 (z) in R^2 the exact criterion,
+    the support conditions and the construction take every product, power
+    and scaled module off exponents and colon one prime at a time, so no
+    two polynomials are multiplied."""
+    ring = xyz_ring()[0]
+    M = QuotientModule.free(ring, 2)
+    target = FactorizationTarget(
+        [(variable_prime(ring, 0, 1), 2), (variable_prime(ring, 2), 1)]
+    )
+    calls = []
+    real = Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    clear_caches()
+    assert check_iff_criterion(target, M).verdict
+    assert check_supp_conditions(target, M).all_hold
+    N = construct_general(target, M)
+    assert calls == []
+    monkeypatch.undo()
+    assert gpf(N, M).equals(target)

@@ -1,9 +1,11 @@
+import heapq
 import random
 
 import pytest
 
+from gpfkit import clear_caches, groebner
 from gpfkit.arith import PolyRing, Polynomial, mono_divides
-from gpfkit.errors import RingMismatchError
+from gpfkit.errors import BudgetError, RingMismatchError
 from gpfkit.fields import QQ
 from gpfkit.groebner import buchberger
 
@@ -88,3 +90,35 @@ def test_quotient_reduce_is_the_relation_basis_normal_form():
         nf = ring.reduce(f)
         assert not any(mono_divides(t, m) for t in lts for m in nf.monomials())
         assert ring.reduce(f - nf).is_zero()
+
+
+def test_pair_budget_refuses_one_pair_more(monkeypatch):
+    """A call that selects more than MAX_PAIRS pairs raises BudgetError
+    and stores no basis; a bound at the call's own pair count, counted
+    off the pair heap, admits it with the same basis."""
+    ring, x, y = xy_ring()
+    gens = [(x * x - y,), (x * y - 1,)]
+    popped = []
+    real = heapq.heappop
+
+    def counted(heap):
+        popped.append(heap)
+        return real(heap)
+
+    monkeypatch.setattr(groebner.heapq, "heappop", counted)
+    clear_caches()
+    want = buchberger(gens, ring=ring, rank=1)
+    count = len(popped)
+    assert count > 1
+    monkeypatch.setattr(groebner, "MAX_PAIRS", count)
+    clear_caches()
+    assert buchberger(gens, ring=ring, rank=1).key() == want.key()
+    monkeypatch.setattr(groebner, "MAX_PAIRS", count - 1)
+    clear_caches()
+    message = "Buchberger selected more than %d pairs" % (count - 1)
+    with pytest.raises(BudgetError, match=message):
+        buchberger(gens, ring=ring, rank=1)
+    # nothing was stored, so the same call is refused again
+    with pytest.raises(BudgetError, match=message):
+        buchberger(gens, ring=ring, rank=1)
+    clear_caches()

@@ -9,7 +9,7 @@ from gpfkit.errors import BudgetError, RingMismatchError
 from gpfkit.fields import GF, QQ
 from gpfkit.filtration import rpe_filtration, verify_rpe
 from gpfkit.gpf import FactorizationTarget
-from gpfkit.groebner import buchberger
+from gpfkit.groebner import buchberger, vector_key
 from gpfkit.modops import (
     Ideal,
     QuotientModule,
@@ -252,8 +252,8 @@ def test_partial_products_refuse_a_predicted_blowup(monkeypatch):
 
 
 def test_partial_products_sum_the_exponents_of_a_repeated_ideal(monkeypatch):
-    """m m m, one pair per copy as colon_chain passes it, is predicted as
-    m^3 with C(5, 3) = 10 generators, not 3^3 = 27."""
+    """m m m, given as one pair per copy, is predicted as m^3 with
+    C(5, 3) = 10 generators, not 3^3 = 27."""
     ring, x, y, z = xyz_ring()
     m = Ideal(ring, [x, y, z])
     monkeypatch.setattr(modops, "MAX_PRODUCT_GENS", 10)
@@ -512,6 +512,72 @@ def test_monomial_path_matches_elimination(case):
         assert sub.monomial_split() == monomial.split(sub.rank, sub.gens)
 
 
+@st.composite
+def monomial_product_inputs(draw):
+    """(I, J, r, M): two monomial ideals over QQ or GF(5), with redundant
+    generators (a multiple of another one) and unit generators among them,
+    an exponent r from 0 to 3, and a monomial quotient M = T/D of rank 1
+    or 2, its top free or a monomial submodule, its denominator possibly
+    empty."""
+    nvars = draw(st.integers(1, 3))
+    rank = draw(st.sampled_from([1, 2]))
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    ring = PolyRing(field, ("x", "y", "z")[:nvars])
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+
+    def ideal():
+        gens = [ring.monomial(draw(exps), draw(st.sampled_from([1, 3])))]
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["monomial", "multiple", "unit"]))
+            if kind == "unit":
+                gens.append(ring.const(draw(st.sampled_from([1, 2]))))
+            elif kind == "multiple":
+                gens.append(draw(st.sampled_from(gens)) * ring.monomial(draw(exps)))
+            else:
+                gens.append(ring.monomial(draw(exps), draw(st.sampled_from([1, 3]))))
+        return Ideal(ring, gens)
+
+    def vectors(lo, hi):
+        out = []
+        for _ in range(draw(st.integers(lo, hi))):
+            vec = [ring.zero()] * rank
+            vec[draw(st.integers(0, rank - 1))] = ring.monomial(draw(exps))
+            out.append(tuple(vec))
+        return out
+
+    M = QuotientModule.free(ring, rank, vectors(0, 3))
+    if draw(st.booleans()):
+        M = M.module_of(M.span(vectors(1, 3)))
+    return ideal(), ideal(), draw(st.integers(0, 3)), M
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_product_inputs())
+def test_monomial_products_match_the_polynomial_path(case):
+    """Ideal products, powers, partial products and ideal * M of split
+    inputs, read off exponents, have the canonical form of the polynomial
+    path's generators under `buchberger`, and keep that form's split."""
+    I, J, r, M = case
+    ring = M.ring
+    ops = [
+        (lambda: I.product(J), 1),
+        (lambda: I.power(r), 1),
+        (lambda: partial_products([(I, r), (J, 1)])[-1], 1),
+        (lambda: module_scale(I, M), M.rank),
+    ]
+    for op, rank in ops:
+        fast = op()
+        general = _general(op)
+        fast = fast if isinstance(fast, Submodule) else fast.as_submodule()
+        general = general if isinstance(general, Submodule) else general.as_submodule()
+        assert fast.monomial_split() is not None
+        ref = buchberger(general.gens, ring=ring, rank=rank)
+        clear_caches()
+        assert fast.key() == tuple(vector_key(v) for v in reversed(ref.vectors))
+        assert fast.gens == fast.canonical() == tuple(reversed(ref.vectors))
+        assert fast.monomial_split() == monomial.split(rank, fast.gens)
+
+
 def _count_calls(monkeypatch, name):
     """The calls made to modops.<name> from now on, as (args, kwargs)."""
     calls = []
@@ -590,9 +656,12 @@ def split_inputs(draw):
 @settings(max_examples=80, deadline=None)
 @given(split_inputs())
 def test_split_submodule_matches_buchberger(case):
-    """The basis, key, canonical form and membership a split submodule
-    reads off its exponents are those of `buchberger` on its generators,
-    and a vector of the wrong rank or ring is still rejected."""
+    """The basis, key, canonical form, membership, containment and zero
+    test a split submodule reads off its exponents are those of
+    `buchberger` on its generators, for a submodule split from its
+    generators and one built from its split alone (`of_split`), and agree
+    with an unsplit submodule of the same span; a vector of the wrong rank
+    or ring is still rejected."""
     sub, gens, probes = case
     ring, rank = sub.ring, sub.rank
     assert sub.monomial_split() is not None
@@ -603,9 +672,30 @@ def test_split_submodule_matches_buchberger(case):
     assert gb.vectors == ref.vectors
     assert gb.key() == ref.key()
     assert sub.canonical() == tuple(reversed(ref.vectors))
-    assert sub.key() == Submodule.of_basis(ref).key()
+    ref_key = tuple(vector_key(v) for v in reversed(ref.vectors))
+    assert sub.key() == Submodule.of_basis(ref).key() == ref_key
     for v in probes:
         assert sub.contains(v) == ref.contains(v)
+    # built from its split alone, then an unsplit one of the same span:
+    # a nonzero generator times (1 + x) is a binomial vector in the span
+    built = Submodule.of_split(ring, sub.monomial_split())
+    assert built.key() == ref_key
+    assert tuple(vector_key(v) for v in built.canonical()) == ref_key
+    assert built.is_zero() == (not ref.vectors)
+    tops = [v for v in gens if any(v)]
+    binomial = [tuple(p * (ring.gen(0) + 1) for p in v) for v in tops[:1]]
+    unsplit = Submodule(ring, rank, gens + binomial)
+    assert unsplit.monomial_split() is None or not tops
+    assert unsplit.key() == built.key()
+    assert unsplit.is_zero() == built.is_zero()
+    assert built.contains_module(unsplit) and unsplit.contains_module(built)
+    assert built.contains_module(sub) and sub.contains_module(built)
+    for v in probes:
+        probe = Submodule(ring, rank, [v])
+        assert built.contains_module(probe) == ref.contains(v)
+        if probe.monomial_split() is not None:
+            alone = buchberger([v], ring=ring, rank=rank)
+            assert probe.contains_module(built) == all(map(alone.contains, ref.vectors))
     with pytest.raises(RingMismatchError):
         sub.contains(probes[0] + (ring.zero(),))
     other = PolyRing(GF(7), ring.names)
