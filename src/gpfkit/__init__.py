@@ -40,11 +40,8 @@ from .modops import (
     Submodule,
     colon_ideal,
     colon_module,
-    ideal_power,
-    ideal_product,
     intersect,
     module_scale,
-    module_sum,
     saturate,
 )
 from .primes import (
@@ -99,14 +96,11 @@ __all__ = [
     "construct_prime_power",
     "exists_incomparable",
     "gpf",
-    "ideal_power",
-    "ideal_product",
     "incomparable",
     "interchange",
     "intersect",
     "max_prime_extension",
     "module_scale",
-    "module_sum",
     "rpe_filtration",
     "saturate",
     "sort_primes",

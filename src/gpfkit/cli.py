@@ -21,13 +21,12 @@ import time
 
 from . import dsl
 from .errors import (
-    BudgetError,
     GpfError,
     IncompleteRegistryError,
     ParseError,
     VerificationError,
 )
-from .filtration import max_steps_default, rpe_filtration, verify_rpe
+from .filtration import rpe_filtration, verify_rpe
 from .gpf import (
     PrimeMultiset,
     check_iff_criterion,
@@ -81,7 +80,6 @@ class Runner:
         self.args = args
         self.out = out
         self.tie_break = args.tie_break
-        self.max_steps = args.max_steps
 
     @property
     def source(self):
@@ -179,11 +177,7 @@ class Runner:
         )
         module = self.env.module(cmd.args["module"], cmd.line, cmd.col)
         filt = rpe_filtration(
-            sub,
-            module,
-            source=self.source,
-            tie_break=self.tie_break,
-            max_steps=self.max_steps,
+            sub, module, source=self.source, tie_break=self.tie_break
         )
         inputs = {
             "submodule": _fmt_sub(sub),
@@ -299,12 +293,7 @@ class Runner:
     def cmd_construct(self, cmd):
         target = self.env.target(cmd.args["factors"], cmd.line, cmd.col)
         module = self.env.module(cmd.args["module"], cmd.line, cmd.col)
-        sub = construct_general(
-            target,
-            module,
-            source=self.source,
-            tie_break=self.tie_break,
-        )
+        sub = construct_general(target, module, source=self.source)
         inputs = {
             "target": str(target),
             "module": _fmt_module(module),
@@ -383,16 +372,6 @@ def _run_oracle(args, out):
     return EXIT_OK if report["ok"] else EXIT_VERIFICATION
 
 
-def _step_budget(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gpfkit",
@@ -414,12 +393,6 @@ def build_parser():
         choices=("lex", "revlex"),
         default="lex",
         help="ordering used to break ties between maximal primes",
-    )
-    parser.add_argument(
-        "--max-steps",
-        type=_step_budget,
-        default=None,
-        help="filtration step budget (default from GPFKIT_MAX_STEPS or 64)",
     )
     parser.add_argument(
         "--oracle",
@@ -462,13 +435,6 @@ def _run(args, out):
         build_parser().print_usage(sys.stderr)
         sys.stderr.write("error: need a script file or --oracle\n")
         return EXIT_USAGE
-    if args.max_steps is None:
-        # a bad GPFKIT_MAX_STEPS is a usage error before any command runs
-        try:
-            args.max_steps = max_steps_default()
-        except BudgetError as exc:
-            sys.stderr.write("error: %s\n" % exc)
-            return EXIT_USAGE
     if args.oracle:
         code = _run_oracle(args, out)
         if code != EXIT_OK or args.script is None:

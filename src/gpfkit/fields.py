@@ -65,9 +65,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return self.mul(a, self.invert(b))
-
     def coeff_str(self, a):
         return str(a)
 
@@ -115,9 +112,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.q - 2, self.q)
-
-    def div(self, a, b):
-        return self.mul(a, self.invert(b))
 
     def coeff_str(self, a):
         return str(a % self.q)

@@ -18,8 +18,6 @@ re-verified from scratch.
 
 from __future__ import annotations
 
-import os
-
 from .errors import (
     BudgetError,
     HypothesisError,
@@ -31,25 +29,12 @@ from .primes import (
     MONOMIAL,
     ass_enumerate,
     check_tie_break,
-    is_maximal_in,
     sort_primes,
 )
 from .record import Record
 
-DEFAULT_MAX_STEPS = 64
-
-
-def max_steps_default():
-    raw = os.environ.get("GPFKIT_MAX_STEPS")
-    if raw is None:
-        return DEFAULT_MAX_STEPS
-    try:
-        val = int(raw)
-    except ValueError:
-        raise BudgetError("GPFKIT_MAX_STEPS must be an integer, got %r" % raw)
-    if val < 1:
-        raise BudgetError("GPFKIT_MAX_STEPS must be positive, got %d" % val)
-    return val
+# Steps one filtration may take before it is refused with BudgetError.
+MAX_STEPS = 64
 
 
 class StepFlags(Record):
@@ -135,15 +120,18 @@ def verify_step(lower, upper, prime, ambient, source=MONOMIAL):
         flags.prime_extension_verified = True
 
     # Maximality: upper is the full colon of lower by the prime in M.
-    full = colon_module(lower, prime.ideal, ambient)
+    full = colon_module(lower, prime, ambient)
     if full.equals(upper):
         flags.maximal_verified = True
     else:
         problems.append("upper is not the full colon (lower : prime) in M")
 
-    # Regularity: the prime is maximal among Ass(M/lower).
+    # Regularity: the prime is a member of Ass(M/lower) that no other
+    # member strictly contains.
     amb_ass = ass_enumerate(ambient.with_denominator(lower), source)
-    if amb_ass.contains_prime(prime) and is_maximal_in(prime, amb_ass):
+    if amb_ass.contains_prime(prime) and not any(
+        q.key() != prime.key() and q.strictly_contains(prime) for q in amb_ass
+    ):
         flags.regular_verified = True
     else:
         problems.append(
@@ -160,7 +148,7 @@ def max_prime_extension(N, M, p, source=MONOMIAL):
     """
     if not M.contains_submodule(N):
         raise VerificationError("base submodule is not inside the module")
-    K = colon_module(N, p.ideal, M)
+    K = colon_module(N, p, M)
     if K.equals(N):
         raise HypothesisError(
             "the colon (N : p) equals N, so p is not associated to M/N",
@@ -190,15 +178,19 @@ def max_prime_extension(N, M, p, source=MONOMIAL):
     return PrimeExtensionStep(lower=N, upper=K, prime=p, flags=flags)
 
 
-def rpe_filtration(N, M, source=MONOMIAL, tie_break="lex", max_steps=None):
+def rpe_filtration(N, M, source=MONOMIAL, tie_break="lex"):
     """A regular prime extension filtration from N up to M.
 
     Each step colons out a maximal element of the freshly enumerated
-    Ass(M/current); the loop must exhaust the quotient within max_steps.
+    Ass(M/current); the loop must exhaust the quotient within `MAX_STEPS`
+    steps.
+
+    The step flags are derived, not re-checked: for p maximal in a
+    complete Ass(M/N), (N : p)/N has the single associated prime p, so
+    the step is a regular maximal prime extension.  Over a candidate
+    registry they rest on the registry; `verify_rpe` re-derives them.
     """
     check_tie_break(tie_break)
-    if max_steps is None:
-        max_steps = max_steps_default()
     if not M.contains_submodule(N):
         raise VerificationError("base submodule is not inside the module")
     if N.contains_module(M.full()):
@@ -213,9 +205,9 @@ def rpe_filtration(N, M, source=MONOMIAL, tie_break="lex", max_steps=None):
         Q = M.with_denominator(cur)
         if Q.is_zero():
             break
-        if len(steps) >= max_steps:
+        if len(steps) >= MAX_STEPS:
             raise BudgetError(
-                "filtration did not terminate within %d steps" % max_steps
+                "filtration did not terminate within %d steps" % MAX_STEPS
             )
         ass = ass_enumerate(Q, source)
         complete = complete and ass.complete
@@ -225,7 +217,7 @@ def rpe_filtration(N, M, source=MONOMIAL, tie_break="lex", max_steps=None):
                 "candidate registry is missing a prime"
             )
         p = sort_primes(ass.maximal_elements(), tie_break)[0]
-        K = colon_module(cur, p.ideal, M)
+        K = colon_module(cur, p, M)
         if K.equals(cur):
             raise VerificationError(
                 "colon by a reported associated prime did not grow the "
@@ -278,7 +270,7 @@ def interchange(filt, i):
             evidence={"lower": str(p_low), "upper": str(p_high)},
         )
     window = filt.ambient.module_of(hi.upper)
-    mid = colon_module(lo.lower, p_high.ideal, window)
+    mid = colon_module(lo.lower, p_high, window)
     if mid.equals(lo.lower) or mid.equals(hi.upper):
         raise VerificationError(
             "interchange produced a degenerate middle module"
@@ -297,7 +289,7 @@ def interchange(filt, i):
     )
 
 
-def verify_rpe(filt, source=None):
+def verify_rpe(filt):
     """Re-derive every property of the filtration; returns a report dict.
 
     Checks, for each step: the chain is properly increasing; the colon
@@ -305,10 +297,9 @@ def verify_rpe(filt, source=None):
     exactly that associated prime; the upper module is the full colon in
     the ambient module; and the prime is maximal among the associated
     primes of M over the lower module.  Also checks the chain starts at
-    the base and reaches the whole module.
+    the base and reaches the whole module.  Associated primes are
+    enumerated as the filtration's own were, from `filt.source`.
     """
-    if source is None:
-        source = filt.source
     report = {"ok": True, "steps": [], "problems": []}
     M = filt.ambient
     prev = filt.base
@@ -319,7 +310,7 @@ def verify_rpe(filt, source=None):
             )
             report["ok"] = False
         flags, problems = verify_step(
-            step.lower, step.upper, step.prime, M, source
+            step.lower, step.upper, step.prime, M, filt.source
         )
         if not flags.all_verified():
             report["ok"] = False

@@ -174,9 +174,12 @@ class FactorizationTarget(PrimeMultiset):
         return partial_products(self.pairs)[-1]
 
 
-def gpf(N, M, source=MONOMIAL, tie_break="lex"):
-    """The factorization of N in M: the multiset of filtration primes."""
-    filt = rpe_filtration(N, M, source=source, tie_break=tie_break)
+def gpf(N, M, source=MONOMIAL):
+    """The factorization of N in M: the multiset of filtration primes.
+
+    The multiset does not depend on the filtration, so the tie-break
+    between maximal primes is not a parameter here."""
+    filt = rpe_filtration(N, M, source=source)
     return PrimeMultiset.from_primes(filt.primes())
 
 
@@ -298,9 +301,9 @@ def exists_incomparable(primes, M, source=MONOMIAL, tie_break="lex"):
     return ExistsReport(True, K, conditions, PrimeMultiset.from_primes(primes))
 
 
-def _verified(N, M, want, source, tie_break):
+def _verified(N, M, want, source):
     """N, once an independent filtration run in M factors it as want."""
-    got = gpf(N, M, source=source, tie_break=tie_break)
+    got = gpf(N, M, source=source)
     if not got.equals(want):
         raise VerificationError(
             "constructed submodule factors as %s, not %s" % (got, want)
@@ -355,10 +358,10 @@ def construct_incomparable(primes, M, N0=None, source=MONOMIAL, tie_break="lex")
             pos += 1
         boundary -= 1
     K = filt.modules()[n - len(primes)]
-    return _verified(K, M, PrimeMultiset.from_primes(primes), source, tie_break)
+    return _verified(K, M, PrimeMultiset.from_primes(primes), source)
 
 
-def construct_prime_power(p, r, M, source=MONOMIAL, tie_break="lex"):
+def construct_prime_power(p, r, M, source=MONOMIAL):
     """A submodule N of M with factorization p^r, when one exists.
 
     Requires p associated to p^{r-1}M / p^r M.  N is the saturation of
@@ -369,7 +372,7 @@ def construct_prime_power(p, r, M, source=MONOMIAL, tie_break="lex"):
     r = int(r)
     if r < 1:
         raise ValueError("exponent must be >= 1")
-    _, below, power = partial_products([(p.ideal, r - 1), (p.ideal, 1)])
+    _, below, power = partial_products([(p, r - 1), (p, 1)])
     B = module_scale(power, M)
     A = module_scale(below, M)
     Q = M.module_of(A).with_denominator(B)
@@ -390,7 +393,7 @@ def construct_prime_power(p, r, M, source=MONOMIAL, tie_break="lex"):
         f = M.ring.one()
         for q in others:
             pick = None
-            for g in q.ideal.canonical_gens():
+            for g in q.canonical_gens():
                 if not p.contains(g):
                     pick = g
                     break
@@ -405,10 +408,10 @@ def construct_prime_power(p, r, M, source=MONOMIAL, tie_break="lex"):
                 "witness product %s unexpectedly lies in %s" % (f, p)
             )
         N = saturate(B, f, M)
-    return _verified(N, M, PrimeMultiset([(p, r)]), source, tie_break)
+    return _verified(N, M, PrimeMultiset([(p, r)]), source)
 
 
-def construct_general(target, M, source=MONOMIAL, tie_break="lex"):
+def construct_general(target, M, source=MONOMIAL):
     """A submodule with the target factorization, built tail-first.
 
     Checks the telescoping support conditions, and refuses when one fails,
@@ -436,9 +439,9 @@ def construct_general(target, M, source=MONOMIAL, tie_break="lex"):
     cur = M
     N = None
     for p, r in reversed(target.pairs):
-        N = construct_prime_power(p, r, cur, source=source, tie_break=tie_break)
+        N = construct_prime_power(p, r, cur, source=source)
         cur = M.module_of(N)
-    return _verified(N, M, target, source, tie_break)
+    return _verified(N, M, target, source)
 
 
 class NecessaryReport(Record):
@@ -448,7 +451,7 @@ class NecessaryReport(Record):
     _defaults = ((), True)
 
 
-def check_necessary_conditions(N, M, source=MONOMIAL, tie_break="lex"):
+def check_necessary_conditions(N, M, source=MONOMIAL):
     """Support conditions every factorization must satisfy when all its
     primes are minimal in Ass(M/N).
 
@@ -457,7 +460,7 @@ def check_necessary_conditions(N, M, source=MONOMIAL, tie_break="lex"):
     each i that p_i lies in the support of the full product with the i-th
     exponent reduced by one.
     """
-    factors = gpf(N, M, source=source, tie_break=tie_break)
+    factors = gpf(N, M, source=source)
     pset = factors.prime_set()
     if not pset.is_antichain():
         return NecessaryReport(

@@ -163,14 +163,6 @@ def unit_ideal(ring):
     return Ideal(ring, Submodule.of_split(ring, [[(0,) * ring.nvars]]))
 
 
-def ideal_product(a, b):
-    return a.product(b)
-
-
-def ideal_power(a, r):
-    return a.power(r)
-
-
 def partial_products(pairs):
     """[(1), a1^r1, a1^r1 a2^r2, ...] for a sequence of (ideal, exponent)
     pairs; the last entry is the ordered product.
@@ -609,8 +601,3 @@ def intersect(N1, N2):
         return Submodule.of_split(N1.ring, got)
     rows = [n + n for n in N1.gens]
     return Submodule.of_basis(_kernel(N1.ring, rows, N2.gens, 1, N1.rank))
-
-
-def module_sum(N1, N2):
-    return N1.plus(N2)
-

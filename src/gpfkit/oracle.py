@@ -41,11 +41,13 @@ from .arith import Polynomial, PolyRing, mono_degree, mono_divides, mono_key
 from .errors import BudgetError, VerificationError
 from .fields import GF
 from .modops import Ideal, QuotientModule, colon_ideal, colon_module
-from .primes import ass_enumerate
+from .primes import ass_enumerate, check_tie_break
 from .gpf import gpf
 from .record import Record
 
 DEFAULT_BUDGET = 4096
+# Steps one oracle filtration may take before it is refused.
+MAX_STEPS = 32
 
 
 class Subspace:
@@ -379,16 +381,14 @@ def _kernel(field, basis, image):
     ]
 
 
-def colon_bruteforce(N, gens, M, deg_bound=None):
+def colon_bruteforce(N, gens, M):
     """{x in M : g x in N for each g}, solved over the trusted window and
     closed up under the ring action."""
     ring = M.ring
     gens = [g for g in gens if any(g)]
     if not gens:
         return M.full_space()
-    gdeg = max(ring.deg(g) for g in gens)
-    if deg_bound is None:
-        deg_bound = ring.trusted_degree - 1 - gdeg
+    deg_bound = ring.trusted_degree - 1 - max(ring.deg(g) for g in gens)
     if deg_bound < 0:
         raise BudgetError(
             "colon generators exceed the trusted degree window"
@@ -462,19 +462,18 @@ def _ass_scan(N, M, z_max, check_primality):
     return sorted(found)
 
 
-def rpe_bruteforce(N, M, tie_break="lex", z_max=1, max_steps=32):
+def rpe_bruteforce(N, M, tie_break="lex"):
     """Filtration primes by repeated maximal-prime colon scans."""
-    if tie_break not in ("lex", "revlex"):
-        raise ValueError("tie_break must be 'lex' or 'revlex'")
+    check_tie_break(tie_break)
     ring = M.ring
     names = ring.model.names
     full = M.full_space()
     cur = N
     out = []
     while not cur.equals(full):
-        if len(out) >= max_steps:
-            raise BudgetError("oracle filtration exceeded %d steps" % max_steps)
-        ass = ass_bruteforce(cur, M, z_max=z_max)
+        if len(out) >= MAX_STEPS:
+            raise BudgetError("oracle filtration exceeded %d steps" % MAX_STEPS)
+        ass = ass_bruteforce(cur, M)
         if not ass:
             raise VerificationError(
                 "oracle found no associated prime for a proper submodule"
@@ -563,7 +562,7 @@ def _build(variables, caps, relations=(), rank=1, denom=(), N=(), *, rings):
 def _varset_of(prime):
     """Variable indices of a monomial prime over its symbolic ring."""
     out = []
-    for g in prime.ideal.canonical_gens():
+    for g in prime.canonical_gens():
         mono = next(iter(g.monomials()))
         (i,) = [k for k, e in enumerate(mono) if e]
         out.append(i)

@@ -107,7 +107,9 @@ class PrimeIdeal(Ideal):
 
     @property
     def ideal(self):
-        """The prime as a plain ideal: the prime itself."""
+        """The prime itself.  A prime is an `Ideal`, so the library reads
+        it directly; this stays only because `gpfbench/worker.py` reads
+        it, and can go once the benchmark stops doing so."""
         return self
 
     def token(self):
@@ -213,16 +215,6 @@ class CandidateRegistry:
         return len(self.primes)
 
 
-def is_maximal_in(p, primes):
-    """Whether no member of the set strictly contains p; p must belong."""
-    members = list(primes)
-    if not any(q.key() == p.key() for q in members):
-        raise ValueError("prime is not a member of the set")
-    return not any(
-        q.key() != p.key() and q.strictly_contains(p) for q in members
-    )
-
-
 class AssEvidence(Record):
     """The verdict of a membership test with the colon module K and, when
     K != N, the annihilator of K/N."""
@@ -246,7 +238,7 @@ def ass_membership(p, Q):
     if p.ring != Q.ring:
         raise RingMismatchError("prime over a different ring")
     N = Q.span(())
-    K = colon_module(N, p.ideal, Q)
+    K = colon_module(N, p, Q)
     if K.equals(N):
         return AssEvidence(False, K, None)
     ann = colon_ideal(N, K)

@@ -30,7 +30,6 @@ from gpfkit.gpf import (
 from gpfkit.modops import (
     QuotientModule,
     colon_module,
-    ideal_power,
     module_scale,
 )
 from gpfkit.oracle import (
@@ -77,11 +76,11 @@ def test_criterion_1_binomial_quotient_reference_values():
     ring, p, m, registry = twisted_setup()
     x, y, z = ring.gen(0), ring.gen(1), ring.gen(2)
     M = QuotientModule.of_ring(ring)
-    p2 = ideal_power(p.ideal, 2)
-    p_sub = M.span([(g,) for g in p.ideal.gens])
+    p2 = p.power(2)
+    p_sub = M.span([(g,) for g in p.gens])
     p2_sub = M.span([(g,) for g in p2.gens])
 
-    colon = colon_module(p2_sub, p.ideal, M)
+    colon = colon_module(p2_sub, p, M)
     assert colon.equals(ideal_sub(ring, x, y, z))
 
     seg = M.module_of(p_sub).with_denominator(p2_sub)
@@ -116,7 +115,7 @@ def test_criterion_2_counterexample_module():
     bad = report.first_failure()
     assert bad.index == 1
     assert bad.module_is_zero
-    scaled = QuotientModule(module_scale(px.ideal, M), M.span(()), check=False)
+    scaled = QuotientModule(module_scale(px, M), M.span(()), check=False)
     assert scaled.is_zero()
     assert time.monotonic() - t0 < 5.0
 
@@ -292,7 +291,7 @@ def test_criterion_8_prime_power():
     M = QuotientModule.of_ring(ring)
     m = PrimeIdeal(ring, [x, y])
     N = construct_prime_power(m, 2, M)
-    assert N.equals(module_scale(ideal_power(m.ideal, 2), M))
+    assert N.equals(module_scale(m.power(2), M))
     assert N.equals(ideal_sub(ring, x * x, x * y, y * y))
     assert gpf(N, M).equals(PrimeMultiset([(m, 2)]))
 

@@ -11,7 +11,7 @@ from gpfkit.cache import LRU, clear_caches
 from gpfkit.errors import IncompleteRegistryError, RingMismatchError
 from gpfkit.fields import GF, QQ
 from gpfkit.groebner import buchberger
-from gpfkit.modops import QuotientModule, ideal_power, module_scale
+from gpfkit.modops import QuotientModule, module_scale
 from gpfkit.primes import (
     ATTEST_ASSUMED,
     ATTEST_FINITE,
@@ -119,8 +119,8 @@ def test_prime_power_construction_reads_the_cached_verdict(monkeypatch):
     computed again."""
     ring, p, m, registry = twisted_setup()
     M = QuotientModule.of_ring(ring)
-    Q = M.module_of(module_scale(m.ideal, M)).with_denominator(
-        module_scale(ideal_power(m.ideal, 2), M)
+    Q = M.module_of(module_scale(m, M)).with_denominator(
+        module_scale(m.power(2), M)
     )
     assert ass_contains(m, Q)
     compute = primes.ass_membership
@@ -136,7 +136,7 @@ def test_prime_power_construction_reads_the_cached_verdict(monkeypatch):
     monkeypatch.setattr(primes, "ass_membership", counting)
     monkeypatch.setattr(gpf_module, "ass_membership", counting)
     N = gpf_module.construct_prime_power(m, 2, M, source=registry)
-    assert N.equals(module_scale(ideal_power(m.ideal, 2), M))
+    assert N.equals(module_scale(m.power(2), M))
     assert repeats == []
 
 

@@ -209,6 +209,7 @@ def test_missing_script_is_usage_error(capsys):
     "flags",
     [
         ("--tie-break", "foo"),
+        # no flag sets the step budget, filtration.MAX_STEPS
         ("--max-steps", "abc"),
         ("--max-steps", "0"),
         ("--max-steps", "-3"),
@@ -226,33 +227,39 @@ def test_bad_flags_are_usage_errors(tmp_path, capsys, flags):
     assert "error:" in captured.err
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "abc", ""])
-def test_bad_max_steps_environment_is_usage_error(tmp_path, capsys, monkeypatch, value):
-    """GPFKIT_MAX_STEPS is the --max-steps default and is checked the same
-    way: exit 1 before any command prints."""
+@pytest.mark.parametrize("value", ["0", "-3", "1", "abc", ""])
+def test_max_steps_environment_is_ignored(tmp_path, capsys, monkeypatch, value):
+    """gpfkit reads no GPFKIT_MAX_STEPS: whatever its value, a run prints
+    the bytes of a run without it."""
+    monkeypatch.delenv("GPFKIT_MAX_STEPS", raising=False)
+    assert _run(tmp_path, CHAIN, "--json") == 0
+    want = capsys.readouterr()
     monkeypatch.setenv("GPFKIT_MAX_STEPS", value)
-    assert _run(tmp_path, CHAIN, "--json") == 1
+    assert _run(tmp_path, CHAIN, "--json") == 0
+    assert capsys.readouterr() == want
+
+
+def test_step_budget_refusal_exit_two(tmp_path, capsys, monkeypatch):
+    """The gpf of CHAIN takes two filtration steps: refused with exit 2
+    under filtration.MAX_STEPS = 1, run under 2."""
+    from gpfkit import filtration
+
+    monkeypatch.setattr(filtration, "MAX_STEPS", 1)
+    assert _run(tmp_path, CHAIN, "--json") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: GPFKIT_MAX_STEPS must be" in captured.err
-
-
-def test_max_steps_environment_sets_the_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GPFKIT_MAX_STEPS", "1")
-    assert _run(tmp_path, CHAIN, "--json") == 2  # the gpf needs two steps
-    assert "within 1 steps" in capsys.readouterr().err
-    assert _run(tmp_path, CHAIN, "--json", "--max-steps", "2") == 0
-    capsys.readouterr()
-    # a given flag wins, and a bad environment value is then never read
-    monkeypatch.setenv("GPFKIT_MAX_STEPS", "abc")
-    assert _run(tmp_path, CHAIN, "--json", "--max-steps", "2") == 0
+    assert "within 1 steps" in captured.err
+    monkeypatch.setattr(filtration, "MAX_STEPS", 2)
+    assert _run(tmp_path, CHAIN, "--json") == 0
 
 
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "--max-steps" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--tie-break" in out
+    assert "--max-steps" not in out
 
 
 def test_tie_break_flag(tmp_path, capsys):
@@ -267,6 +274,32 @@ def test_tie_break_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     obj = json.loads(out.strip().splitlines()[0])
     assert [s["prime"] for s in obj["result"]["steps"]] == ["(x)", "(y)"]
+
+
+CONSTRUCT = """
+ring R = QQ[x,y,z];
+prime p = (x);
+prime q = (y);
+prime r = (z);
+prime m = (x, y);
+prime n = (x, y, z);
+module M = free(2) / ((x*y, 0));
+construct m^2 * p in M;
+construct n * q^2 * r in R;
+construct m * r^2 in M;
+"""
+
+
+def test_construct_output_does_not_depend_on_the_tie_break(tmp_path, capsys):
+    """A factorization is unique, so `construct` prints the same bytes
+    under either tie-break."""
+    assert _run(tmp_path, CONSTRUCT, "--json", "--tie-break", "lex") == 0
+    lex = capsys.readouterr().out
+    assert _run(tmp_path, CONSTRUCT, "--json", "--tie-break", "revlex") == 0
+    assert capsys.readouterr().out == lex
+    assert [json.loads(line)["command"] for line in lex.splitlines()] == [
+        "construct"
+    ] * 3
 
 
 class _ClosedPipe(io.StringIO):

@@ -290,3 +290,28 @@ def test_cli_import_skips_dataclasses_and_inspect():
         check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_no_module_reads_the_environment():
+    """Budgets and options are module constants or command-line flags; no
+    gpfkit module reads os.environ or os.getenv, so none regains an
+    environment route."""
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for sub in ast.walk(tree):
+            if (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "os"
+                and sub.attr in reads
+            ):
+                found.append("os.%s in %s" % (sub.attr, path.name))
+            elif isinstance(sub, ast.ImportFrom) and sub.module == "os":
+                found += [
+                    "os.%s in %s" % (a.name, path.name)
+                    for a in sub.names
+                    if a.name in reads
+                ]
+    assert not found, "environment reads: %s" % ", ".join(found)

@@ -71,7 +71,7 @@ def test_canonical_poly_strings_reparse():
         probe = dsl.Env()
         for stmt in script.statements:
             probe.declare(stmt)
-        back = probe.names["junk"][1].ideal.gens[0]
+        back = probe.names["junk"][1].gens[0]
         assert str(back) == text
 
 

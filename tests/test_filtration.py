@@ -1,5 +1,4 @@
 import importlib
-import os
 import random
 
 import pytest
@@ -14,6 +13,7 @@ from gpfkit.filtration import (
     max_prime_extension,
     rpe_filtration,
     verify_rpe,
+    verify_step,
 )
 from gpfkit.fields import GF, QQ
 from gpfkit.modops import QuotientModule, colon_module, module_scale, partial_products
@@ -193,7 +193,7 @@ def test_max_prime_extension_flags_non_maximal_prime():
     N = M.span(((x * x,), (x * y,)))
     px = PrimeIdeal(ring, [x])
     step = max_prime_extension(N, M, px)
-    assert step.upper.equals(colon_module(N, px.ideal, M))
+    assert step.upper.equals(colon_module(N, px, M))
     assert step.flags.maximal_verified is True
     assert step.flags.prime_extension_verified is False
     assert step.flags.regular_verified is False
@@ -202,6 +202,23 @@ def test_max_prime_extension_flags_non_maximal_prime():
     assert step2.flags.maximal_verified
     assert step2.flags.prime_extension_verified
     assert step2.flags.regular_verified
+
+
+def test_verify_step_regularity_needs_an_associated_prime():
+    """A prime outside Ass(M/lower) = {(x), (x, y)} is not regular, whether
+    a member contains it, as (x, y) contains (y), or none does, as for
+    (x, y - 1).  (x^2, xy) < (x) is the full colon by (y)."""
+    ring, x, y = xy_ring()
+    M = QuotientModule.of_ring(ring)
+    N = M.span(((x * x,), (x * y,)))
+    upper = M.span(((x,),))
+    py = PrimeIdeal(ring, [y])
+    assert upper.equals(colon_module(N, py, M))
+    for prime in (py, PrimeIdeal(ring, [x, y - ring.one()])):
+        flags, problems = verify_step(N, upper, prime, M)
+        assert flags.maximal_verified == (prime is py)
+        assert not flags.regular_verified
+        assert "prime is not maximal in Ass(M/lower) = {(x), (x, y)}" in problems
 
 
 def test_max_prime_extension_rejects_trivial_colon():
@@ -213,24 +230,19 @@ def test_max_prime_extension_rejects_trivial_colon():
         max_prime_extension(N, M, py)
 
 
-def test_rpe_respects_step_budget():
+def test_rpe_respects_step_budget(monkeypatch):
+    """A filtration of n steps passes at MAX_STEPS = n and is refused,
+    naming the bound, at n - 1."""
     ring, x, y = xy_ring()
     M = QuotientModule.of_ring(ring)
     N = M.span(((x * x * x,), (x * y,), (y * y * y,)))
-    with pytest.raises(BudgetError):
-        rpe_filtration(N, M, max_steps=1)
-    old = os.environ.get("GPFKIT_MAX_STEPS")
-    os.environ["GPFKIT_MAX_STEPS"] = "1"
-    try:
-        with pytest.raises(BudgetError):
-            rpe_filtration(N, M)
-    finally:
-        if old is None:
-            del os.environ["GPFKIT_MAX_STEPS"]
-        else:
-            os.environ["GPFKIT_MAX_STEPS"] = old
+    n = len(rpe_filtration(N, M))
+    monkeypatch.setattr(filtration, "MAX_STEPS", n)
     filt = rpe_filtration(N, M)
     assert verify_rpe(filt)["ok"]
+    monkeypatch.setattr(filtration, "MAX_STEPS", n - 1)
+    with pytest.raises(BudgetError, match="within %d steps" % (n - 1)):
+        rpe_filtration(N, M)
 
 
 def test_filtration_primes_are_the_associated_primes():
@@ -249,9 +261,10 @@ def test_filtration_primes_are_the_associated_primes():
 def test_twisted_verify_with_registry():
     ring, p, m, registry = twisted_setup()
     M = QuotientModule.of_ring(ring)
-    N = M.span([(g,) for g in p.ideal.gens])
+    N = M.span([(g,) for g in p.gens])
     filt = rpe_filtration(N, M, source=registry)
-    report = verify_rpe(filt, source=registry)
+    assert filt.source is registry
+    report = verify_rpe(filt)
     assert report["ok"]
 
 

@@ -17,10 +17,10 @@ from gpfkit.gpf import (
 )
 from gpfkit.modops import (
     QuotientModule,
-    ideal_power,
     module_scale,
     partial_products,
 )
+from gpfkit.filtration import rpe_filtration
 from gpfkit.primes import PrimeIdeal
 
 from helpers import (
@@ -99,14 +99,18 @@ def test_target_products():
 
 
 def test_gpf_monomial_chain_both_tie_breaks():
+    """The filtration primes under either tie-break form the multiset
+    gpf returns."""
     ring, x, y, px, py, m = _xy_primes()
     M = QuotientModule.of_ring(ring)
     N = M.span(((x * x,), (x * y,)))
     want = PrimeMultiset.from_primes([m, px])
+    got = gpf(N, M)
+    assert got.equals(want)
+    assert str(got) == "(x) * (x, y)"
     for tb in ("lex", "revlex"):
-        got = gpf(N, M, tie_break=tb)
-        assert got.equals(want)
-        assert str(got) == "(x) * (x, y)"
+        filt = rpe_filtration(N, M, tie_break=tb)
+        assert PrimeMultiset.from_primes(filt.primes()).equals(want)
 
 
 def test_gpf_counterexample_module():

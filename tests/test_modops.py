@@ -17,11 +17,8 @@ from gpfkit.modops import (
     colon_ideal,
     colon_module,
     ideal_intersection,
-    ideal_power,
-    ideal_product,
     intersect,
     module_scale,
-    module_sum,
     partial_products,
     saturate,
 )
@@ -96,7 +93,7 @@ def test_colon_ideal_unit_iff_equal():
     one = Ideal(ring, [ring.one()])
     for _ in range(25):
         B = random_monomial_sub(rng, M)
-        A = module_sum(B, random_monomial_sub(rng, M))
+        A = B.plus(random_monomial_sub(rng, M))
         unit = colon_ideal(B, A).equals(one)
         assert unit == B.contains_module(A)
 
@@ -104,9 +101,9 @@ def test_colon_ideal_unit_iff_equal():
 def test_twisted_colon_is_maximal_ideal():
     ring, p, m, _ = twisted_setup()
     M = QuotientModule.of_ring(ring)
-    p2 = ideal_power(p.ideal, 2)
+    p2 = p.power(2)
     N = M.span([(g,) for g in p2.gens])
-    got = colon_module(N, p.ideal, M)
+    got = colon_module(N, p, M)
     assert got.equals(M.span([(g,) for g in m.gens]))
 
 
@@ -190,11 +187,11 @@ def test_twisted_saturation_of_prime_square():
     ring, p, _, _ = twisted_setup()
     x, y = ring.gen(0), ring.gen(1)
     M = QuotientModule.of_ring(ring)
-    N = M.span([(g,) for g in ideal_power(p.ideal, 2).gens])
+    N = M.span([(g,) for g in p.power(2).gens])
     for f in (y, y * y - x):
         got = saturate(N, f, M)
         assert got.gens == _iterated_saturation(N, f, M).gens
-        assert got.equals(M.span([(g,) for g in p.ideal.gens]))
+        assert got.equals(M.span([(g,) for g in p.gens]))
 
 
 def test_intersection_and_sum():
@@ -202,7 +199,7 @@ def test_intersection_and_sum():
     A = ideal_sub(ring, x)
     B = ideal_sub(ring, y)
     assert intersect(A, B).equals(ideal_sub(ring, x * y))
-    assert module_sum(A, B).equals(ideal_sub(ring, x, y))
+    assert A.plus(B).equals(ideal_sub(ring, x, y))
 
 
 def test_module_scale():
@@ -219,11 +216,11 @@ def test_ideal_product_and_power():
     ring, x, y = xy_ring()
     a = Ideal(ring, [x])
     b = Ideal(ring, [x, y])
-    ab = ideal_product(a, b)
-    ba = ideal_product(b, a)
+    ab = a.product(b)
+    ba = b.product(a)
     assert ab.equals(ba)
-    assert ideal_power(b, 2).equals(ideal_product(b, b))
-    sq = ideal_power(b, 2)
+    assert b.power(2).equals(b.product(b))
+    sq = b.power(2)
     assert sq.contains(x * y) and not sq.contains(x)
 
 
@@ -235,7 +232,7 @@ def test_partial_products_accumulate():
     assert len(prods) == 3
     assert prods[0].equals(Ideal(ring, [ring.one()]))
     assert prods[1].equals(a)
-    assert prods[2].equals(ideal_product(a, b))
+    assert prods[2].equals(a.product(b))
 
 
 def test_partial_products_refuse_a_predicted_blowup(monkeypatch):
@@ -248,7 +245,7 @@ def test_partial_products_refuse_a_predicted_blowup(monkeypatch):
         partial_products([(a, 3), (b, 1)])
     monkeypatch.setattr(modops, "MAX_PRODUCT_GENS", 12)
     got = partial_products([(a, 3), (b, 1)])[-1]
-    assert got.equals(ideal_product(ideal_power(a, 3), b))
+    assert got.equals(a.power(3).product(b))
 
 
 def test_partial_products_sum_the_exponents_of_a_repeated_ideal(monkeypatch):
@@ -258,7 +255,7 @@ def test_partial_products_sum_the_exponents_of_a_repeated_ideal(monkeypatch):
     m = Ideal(ring, [x, y, z])
     monkeypatch.setattr(modops, "MAX_PRODUCT_GENS", 10)
     got = partial_products([(m, 1)] * 3)[-1]
-    assert got.equals(ideal_power(m, 3))
+    assert got.equals(m.power(3))
     monkeypatch.setattr(modops, "MAX_PRODUCT_GENS", 9)
     with pytest.raises(BudgetError, match="up to 10 generators is over the bound 9"):
         partial_products([(m, 1)] * 3)
@@ -273,7 +270,7 @@ def test_colon_law_product_equals_iterated():
         N = random_monomial_sub(rng, M)
         I = random_monomial_sub(rng, M).as_ideal()
         J = random_monomial_sub(rng, M).as_ideal()
-        direct = colon_module(N, ideal_product(I, J), M)
+        direct = colon_module(N, I.product(J), M)
         stepwise = colon_module(colon_module(N, I, M), J, M)
         assert direct.equals(stepwise)
 
@@ -285,7 +282,7 @@ def test_colon_antitone_in_ideal():
     for _ in range(15):
         N = random_monomial_sub(rng, M)
         I = random_monomial_sub(rng, M).as_ideal()
-        J = ideal_product(I, random_monomial_sub(rng, M).as_ideal())
+        J = I.product(random_monomial_sub(rng, M).as_ideal())
         bigger = colon_module(N, J, M)
         smaller = colon_module(N, I, M)
         assert bigger.contains_module(smaller)

@@ -22,7 +22,6 @@ from gpfkit.primes import (
     ass_enumerate,
     ass_membership,
     incomparable,
-    is_maximal_in,
     sort_primes,
     supp_contains,
 )
@@ -195,17 +194,6 @@ def test_prime_set_dedup_and_extremes():
     assert PrimeSet([px, PrimeIdeal(ring, [y])]).is_antichain()
 
 
-def test_is_maximal_in_requires_membership():
-    ring, x, y = xy_ring()
-    px = PrimeIdeal(ring, [x])
-    m = PrimeIdeal(ring, [x, y])
-    s = PrimeSet([px, m])
-    assert is_maximal_in(m, s)
-    assert not is_maximal_in(px, s)
-    with pytest.raises(ValueError):
-        is_maximal_in(PrimeIdeal(ring, [y]), s)
-
-
 def test_sort_primes_tie_breaks():
     ring, x, y = xy_ring()
     px = PrimeIdeal(ring, [x])
@@ -233,10 +221,9 @@ def test_ass_contains_on_twisted_segment():
     not p itself."""
     ring, p, m, registry = twisted_setup()
     M = QuotientModule.of_ring(ring)
-    from gpfkit.modops import ideal_power
 
-    p2 = ideal_power(p.ideal, 2)
-    psub = M.span([(g,) for g in p.ideal.gens])
+    p2 = p.power(2)
+    psub = M.span([(g,) for g in p.gens])
     Q = M.module_of(psub).with_denominator(M.span([(g,) for g in p2.gens]))
     assert ass_contains(m, Q)
     assert not ass_contains(p, Q)
@@ -262,9 +249,8 @@ def test_ass_enumerate_counterexample_module():
 def test_ass_enumerate_needs_monomial_or_registry():
     ring, p, m, registry = twisted_setup()
     M = QuotientModule.of_ring(ring)
-    from gpfkit.modops import ideal_power
 
-    p2 = ideal_power(p.ideal, 2)
+    p2 = p.power(2)
     Q = M.with_denominator(M.span([(g,) for g in p2.gens]))
     with pytest.raises(IncompleteRegistryError):
         ass_enumerate(Q)

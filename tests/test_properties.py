@@ -11,7 +11,7 @@ import pytest
 
 from gpfkit.arith import PolyRing
 from gpfkit.fields import QQ
-from gpfkit.gpf import FactorizationTarget, check_iff_criterion, gpf
+from gpfkit.gpf import FactorizationTarget, PrimeMultiset, check_iff_criterion, gpf
 from gpfkit.filtration import rpe_filtration
 from gpfkit.modops import QuotientModule, module_scale
 from gpfkit.primes import (
@@ -36,11 +36,16 @@ def _random_cases(count, nvars=3, seed=20260815):
 
 
 def test_gpf_is_tie_break_invariant():
+    """The factorization is unique: filtrations built under the two
+    tie-breaks carry the same prime multiset."""
     for rng, ring, M, N in _random_cases(25):
-        lex = gpf(N, M, tie_break="lex")
-        rev = gpf(N, M, tie_break="revlex")
+        lex, rev = (
+            PrimeMultiset.from_primes(rpe_filtration(N, M, tie_break=tb).primes())
+            for tb in ("lex", "revlex")
+        )
         assert lex.equals(rev), str(N)
         assert lex.total() == rev.total()
+        assert lex.equals(gpf(N, M)), str(N)
 
 
 def test_filtration_prime_set_is_ass():
