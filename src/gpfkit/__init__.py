@@ -18,7 +18,6 @@ from .filtration import (
     Filtration,
     PrimeExtensionStep,
     interchange,
-    max_prime_extension,
     rpe_filtration,
     verify_rpe,
 )
@@ -26,10 +25,8 @@ from .gpf import (
     FactorizationTarget,
     PrimeMultiset,
     check_iff_criterion,
-    check_necessary_conditions,
     check_supp_conditions,
     construct_general,
-    construct_incomparable,
     construct_prime_power,
     exists_incomparable,
     gpf,
@@ -86,20 +83,17 @@ __all__ = [
     "ass_enumerate",
     "ass_membership",
     "check_iff_criterion",
-    "check_necessary_conditions",
     "check_supp_conditions",
     "clear_caches",
     "colon_ideal",
     "colon_module",
     "construct_general",
-    "construct_incomparable",
     "construct_prime_power",
     "exists_incomparable",
     "gpf",
     "incomparable",
     "interchange",
     "intersect",
-    "max_prime_extension",
     "module_scale",
     "rpe_filtration",
     "saturate",

@@ -268,12 +268,7 @@ class Runner:
             for e in cmd.args["entries"]
         ]
         module = self.env.module(cmd.args["module"], cmd.line, cmd.col)
-        report = exists_incomparable(
-            primes,
-            module,
-            source=self.source,
-            tie_break=self.tie_break,
-        )
+        report = exists_incomparable(primes, module, source=self.source)
         inputs = {
             "primes": ", ".join(str(p) for p in primes),
             "module": _fmt_module(module),
@@ -392,7 +387,10 @@ def build_parser():
         "--tie-break",
         choices=("lex", "revlex"),
         default="lex",
-        help="ordering used to break ties between maximal primes",
+        help=(
+            "ordering used to break ties between maximal primes; changes "
+            "filtration and verify output only"
+        ),
     )
     parser.add_argument(
         "--oracle",

@@ -140,44 +140,6 @@ def verify_step(lower, upper, prime, ambient, source=MONOMIAL):
     return flags, problems
 
 
-def max_prime_extension(N, M, p, source=MONOMIAL):
-    """The maximal prime extension of N by p inside M, fully verified.
-
-    Requires p to be an associated prime of M/N; the extension is the
-    colon module K = (N : p) in M, which then satisfies Ass(K/N) = {p}.
-    """
-    if not M.contains_submodule(N):
-        raise VerificationError("base submodule is not inside the module")
-    K = colon_module(N, p, M)
-    if K.equals(N):
-        raise HypothesisError(
-            "the colon (N : p) equals N, so p is not associated to M/N",
-            evidence={"colon": K},
-        )
-    ann = colon_ideal(N, K)
-    if not p.equals(ann):
-        raise HypothesisError(
-            "p is not an associated prime of M/N: the extension has colon "
-            "ideal %s" % ann,
-            evidence={"colon": K, "ann": ann},
-        )
-    flags, problems = verify_step(N, K, p, M, source)
-    if not flags.maximal_verified:
-        raise VerificationError(
-            "maximal prime extension failed verification", report=problems
-        )
-    # When p is maximal among Ass(M/N) the step quotient must have the
-    # single associated prime p; for a non-maximal p extra primes can
-    # appear and the flag honestly stays off.
-    if flags.regular_verified and not flags.prime_extension_verified:
-        raise VerificationError(
-            "extension by a maximal associated prime is not a prime "
-            "extension",
-            report=problems,
-        )
-    return PrimeExtensionStep(lower=N, upper=K, prime=p, flags=flags)
-
-
 def rpe_filtration(N, M, source=MONOMIAL, tie_break="lex"):
     """A regular prime extension filtration from N up to M.
 

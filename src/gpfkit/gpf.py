@@ -4,18 +4,23 @@ The factorization of N in M is the multiset of step primes of any regular
 prime extension filtration of M over N; the multiset does not depend on
 the filtration.  This module answers the inverse questions:
 
-* for pairwise incomparable primes, the product p_1...p_n is a
-  factorization of some submodule exactly when every p_i lies in Supp(M);
-  the witness is carved out of a filtration over (p_1...p_n)M by pushing
-  one step per target prime to the tail with interchanges.
 * a prime power p^r is a factorization exactly when p is associated to
   p^{r-1}M/p^rM; the witness is the p-primary part of p^rM, computed by
   saturating with a single element chosen inside every other associated
   prime of M/p^rM but outside p.
-* for a general product a telescoping sufficient condition on supports
-  yields a witness built tail-first; the same products reduced at one
-  exponent give necessary conditions when every associated prime is
-  minimal.
+* for a general product a telescoping condition on supports is
+  sufficient, and a witness is built tail-first.  Localizing at p_i
+  (Matsumura, *Commutative Ring Theory*, Thm 6.2) turns every later prime
+  not inside p_i into the unit ideal, so when no later prime lies inside
+  p_i condition i reads p_i in Supp(p_i^{r_i-1}M), which every submodule
+  with the target factorization satisfies.  When a later prime does lie
+  inside p_i the condition is not necessary: over the direct sum of R/(x)
+  and R/(x, y) the product (x, y)(x) fails it, yet N = 0 has that
+  factorization.
+* for pairwise incomparable primes localization leaves only the test
+  p_i in Supp(M), so the product p_1...p_n is a factorization of some
+  submodule exactly when every p_i lies in Supp(M), and the general
+  construction builds the witness.
 * for the specific submodule aM there is an exact criterion: the colon
   chain (aM : a_i) by the partial products must have the single
   associated prime p_i at each stage.
@@ -41,7 +46,6 @@ from .modops import (
 )
 from .primes import (
     MONOMIAL,
-    PrimeIdeal,
     PrimeSet,
     ass_contains,
     ass_enumerate,
@@ -53,7 +57,6 @@ from .filtration import (
     Filtration,
     PrimeExtensionStep,
     colon_chain,
-    interchange,
     rpe_filtration,
     verify_step,
 )
@@ -87,9 +90,6 @@ class PrimeMultiset:
 
     def primes(self):
         return [p for p, _ in self.entries()]
-
-    def prime_set(self):
-        return PrimeSet(self.primes())
 
     def multiplicity(self, p):
         hit = self._entries.get(p.key())
@@ -237,37 +237,20 @@ class SuppReport(Record):
         return None
 
 
-def _supp_report(tests, M):
-    """For each (p, r, others), numbered from 1, whether p lies in the
-    support of p^{r-1} * others * M."""
-    conditions = []
-    for i, (p, r, others) in enumerate(tests, start=1):
-        J = partial_products([(p, r - 1), *others])[-1]
-        conditions.append(_supp_condition(i, p, module_scale(J, M), M))
-    return SuppReport(all(c.holds for c in conditions), conditions)
-
-
 def check_supp_conditions(target, M):
     """The telescoping support conditions sufficient for a witness.
 
-    For each index i the module p_i^{r_i-1} p_{i+1}^{r_{i+1}} ... p_n^{r_n} M
-    must have p_i in its support.  Needs no earlier prime contained in a
-    later one, which the target's descending order guarantees.
+    For each index i, numbered from 1, the module
+    p_i^{r_i-1} p_{i+1}^{r_{i+1}} ... p_n^{r_n} M must have p_i in its
+    support.  Needs no earlier prime contained in a later one, which the
+    target's descending order guarantees.
     """
     pairs = target.pairs
-    return _supp_report(
-        [(p, r, pairs[i + 1 :]) for i, (p, r) in enumerate(pairs)], M
-    )
-
-
-def _distinct(primes):
-    """The primes as a list, refused when empty or with a repeat."""
-    primes = list(primes)
-    if not primes:
-        raise ValueError("need at least one prime")
-    if len({p.key() for p in primes}) != len(primes):
-        raise ValueError("target primes must be distinct")
-    return primes
+    conditions = []
+    for i, (p, r) in enumerate(pairs, start=1):
+        J = partial_products([(p, r - 1), *pairs[i:]])[-1]
+        conditions.append(_supp_condition(i, p, module_scale(J, M), M))
+    return SuppReport(all(c.holds for c in conditions), conditions)
 
 
 class ExistsReport(Record):
@@ -277,14 +260,22 @@ class ExistsReport(Record):
     _defaults = (None,)
 
 
-def exists_incomparable(primes, M, source=MONOMIAL, tie_break="lex"):
+def exists_incomparable(primes, M, source=MONOMIAL):
     """Whether the product of pairwise incomparable primes arises as a
     factorization in M, with a verified witness when it does.
 
     The criterion is support membership: every prime must contain the
-    annihilator of M.  On success the witness is built over (p_1...p_n)M.
+    annihilator of M.  Localized at p_i the other primes of an antichain
+    are units, so this is exactly the telescoping condition, and
+    `construct_general` builds the witness.  A refusal there after the
+    test has passed contradicts that argument, so its `HypothesisError`
+    propagates.
     """
-    primes = _distinct(primes)
+    primes = list(primes)
+    if not primes:
+        raise ValueError("need at least one prime")
+    if len({p.key() for p in primes}) != len(primes):
+        raise ValueError("target primes must be distinct")
     for a, b in itertools.combinations(primes, 2):
         if not incomparable(a, b):
             raise ValueError("primes %s and %s are comparable" % (a, b))
@@ -294,11 +285,9 @@ def exists_incomparable(primes, M, source=MONOMIAL, tie_break="lex"):
         conditions.append(_supp_condition(i, p, full, M))
     if not all(c.holds for c in conditions):
         return ExistsReport(False, None, conditions)
-    K = construct_incomparable(
-        primes, M, source=source, tie_break=tie_break
-    )
-    # construct_incomparable has verified that K factors as exactly these
-    return ExistsReport(True, K, conditions, PrimeMultiset.from_primes(primes))
+    target = FactorizationTarget([(p, 1) for p in primes])
+    K = construct_general(target, M, source=source)
+    return ExistsReport(True, K, conditions, target)
 
 
 def _verified(N, M, want, source):
@@ -309,56 +298,6 @@ def _verified(N, M, want, source):
             "constructed submodule factors as %s, not %s" % (got, want)
         )
     return N
-
-
-def construct_incomparable(primes, M, N0=None, source=MONOMIAL, tie_break="lex"):
-    """A submodule K with factorization exactly the given primes, each once.
-
-    Builds a filtration of M over N0 (by default the product of the primes
-    times M), then pushes one step per target prime to the tail with
-    interchanges; K is the module the tail block starts at.  Each target
-    must be minimal in Ass(M/N0).
-    """
-    primes = _distinct(primes)
-    if N0 is None:
-        N0 = module_scale(partial_products([(p, 1) for p in primes])[-1], M)
-    filt = rpe_filtration(N0, M, source=source, tie_break=tie_break)
-    found = PrimeSet(filt.primes())
-    for p in primes:
-        if not found.contains_prime(p):
-            raise HypothesisError(
-                "prime %s is not associated to M/N0" % p,
-                evidence={"ass": str(found)},
-            )
-        if any(
-            p.strictly_contains(q) for q in found if q.key() != p.key()
-        ):
-            raise HypothesisError(
-                "prime %s is not minimal in Ass(M/N0)" % p,
-                evidence={"ass": str(found)},
-            )
-    n = len(filt.steps)
-    boundary = n
-    for p in sorted(primes, key=PrimeIdeal.token, reverse=True):
-        pos = None
-        for j in range(boundary, 0, -1):
-            if filt.steps[j - 1].prime.equals(p):
-                pos = j
-                break
-        if pos is None:
-            raise HypothesisError(
-                "no unclaimed filtration step carries %s" % p,
-                evidence={"primes": [str(q) for q in filt.primes()]},
-            )
-        while pos < boundary:
-            if filt.steps[pos].prime.equals(p):
-                pos += 1
-                continue
-            filt = interchange(filt, pos)
-            pos += 1
-        boundary -= 1
-    K = filt.modules()[n - len(primes)]
-    return _verified(K, M, PrimeMultiset.from_primes(primes), source)
 
 
 def construct_prime_power(p, r, M, source=MONOMIAL):
@@ -414,12 +353,15 @@ def construct_prime_power(p, r, M, source=MONOMIAL):
 def construct_general(target, M, source=MONOMIAL):
     """A submodule with the target factorization, built tail-first.
 
-    Checks the telescoping support conditions, and refuses when one fails,
-    saying so when its prime lies outside Supp(M), which proves that no
-    submodule has the target factorization.  Then walks the target from
-    the last prime to the first, replacing the working module by the
-    verified prime-power witness inside it.  The result is re-verified by
-    an independent filtration run in M.
+    Checks the telescoping support conditions, and refuses at the first
+    that fails.  The refusal says that no submodule has the target
+    factorization when that is proved: when the prime lies outside
+    Supp(M), or when no later target prime lies inside it, so that the
+    localized condition is necessary.  Otherwise it says the question is
+    open.  Then walks the target from the last prime to the first,
+    replacing the working module by the verified prime-power witness
+    inside it.  The result is re-verified by an independent filtration
+    run in M.
     """
     report = check_supp_conditions(target, M)
     if not report.all_hold:
@@ -428,12 +370,29 @@ def construct_general(target, M, source=MONOMIAL):
             bad.index,
             bad.describe(),
         )
-        # Ass(M/N) lies in Supp(M), so a prime outside it decides the
-        # question, where a failed sufficient condition decides nothing.
+        # Ass(M/N) lies in Supp(M).  Localized at p_i, steps whose prime is
+        # not inside p_i vanish; earlier primes never are, so when no later
+        # one is either, r_i steps by p_i remain and p_i^{r_i-1}M is nonzero
+        # there, which is condition i.
+        inside = [
+            q for q, _ in target.pairs[bad.index :] if bad.prime.contains_ideal(q)
+        ]
         if not supp_contains(bad.prime, M):
             message += (
                 "; %s lies outside Supp(M), so no submodule of M has this "
                 "factorization" % bad.prime
+            )
+        elif not inside:
+            message += (
+                "; no later target prime lies inside %s, so the condition is "
+                "necessary and no submodule of M has this factorization"
+                % bad.prime
+            )
+        else:
+            message += (
+                "; the later prime %s lies inside %s, so the condition is only "
+                "sufficient and whether a submodule of M has this "
+                "factorization is open" % (inside[0], bad.prime)
             )
         raise HypothesisError(message, index=bad.index, evidence={"condition": bad})
     cur = M
@@ -442,41 +401,6 @@ def construct_general(target, M, source=MONOMIAL):
         N = construct_prime_power(p, r, cur, source=source)
         cur = M.module_of(N)
     return _verified(N, M, target, source)
-
-
-class NecessaryReport(Record):
-    """Necessary support conditions for an existing factorization."""
-
-    __slots__ = ("applicable", "reason", "factors", "conditions", "all_hold")
-    _defaults = ((), True)
-
-
-def check_necessary_conditions(N, M, source=MONOMIAL):
-    """Support conditions every factorization must satisfy when all its
-    primes are minimal in Ass(M/N).
-
-    Computes the factorization, checks the primes are pairwise
-    incomparable (otherwise the criterion does not apply), then tests for
-    each i that p_i lies in the support of the full product with the i-th
-    exponent reduced by one.
-    """
-    factors = gpf(N, M, source=source)
-    pset = factors.prime_set()
-    if not pset.is_antichain():
-        return NecessaryReport(
-            False,
-            "not applicable: an associated prime is embedded, so the "
-            "minimality hypothesis fails",
-            factors,
-        )
-    entries = factors.entries()
-    report = _supp_report(
-        [(p, r, entries[:i] + entries[i + 1 :]) for i, (p, r) in enumerate(entries)],
-        M,
-    )
-    return NecessaryReport(
-        True, "all primes minimal", factors, report.conditions, report.all_hold
-    )
 
 
 class IffSegment(Record):

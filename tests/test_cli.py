@@ -287,19 +287,21 @@ module M = free(2) / ((x*y, 0));
 construct m^2 * p in M;
 construct n * q^2 * r in R;
 construct m * r^2 in M;
+exists { p, q, r } in M;
 """
 
 
 def test_construct_output_does_not_depend_on_the_tie_break(tmp_path, capsys):
     """A factorization is unique, so `construct` prints the same bytes
-    under either tie-break."""
+    under either tie-break, and so does `exists`, whose witness is built
+    by the same construction."""
     assert _run(tmp_path, CONSTRUCT, "--json", "--tie-break", "lex") == 0
     lex = capsys.readouterr().out
     assert _run(tmp_path, CONSTRUCT, "--json", "--tie-break", "revlex") == 0
     assert capsys.readouterr().out == lex
     assert [json.loads(line)["command"] for line in lex.splitlines()] == [
         "construct"
-    ] * 3
+    ] * 3 + ["exists"]
 
 
 class _ClosedPipe(io.StringIO):
@@ -375,7 +377,8 @@ def test_colon_echoes_the_minimal_generators_of_a_product(tmp_path, capsys):
 def test_construct_says_when_a_prime_outside_the_support_decides(tmp_path, capsys):
     """Ass(M/N) lies in Supp(M), so a target prime outside Supp(M) proves
     that no submodule has the factorization, and the refusal says so; a
-    failure at a prime inside Supp(M) decides nothing and does not."""
+    failure at a prime inside Supp(M) with a later prime inside it
+    decides nothing, and the refusal says the question is open."""
     module = "ring R = QQ[x,y,z];\nmodule M = free(2) / ((x, 0), (0, x));\n"
     outside = module + "prime p = (y, z);\nconstruct p^2 in M;\n"
     assert _run(tmp_path, outside) == 2
@@ -388,7 +391,43 @@ def test_construct_says_when_a_prime_outside_the_support_decides(tmp_path, capsy
     assert _run(tmp_path, inside) == 2
     assert capsys.readouterr().err == (
         "error: support condition fails at index 1: condition 1 for (x, y) "
-        "fails (the scaled module is zero)\n"
+        "fails (the scaled module is zero); the later prime (x) lies inside "
+        "(x, y), so the condition is only sufficient and whether a submodule "
+        "of M has this factorization is open\n"
+    )
+
+
+def test_construct_refusal_is_a_proof_only_when_localization_decides(
+    tmp_path, capsys
+):
+    """Localized at (x, y), a target with no later prime inside it needs
+    (x, y) in Supp((x, y) M); over M = R/(x, y) that module is zero, so
+    m^2 is refused with a proof.  Over the direct sum R/(x) + R/(x, y) the
+    later prime (x) lies inside (x, y), and N = 0 realizes m * p although
+    condition 1 fails, so that refusal claims no proof."""
+    ring = "ring R = QQ[x,y];\nprime p = (x);\nprime m = (x, y);\n"
+    field = ring + "module M = free(1) / ((x), (y));\nconstruct m^2 in M;\n"
+    assert _run(tmp_path, field) == 2
+    assert capsys.readouterr().err == (
+        "error: support condition fails at index 1: condition 1 for (x, y) "
+        "fails (the scaled module is zero); no later target prime lies inside "
+        "(x, y), so the condition is necessary and no submodule of M has "
+        "this factorization\n"
+    )
+    sum_ = ring + (
+        "module M = free(2) / ((x, 0), (0, x), (0, y));\n"
+        "submodule N in M = ((0, 0));\n"
+        "gpf N in M;\n"
+        "construct m * p in M;\n"
+    )
+    assert _run(tmp_path, sum_) == 2
+    captured = capsys.readouterr()
+    assert "factorization: (x) * (x, y)\n" in captured.out
+    assert captured.err == (
+        "error: support condition fails at index 1: condition 1 for (x, y) "
+        "fails (the scaled module is zero); the later prime (x) lies inside "
+        "(x, y), so the condition is only sufficient and whether a submodule "
+        "of M has this factorization is open\n"
     )
 
 

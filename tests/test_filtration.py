@@ -8,9 +8,9 @@ from gpfkit import clear_caches, filtration, modops, primes
 from gpfkit.arith import PolyRing
 from gpfkit.errors import BudgetError, HypothesisError, VerificationError
 from gpfkit.filtration import (
+    StepFlags,
     colon_chain,
     interchange,
-    max_prime_extension,
     rpe_filtration,
     verify_rpe,
     verify_step,
@@ -184,30 +184,35 @@ def test_interchange_index_bounds():
         interchange(filt, 2)
 
 
-def test_max_prime_extension_flags_non_maximal_prime():
-    """Extending by a non-maximal associated prime still produces the
-    colon module, but the singleton check is out of reach and the flag
-    says so instead of lying."""
+def test_verify_step_flags_a_non_maximal_prime():
+    """Over N = (x^2, xy), Ass(R/N) = {(x), (x, y)}.  The full colon
+    (N : (x)) = (x, y) is a maximal step, but (x) is not maximal in Ass(R/N)
+    and (x, y)/N has both primes, so only the maximal flag is set; by
+    (x, y) the step carries all three flags, and a step from N to N none."""
     ring, x, y = xy_ring()
     M = QuotientModule.of_ring(ring)
     N = M.span(((x * x,), (x * y,)))
     px = PrimeIdeal(ring, [x])
-    step = max_prime_extension(N, M, px)
-    assert step.upper.equals(colon_module(N, px, M))
-    assert step.flags.maximal_verified is True
-    assert step.flags.prime_extension_verified is False
-    assert step.flags.regular_verified is False
     m = PrimeIdeal(ring, [x, y])
-    step2 = max_prime_extension(N, M, m)
-    assert step2.flags.maximal_verified
-    assert step2.flags.prime_extension_verified
-    assert step2.flags.regular_verified
+    upper = colon_module(N, px, M)
+    assert upper.equals(ideal_sub(ring, x, y))
+    flags, problems = verify_step(N, upper, px, M)
+    assert flags == StepFlags(maximal_verified=True)
+    assert problems == [
+        "Ass(upper/lower) is {(x), (x, y)}, not {(x)}",
+        "prime is not maximal in Ass(M/lower) = {(x), (x, y)}",
+    ]
+    flags, problems = verify_step(N, colon_module(N, m, M), m, M)
+    assert flags.all_verified() and problems == []
+    flags, problems = verify_step(N, N, m, M)
+    assert flags == StepFlags() and problems == ["step is not proper"]
 
 
 def test_verify_step_regularity_needs_an_associated_prime():
     """A prime outside Ass(M/lower) = {(x), (x, y)} is not regular, whether
     a member contains it, as (x, y) contains (y), or none does, as for
-    (x, y - 1).  (x^2, xy) < (x) is the full colon by (y)."""
+    (x, y - 1).  (x^2, xy) < (x) is the full colon by (y), and its colon
+    ideal is (x, y), so it is a prime extension by neither."""
     ring, x, y = xy_ring()
     M = QuotientModule.of_ring(ring)
     N = M.span(((x * x,), (x * y,)))
@@ -218,16 +223,9 @@ def test_verify_step_regularity_needs_an_associated_prime():
         flags, problems = verify_step(N, upper, prime, M)
         assert flags.maximal_verified == (prime is py)
         assert not flags.regular_verified
+        assert not flags.prime_extension_verified
+        assert "colon ideal of the step is (x, y), not %s" % prime in problems
         assert "prime is not maximal in Ass(M/lower) = {(x), (x, y)}" in problems
-
-
-def test_max_prime_extension_rejects_trivial_colon():
-    ring, x, y = xy_ring()
-    M = QuotientModule.of_ring(ring)
-    N = M.span(((x * x,), (x * y,)))
-    py = PrimeIdeal(ring, [y])
-    with pytest.raises(HypothesisError):
-        max_prime_extension(N, M, py)
 
 
 def test_rpe_respects_step_budget(monkeypatch):

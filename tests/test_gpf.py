@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from gpfkit import clear_caches
@@ -7,10 +9,8 @@ from gpfkit.gpf import (
     FactorizationTarget,
     PrimeMultiset,
     check_iff_criterion,
-    check_necessary_conditions,
     check_supp_conditions,
     construct_general,
-    construct_incomparable,
     construct_prime_power,
     exists_incomparable,
     gpf,
@@ -174,20 +174,19 @@ def test_exists_incomparable_rejects_comparable_input():
         exists_incomparable([px, m], M)
 
 
-def test_construct_incomparable_from_given_base():
+def test_exists_incomparable_lets_a_refused_construction_propagate(monkeypatch):
+    """Once every prime lies in Supp(M), a refusal by construct_general
+    would contradict the localization argument, so exists_incomparable
+    raises it rather than answer False."""
     ring, x, y, px, py, m = _xy_primes()
     M = QuotientModule.of_ring(ring)
-    N0 = M.span(((x * x,), (x * y,)))
-    K = construct_incomparable([px], M, N0=N0)
-    assert K.equals(ideal_sub(ring, x))
 
+    def refuse(target, M, source):
+        raise HypothesisError("refused", index=1)
 
-def test_construct_incomparable_rejects_embedded_target():
-    ring, x, y, px, py, m = _xy_primes()
-    M = QuotientModule.of_ring(ring)
-    N0 = M.span(((x * x,), (x * y,)))
-    with pytest.raises(HypothesisError):
-        construct_incomparable([m], M, N0=N0)
+    monkeypatch.setattr(sys.modules["gpfkit.gpf"], "construct_general", refuse)
+    with pytest.raises(HypothesisError, match="refused"):
+        exists_incomparable([px, py], M)
 
 
 def test_construct_prime_power_square_of_maximal():
@@ -228,27 +227,6 @@ def test_construct_general_fails_support_precheck():
         construct_general(target, M, source=registry)
     assert err.value.index == 1
     assert "support condition" in str(err.value)
-
-
-def test_necessary_conditions_applicable_antichain():
-    ring, x, y, px, py, m = _xy_primes()
-    M = QuotientModule.of_ring(ring)
-    N = M.span(((x * y,),))
-    report = check_necessary_conditions(N, M)
-    assert report.applicable
-    assert report.factors.equals(PrimeMultiset.from_primes([px, py]))
-    assert report.all_hold
-    assert len(report.conditions) == 2
-
-
-def test_necessary_conditions_skip_embedded_prime():
-    ring, x, y, px, py, m = _xy_primes()
-    M = QuotientModule.of_ring(ring)
-    N = M.span(((x * x,), (x * y,)))
-    report = check_necessary_conditions(N, M)
-    assert not report.applicable
-    assert "minimality" in report.reason
-    assert report.factors.equals(PrimeMultiset.from_primes([m, px]))
 
 
 def test_check_iff_true_on_monomial_product():

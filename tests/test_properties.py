@@ -10,12 +10,21 @@ import random
 import pytest
 
 from gpfkit.arith import PolyRing
+from gpfkit.errors import HypothesisError
 from gpfkit.fields import QQ
-from gpfkit.gpf import FactorizationTarget, PrimeMultiset, check_iff_criterion, gpf
+from gpfkit.gpf import (
+    FactorizationTarget,
+    PrimeMultiset,
+    check_iff_criterion,
+    construct_general,
+    exists_incomparable,
+    gpf,
+)
 from gpfkit.filtration import rpe_filtration
-from gpfkit.modops import QuotientModule, module_scale
+from gpfkit.modops import QuotientModule, module_scale, partial_products
 from gpfkit.primes import (
     PrimeIdeal,
+    PrimeSet,
     ass_enumerate,
     supp_contains,
 )
@@ -112,3 +121,74 @@ def test_reordered_targets_respect_mode():
         for i, a in enumerate(primes):
             for b in primes[i + 1 :]:
                 assert not b.contains_ideal(a)
+
+
+def _small_modules(ring):
+    """R, R^2, R/(xy) and the direct sum R/(x) + R/(yz) over QQ[x,y,z]."""
+    x, y, z = ring.gen(0), ring.gen(1), ring.gen(2)
+    zero = ring.zero()
+    return [
+        QuotientModule.of_ring(ring),
+        QuotientModule.free(ring, 2),
+        QuotientModule.free(ring, 1, ((x * y,),)),
+        QuotientModule.free(ring, 2, ((x, zero), (zero, y * z))),
+    ]
+
+
+def test_antichain_existence_is_support_and_construct_general_builds_it():
+    """Localized at p_i the other primes of an antichain are units, so the
+    product p_1...p_n is a factorization in M exactly when every p_i
+    contains ann(M), and construct_general builds it.  Runs every antichain
+    of variable primes in QQ[x,y,z], in a seeded order, in four modules."""
+    rng = random.Random(20261019)
+    ring = _ring3()
+    subsets = [
+        frozenset(s) for k in (1, 2, 3) for s in itertools.combinations(range(3), k)
+    ]
+    antichains = [
+        list(family)
+        for k in (1, 2, 3)
+        for family in itertools.combinations(subsets, k)
+        if all(not a <= b for a, b in itertools.permutations(family, 2))
+    ]
+    assert len(antichains) == 18
+    built = refused = 0
+    for M in _small_modules(ring):
+        ann = M.ann().canonical_gens()
+        for family in antichains:
+            rng.shuffle(family)
+            primes = [PrimeIdeal.from_variables(ring, sorted(S)) for S in family]
+            want = all(p.contains(g) for p in primes for g in ann)
+            report = exists_incomparable(primes, M)
+            assert report.verdict == want, [str(p) for p in primes]
+            target = FactorizationTarget([(p, 1) for p in primes])
+            if want:
+                N = construct_general(target, M)
+                assert gpf(N, M).equals(target)
+                assert report.witness.equals(N)
+                built += 1
+            else:
+                with pytest.raises(HypothesisError, match="no submodule of M"):
+                    construct_general(target, M)
+                refused += 1
+    assert (built, refused) == (67, 5)
+
+
+def test_antichain_factorizations_meet_the_localized_condition():
+    """When the primes of gpf(N, M) form an antichain, localizing at p_i
+    leaves r_i steps by p_i, so p_i lies in Supp(p_i^{r_i - 1} M)."""
+    rng = random.Random(4711)
+    checked = 0
+    for M in _small_modules(_ring3()):
+        for _ in range(15):
+            N = random_monomial_sub(rng, M)
+            if M.with_denominator(N).is_zero():
+                continue
+            factors = gpf(N, M)
+            if not PrimeSet(factors.primes()).is_antichain():
+                continue
+            for p, r in factors.entries():
+                power = partial_products([(p, r - 1)])[-1]
+                assert supp_contains(p, M.module_of(module_scale(power, M))), str(N)
+                checked += r > 1
+    assert checked >= 10

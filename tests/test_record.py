@@ -1,7 +1,7 @@
 import pytest
 
 from gpfkit.filtration import StepFlags
-from gpfkit.gpf import IffReport, NecessaryReport
+from gpfkit.gpf import ExistsReport, IffReport
 from gpfkit.record import Record
 
 
@@ -38,5 +38,4 @@ def test_library_records_keep_their_defaults():
     assert StepFlags(maximal_verified=True) != StepFlags()
     r = IffReport(False, [], failed_index=2)
     assert (r.filtration, r.failed_index) == (None, 2)
-    n = NecessaryReport(False, "why", None)
-    assert (list(n.conditions), n.all_hold) == ([], True)
+    assert ExistsReport(False, None, []).factors is None
