@@ -24,9 +24,8 @@ from .errors import (
     GpfError,
     IncompleteRegistryError,
     ParseError,
-    VerificationError,
 )
-from .filtration import rpe_filtration, verify_rpe
+from .filtration import require_ok, rpe_filtration, verify_rpe
 from .gpf import (
     PrimeMultiset,
     check_iff_criterion,
@@ -326,23 +325,7 @@ class Runner:
 
     def cmd_verify(self, cmd):
         _, report, inputs, notes = self._verified_filtration(cmd)
-        if not report["ok"]:
-            raise VerificationError(
-                "filtration failed verification: %s"
-                % "; ".join(report["problems"]),
-                report,
-            )
-        result = {
-            "ok": True,
-            "steps": [
-                {
-                    "index": s["index"],
-                    "prime": s["prime"],
-                    "checked": s["checked"],
-                }
-                for s in report["steps"]
-            ],
-        }
+        result = {"ok": True, "steps": require_ok(report)["steps"]}
         return inputs, result, notes, {"steps": True}
 
 

@@ -19,11 +19,8 @@ class ParseError(GpfError):
 
 
 class VerificationError(GpfError):
-    """A step or chain failed re-verification; carries the failed report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A step or chain failed re-verification; the message names what
+    failed."""
 
 
 class HypothesisError(GpfError):

@@ -8,12 +8,13 @@ always picks a maximal element of the freshly enumerated Ass(M/M_{i-1});
 ties between incomparable maximal candidates are broken deterministically
 by the canonical generator strings (lex order, or its reverse).
 
-`interchange` swaps two adjacent steps whose primes are incomparable.  The
-new middle module is the colon of the lower endpoint by the later prime,
-computed inside the upper endpoint and then re-verified against the full
-colon in the ambient module.  The interchanged chain is again a regular
-filtration, but nothing here takes that on faith: both new steps are
-re-verified from scratch.
+A step records its endpoints and prime, not what is known about it.
+`verify_step` re-derives the three properties of one step and returns
+the checks that failed; `verify_rpe` runs it on every step of a chain and
+is the only loop over it.  `interchange` swaps two adjacent steps whose
+primes are incomparable: the new middle module is the colon of the lower
+endpoint by the later prime, computed inside the upper endpoint, and the
+new chain passes `verify_rpe` before it is returned.
 """
 
 from __future__ import annotations
@@ -37,40 +38,21 @@ from .record import Record
 MAX_STEPS = 64
 
 
-class StepFlags(Record):
-    """What has actually been checked about a filtration step."""
-
-    __slots__ = ("prime_extension_verified", "maximal_verified", "regular_verified")
-    _defaults = (False, False, False)
-
-    def __eq__(self, other):
-        if not isinstance(other, StepFlags):
-            return NotImplemented
-        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
-
-    def all_verified(self):
-        return (
-            self.prime_extension_verified
-            and self.maximal_verified
-            and self.regular_verified
-        )
-
-
 class PrimeExtensionStep(Record):
     """One step lower < upper with Ass(upper/lower) = {prime}."""
 
-    __slots__ = ("lower", "upper", "prime", "flags")
+    __slots__ = ("lower", "upper", "prime")
 
     def describe(self):
         return "%s --%s--> %s" % (self.lower, self.prime, self.upper)
 
 
 class Filtration(Record):
-    """A verified chain of submodules of the ambient quotient module.
+    """A chain of submodules of the ambient quotient module, from base up.
 
-    Every step was built (or re-verified) as a regular maximal prime
-    extension.  ass_complete records whether the Ass enumerations behind
-    the steps were exhaustive or relative to a candidate registry.
+    ass_complete records whether the Ass enumerations behind the steps
+    were exhaustive or relative to a candidate registry; `verify_rpe`
+    re-derives every step.
     """
 
     __slots__ = ("ambient", "base", "steps", "ass_complete", "source")
@@ -90,19 +72,15 @@ class Filtration(Record):
 
 
 def verify_step(lower, upper, prime, ambient, source=MONOMIAL):
-    """Re-derive the three step properties; returns (StepFlags, report).
-
-    The report lists the failed checks; flags are only set for checks
-    that were run and passed.
-    """
-    flags = StepFlags()
-    problems = []
+    """Re-derive the three step properties; returns the failed checks, so
+    an empty list means a regular maximal prime extension."""
     if not upper.contains_module(lower):
-        return flags, ["upper does not contain lower"]
+        return ["upper does not contain lower"]
     if upper.equals(lower):
-        return flags, ["step is not proper"]
+        return ["step is not proper"]
     if not ambient.contains_submodule(upper):
-        return flags, ["upper is not inside the ambient module"]
+        return ["upper is not inside the ambient module"]
+    problems = []
 
     # Prime extension: the colon ideal is exactly the prime and the
     # quotient has that single associated prime.
@@ -116,28 +94,21 @@ def verify_step(lower, upper, prime, ambient, source=MONOMIAL):
         problems.append(
             "Ass(upper/lower) is %s, not {%s}" % (ass, prime)
         )
-    else:
-        flags.prime_extension_verified = True
 
     # Maximality: upper is the full colon of lower by the prime in M.
-    full = colon_module(lower, prime, ambient)
-    if full.equals(upper):
-        flags.maximal_verified = True
-    else:
+    if not colon_module(lower, prime, ambient).equals(upper):
         problems.append("upper is not the full colon (lower : prime) in M")
 
     # Regularity: the prime is a member of Ass(M/lower) that no other
     # member strictly contains.
     amb_ass = ass_enumerate(ambient.with_denominator(lower), source)
-    if amb_ass.contains_prime(prime) and not any(
+    if not amb_ass.contains_prime(prime) or any(
         q.key() != prime.key() and q.strictly_contains(prime) for q in amb_ass
     ):
-        flags.regular_verified = True
-    else:
         problems.append(
             "prime is not maximal in Ass(M/lower) = %s" % amb_ass
         )
-    return flags, problems
+    return problems
 
 
 def rpe_filtration(N, M, source=MONOMIAL, tie_break="lex"):
@@ -147,10 +118,11 @@ def rpe_filtration(N, M, source=MONOMIAL, tie_break="lex"):
     Ass(M/current); the loop must exhaust the quotient within `MAX_STEPS`
     steps.
 
-    The step flags are derived, not re-checked: for p maximal in a
-    complete Ass(M/N), (N : p)/N has the single associated prime p, so
-    the step is a regular maximal prime extension.  Over a candidate
-    registry they rest on the registry; `verify_rpe` re-derives them.
+    No step is re-checked here.  For p maximal in a complete Ass(M/N),
+    (N : p)/N has the single associated prime p, so each step is a
+    regular maximal prime extension by construction; over a candidate
+    registry that rests on the registry.  `verify_rpe` re-derives every
+    step.
     """
     check_tie_break(tie_break)
     if not M.contains_submodule(N):
@@ -185,18 +157,7 @@ def rpe_filtration(N, M, source=MONOMIAL, tie_break="lex"):
                 "colon by a reported associated prime did not grow the "
                 "submodule"
             )
-        steps.append(
-            PrimeExtensionStep(
-                lower=cur,
-                upper=K,
-                prime=p,
-                flags=StepFlags(
-                    prime_extension_verified=True,
-                    maximal_verified=True,
-                    regular_verified=True,
-                ),
-            )
-        )
+        steps.append(PrimeExtensionStep(lower=cur, upper=K, prime=p))
         cur = K
     return Filtration(
         ambient=M,
@@ -214,8 +175,8 @@ def interchange(filt, i):
     regular filtration the earlier prime is never strictly contained in
     the later one, so this makes the pair incomparable).  The new middle module
     is the colon of the lower endpoint by the later prime, computed inside
-    the old upper endpoint; both new steps are re-verified from scratch,
-    so the result is again a fully verified regular filtration.
+    the old upper endpoint.  The new chain is returned once `verify_rpe`
+    passes it, so it is again a verified regular filtration.
     """
     if not 1 <= i < len(filt.steps):
         raise ValueError(
@@ -238,17 +199,13 @@ def interchange(filt, i):
             "interchange produced a degenerate middle module"
         )
     steps = list(filt.steps)
-    new = ((i - 1, lo.lower, mid, p_high), (i, mid, hi.upper, p_low))
-    for j, lower, upper, p in new:
-        flags, problems = verify_step(lower, upper, p, filt.ambient, filt.source)
-        if not flags.all_verified():
-            raise VerificationError(
-                "interchanged step failed re-verification", report=problems
-            )
-        steps[j] = PrimeExtensionStep(lower, upper, p, flags)
-    return Filtration(
+    steps[i - 1] = PrimeExtensionStep(lo.lower, mid, p_high)
+    steps[i] = PrimeExtensionStep(mid, hi.upper, p_low)
+    out = Filtration(
         filt.ambient, filt.base, tuple(steps), filt.ass_complete, filt.source
     )
+    require_ok(verify_rpe(out))
+    return out
 
 
 def verify_rpe(filt):
@@ -260,37 +217,44 @@ def verify_rpe(filt):
     the ambient module; and the prime is maximal among the associated
     primes of M over the lower module.  Also checks the chain starts at
     the base and reaches the whole module.  Associated primes are
-    enumerated as the filtration's own were, from `filt.source`.
+    enumerated as the filtration's own were, from `filt.source`.  The
+    report is ok when it lists no problem.
     """
-    report = {"ok": True, "steps": [], "problems": []}
+    problems = []
+    steps = []
     M = filt.ambient
     prev = filt.base
     for idx, step in enumerate(filt.steps, start=1):
         if not step.lower.equals(prev):
-            report["problems"].append(
+            problems.append(
                 "step %d does not start where step %d ended" % (idx, idx - 1)
             )
-            report["ok"] = False
-        flags, problems = verify_step(
-            step.lower, step.upper, step.prime, M, filt.source
-        )
-        if not flags.all_verified():
-            report["ok"] = False
-            report["problems"].extend(
-                "step %d: %s" % (idx, msg) for msg in problems
+        problems.extend(
+            "step %d: %s" % (idx, msg)
+            for msg in verify_step(
+                step.lower, step.upper, step.prime, M, filt.source
             )
-        report["steps"].append(
+        )
+        steps.append(
             {
                 "index": idx,
                 "prime": str(step.prime),
-                "flags": flags,
                 "checked": ["prime_extension", "maximal", "regular"],
             }
         )
         prev = step.upper
     if not M.contains_submodule(prev) or not M.with_denominator(prev).is_zero():
-        report["problems"].append("chain does not reach the whole module")
-        report["ok"] = False
+        problems.append("chain does not reach the whole module")
+    return {"ok": not problems, "steps": steps, "problems": problems}
+
+
+def require_ok(report):
+    """A `verify_rpe` report that passed; raises VerificationError naming
+    the problems of one that did not."""
+    if not report["ok"]:
+        raise VerificationError(
+            "filtration failed verification: %s" % "; ".join(report["problems"])
+        )
     return report
 
 

@@ -16,7 +16,10 @@ the filtration.  This module answers the inverse questions:
   with the target factorization satisfies.  When a later prime does lie
   inside p_i the condition is not necessary: over the direct sum of R/(x)
   and R/(x, y) the product (x, y)(x) fails it, yet N = 0 has that
-  factorization.
+  factorization.  Nor does the tail-first chain build every realized
+  target: over (R/(x))^2, N = ((y, 0)) factors as (x, y)(x), but the
+  chain's (x)-witness is the smallest one, (x)M = 0, and (x, y) is not
+  associated to the zero module it leaves.
 * for pairwise incomparable primes localization leaves only the test
   p_i in Supp(M), so the product p_1...p_n is a factorization of some
   submodule exactly when every p_i lies in Supp(M), and the general
@@ -57,8 +60,9 @@ from .filtration import (
     Filtration,
     PrimeExtensionStep,
     colon_chain,
+    require_ok,
     rpe_filtration,
-    verify_step,
+    verify_rpe,
 )
 from .record import Record
 
@@ -186,14 +190,7 @@ def gpf(N, M, source=MONOMIAL):
 class SuppCondition(Record):
     """One support test p in Supp(J M) with its evidence."""
 
-    __slots__ = (
-        "index",
-        "prime",
-        "scaled",
-        "holds",
-        "module_is_zero",
-        "ann_witness",
-    )
+    __slots__ = ("index", "prime", "holds", "module_is_zero", "ann_witness")
 
     _defaults = (None,)
 
@@ -218,13 +215,13 @@ def _supp_condition(index, p, scaled, M):
     Q = QuotientModule(scaled, M.span(()), check=False)
     zero = Q.is_zero()
     if supp_contains(p, Q):
-        return SuppCondition(index, p, scaled, True, zero)
+        return SuppCondition(index, p, True, zero)
     witness = None
     for g in Q.ann().canonical_gens():
         if not p.contains(g):
             witness = g
             break
-    return SuppCondition(index, p, scaled, False, zero, witness)
+    return SuppCondition(index, p, False, zero, witness)
 
 
 class SuppReport(Record):
@@ -421,8 +418,8 @@ def check_iff_criterion(target, M, source=MONOMIAL):
     the criterion is that each subquotient (aM : a_i)/(aM : a_{i-1}) has
     the single associated prime p_i.  One colon chain by the expanded
     prime sequence serves both: the segments are read at the cumulative
-    exponents, and on success the whole chain is returned as a verified
-    regular filtration.
+    exponents, and on success the whole chain is returned as a regular
+    filtration, once `verify_rpe` passes it.
     """
     aM = module_scale(target.product_ideal(), M)
     primes = target.expanded()
@@ -447,29 +444,12 @@ def check_iff_criterion(target, M, source=MONOMIAL):
             failed = i
     if not verdict:
         return IffReport(False, segments, failed_index=failed)
-    filt = _refined_chain(primes, chain, M, source)
-    return IffReport(True, segments, filtration=filt)
-
-
-def _refined_chain(primes, chain, M, source):
-    """The colon chain by the expanded prime sequence, assembled into a
-    filtration with every step re-verified."""
-    steps = []
-    for p, lower, upper in zip(primes, chain, chain[1:]):
-        flags, problems = verify_step(lower, upper, p, M, source)
-        if not flags.all_verified():
-            raise VerificationError(
-                "refined chain failed verification", report=problems
-            )
-        steps.append(
-            PrimeExtensionStep(lower=lower, upper=upper, prime=p, flags=flags)
-        )
-    if not M.with_denominator(chain[-1]).is_zero():
-        raise VerificationError("refined chain does not reach the module")
-    return Filtration(
+    filt = Filtration(
         ambient=M,
         base=chain[0],
-        steps=tuple(steps),
+        steps=tuple(map(PrimeExtensionStep, chain, chain[1:], primes)),
         ass_complete=source is MONOMIAL,
         source=source,
     )
+    require_ok(verify_rpe(filt))
+    return IffReport(True, segments, filtration=filt)

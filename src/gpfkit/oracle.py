@@ -186,14 +186,6 @@ class FiniteRing:
                 out = max(out, mono_degree(m))
         return out
 
-    def add(self, u, v):
-        F = self.field
-        return tuple(F.add(a, b) for a, b in zip(u, v))
-
-    def scale(self, c, u):
-        F = self.field
-        return tuple(F.mul(c, a) for a in u)
-
     def _pair(self, i, j):
         if i > j:
             i, j = j, i
@@ -502,7 +494,7 @@ def rpe_bruteforce(N, M, tie_break="lex"):
 
 
 class Fixture(Record):
-    __slots__ = ("name", "description", "build", "checks")
+    __slots__ = ("name", "build", "checks")
 
 
 class _Model(Record):
@@ -643,9 +635,9 @@ def _ann_of_prime(ctx):
 _CHAIN = ("x*x", "x*y")
 
 _FIXTURES = (
+    # (x^2, xy) in F2[x,y] truncated at degree 3
     Fixture(
         "monomial-chain",
-        "(x^2, xy) in F2[x,y] truncated at degree 3",
         partial(_build, ("x", "y"), 3, N=_CHAIN),
         (
             (
@@ -660,9 +652,9 @@ _FIXTURES = (
             ("no associated prime when the submodule is everything", _empty_ass),
         ),
     ),
+    # the square of (x,y) in F2[x,y] truncated at degree 3
     Fixture(
         "maximal-square",
-        "the square of (x,y) in F2[x,y] truncated at degree 3",
         partial(_build, ("x", "y"), 3, N=("x*x", "x*y", "y*y")),
         (
             (
@@ -677,9 +669,9 @@ _FIXTURES = (
             ("filtration multiset is (x,y) twice", _gpf_check),
         ),
     ),
+    # (xy) in F2[x,y] truncated at degree 3
     Fixture(
         "two-lines",
-        "(xy) in F2[x,y] truncated at degree 3",
         partial(_build, ("x", "y"), 3, N=("x*y",)),
         (
             ("colon by (x) is (y)", _colon(("x",), ("y",))),
@@ -688,9 +680,9 @@ _FIXTURES = (
             ("filtration multiset is (x)(y) either way", _gpf_check),
         ),
     ),
+    # the span of (y,0) in (F2[x,y]/(x))^2, truncated
     Fixture(
         "free-counterexample",
-        "the span of (y,0) in (F2[x,y]/(x))^2, truncated",
         partial(
             _build,
             ("x", "y"),
@@ -712,18 +704,18 @@ _FIXTURES = (
             ("filtration multiset matches the symbolic engine", _gpf_check),
         ),
     ),
+    # the zero submodule of F2[x,y]/(x,y)
     Fixture(
         "residue-field",
-        "the zero submodule of F2[x,y]/(x,y)",
         partial(_build, ("x", "y"), 3, denom=("x", "y")),
         (
             ("the maximal ideal is the only associated prime", _ass_check),
             ("filtration multiset is a single (x,y)", _gpf_check),
         ),
     ),
+    # p = (x,z) in F2[x,y,z]/(xy+z^2, x^2+yz), truncated at 4
     Fixture(
         "binomial-quotient",
-        "p = (x,z) in F2[x,y,z]/(xy+z^2, x^2+yz), truncated at 4",
         partial(
             _build,
             ("x", "y", "z"),

@@ -14,6 +14,7 @@ prime q = (x);
 submodule N in R = (x^2, x*y);
 gpf N in R;
 check-iff p * q in R;
+verify N in R;
 """
 
 TWISTED = """
@@ -50,7 +51,7 @@ def test_json_stream_is_deterministic(tmp_path, capsys):
     assert code == 0
     assert first == second
     lines = [json.loads(line) for line in first.strip().splitlines()]
-    assert [obj["command"] for obj in lines] == ["gpf", "check-iff"]
+    assert [obj["command"] for obj in lines] == ["gpf", "check-iff", "verify"]
     for obj in lines:
         assert obj["millis"] == 0
         assert set(obj) >= {
@@ -63,6 +64,14 @@ def test_json_stream_is_deterministic(tmp_path, capsys):
         }
     assert lines[0]["result"]["factorization"] == "(x) * (x, y)"
     assert lines[1]["result"]["verdict"] is True
+    assert first.splitlines()[2] == (
+        '{"attestations": [], "command": "verify", "inputs": {"module": '
+        '"free(1)", "submodule": "(x^2, x*y)"}, "millis": 0, "result": {"ok": '
+        'true, "steps": [{"checked": ["prime_extension", "maximal", "regular"], '
+        '"index": 1, "prime": "(x, y)"}, {"checked": ["prime_extension", '
+        '"maximal", "regular"], "index": 2, "prime": "(x)"}]}, "verification": '
+        '{"steps": true}}'
+    )
 
 
 def test_timings_flag_fills_millis(tmp_path, capsys):
@@ -402,9 +411,10 @@ def test_construct_refusal_is_a_proof_only_when_localization_decides(
 ):
     """Localized at (x, y), a target with no later prime inside it needs
     (x, y) in Supp((x, y) M); over M = R/(x, y) that module is zero, so
-    m^2 is refused with a proof.  Over the direct sum R/(x) + R/(x, y) the
-    later prime (x) lies inside (x, y), and N = 0 realizes m * p although
-    condition 1 fails, so that refusal claims no proof."""
+    m^2 is refused with a proof.  Over the direct sum R/(x) + R/(x, y), and
+    over (R/(x))^2, the later prime (x) lies inside (x, y), and N = 0,
+    respectively N = ((y, 0)), realizes m * p although condition 1 fails,
+    so those refusals claim no proof."""
     ring = "ring R = QQ[x,y];\nprime p = (x);\nprime m = (x, y);\n"
     field = ring + "module M = free(1) / ((x), (y));\nconstruct m^2 in M;\n"
     assert _run(tmp_path, field) == 2
@@ -414,21 +424,25 @@ def test_construct_refusal_is_a_proof_only_when_localization_decides(
         "(x, y), so the condition is necessary and no submodule of M has "
         "this factorization\n"
     )
-    sum_ = ring + (
-        "module M = free(2) / ((x, 0), (0, x), (0, y));\n"
-        "submodule N in M = ((0, 0));\n"
-        "gpf N in M;\n"
-        "construct m * p in M;\n"
-    )
-    assert _run(tmp_path, sum_) == 2
-    captured = capsys.readouterr()
-    assert "factorization: (x) * (x, y)\n" in captured.out
-    assert captured.err == (
-        "error: support condition fails at index 1: condition 1 for (x, y) "
-        "fails (the scaled module is zero); the later prime (x) lies inside "
-        "(x, y), so the condition is only sufficient and whether a submodule "
-        "of M has this factorization is open\n"
-    )
+    for module, witness in (
+        ("free(2) / ((x, 0), (0, x), (0, y))", "((0, 0))"),
+        ("free(2) / ((x, 0), (0, x))", "((y, 0))"),
+    ):
+        script = ring + (
+            "module M = %s;\n"
+            "submodule N in M = %s;\n"
+            "gpf N in M;\n"
+            "construct m * p in M;\n"
+        ) % (module, witness)
+        assert _run(tmp_path, script) == 2
+        captured = capsys.readouterr()
+        assert "factorization: (x) * (x, y)\n" in captured.out
+        assert captured.err == (
+            "error: support condition fails at index 1: condition 1 for (x, y) "
+            "fails (the scaled module is zero); the later prime (x) lies inside "
+            "(x, y), so the condition is only sufficient and whether a "
+            "submodule of M has this factorization is open\n"
+        )
 
 
 def test_buchberger_over_the_pair_budget_exit_two(tmp_path, capsys, monkeypatch):

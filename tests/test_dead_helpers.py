@@ -13,6 +13,14 @@ PACKAGE = Path(gpfkit.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _sources():
+    """The Python files of the package, the tests and the benchmark."""
+    out = sorted(PACKAGE.glob("*.py"))
+    for extra in ("tests", "gpfbench"):
+        out += sorted((ROOT / extra).glob("*.py"))
+    return out
+
+
 def _names_used(node, own):
     """Names a top-level statement refers to, other than its own name."""
     out = set()
@@ -62,12 +70,9 @@ def test_no_unreferenced_private_helpers():
 def test_no_unreferenced_methods():
     """A method of a gpfkit class is named somewhere in the package, the
     tests or the benchmark; dunder methods are called by the language."""
-    sources = sorted(PACKAGE.glob("*.py"))
-    for extra in ("tests", "gpfbench"):
-        sources += sorted((ROOT / extra).glob("*.py"))
     used = set()
     prefixes = set()
-    for path in sources:
+    for path in _sources():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used |= _names_used(tree, None)
         prefixes |= _getattr_prefixes(tree)
@@ -171,11 +176,8 @@ def _reads(tree):
 def test_no_unread_module_level_names():
     """A name a gpfkit module assigns at top level is read somewhere in
     the package, the tests or the benchmark; dunder names are exempt."""
-    sources = sorted(PACKAGE.glob("*.py"))
-    for extra in ("tests", "gpfbench"):
-        sources += sorted((ROOT / extra).glob("*.py"))
     read = set()
-    for path in sources:
+    for path in _sources():
         read |= _reads(ast.parse(path.read_text(encoding="utf-8")))
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -195,6 +197,35 @@ def test_no_unread_module_level_names():
                     if name.id not in read:
                         unread.append("%s in %s" % (name.id, path.name))
     assert not unread, "unread module-level names: %s" % ", ".join(sorted(unread))
+
+
+def test_no_write_only_record_fields():
+    """A `__slots__` field of a gpfkit class is read as an attribute
+    somewhere in the package, the tests or the benchmark; a constructor
+    argument or an assignment is not a read."""
+    read = set()
+    for path in _sources():
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.attr)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__slots__" for t in node.targets
+                ):
+                    fields = ast.literal_eval(node.value)
+                    if isinstance(fields, str):
+                        fields = (fields,)
+                    unread += [
+                        "%s.%s in %s" % (cls.name, name, path.name)
+                        for name in fields
+                        if name not in read
+                    ]
+    assert not unread, "write-only record fields: %s" % ", ".join(sorted(unread))
 
 
 _MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__"}

@@ -8,9 +8,11 @@ from gpfkit import clear_caches, filtration, modops, primes
 from gpfkit.arith import PolyRing
 from gpfkit.errors import BudgetError, HypothesisError, VerificationError
 from gpfkit.filtration import (
-    StepFlags,
+    Filtration,
+    PrimeExtensionStep,
     colon_chain,
     interchange,
+    require_ok,
     rpe_filtration,
     verify_rpe,
     verify_step,
@@ -75,11 +77,10 @@ def test_verify_rpe_passes_on_construction():
     N = M.span(((x * x,), (x * y,)))
     filt = rpe_filtration(N, M)
     report = verify_rpe(filt)
-    assert report["ok"]
+    assert report["ok"] and report["problems"] == []
     assert [s["index"] for s in report["steps"]] == [1, 2]
     for step in report["steps"]:
         assert step["checked"] == ["prime_extension", "maximal", "regular"]
-        assert step["flags"].all_verified()
 
 
 def test_colon_chain_matches_filtration():
@@ -187,8 +188,9 @@ def test_interchange_index_bounds():
 def test_verify_step_flags_a_non_maximal_prime():
     """Over N = (x^2, xy), Ass(R/N) = {(x), (x, y)}.  The full colon
     (N : (x)) = (x, y) is a maximal step, but (x) is not maximal in Ass(R/N)
-    and (x, y)/N has both primes, so only the maximal flag is set; by
-    (x, y) the step carries all three flags, and a step from N to N none."""
+    and (x, y)/N has both primes, so it fails the prime extension and
+    regularity checks only; by (x, y) the step fails none, and a step from
+    N to N is not proper."""
     ring, x, y = xy_ring()
     M = QuotientModule.of_ring(ring)
     N = M.span(((x * x,), (x * y,)))
@@ -196,16 +198,31 @@ def test_verify_step_flags_a_non_maximal_prime():
     m = PrimeIdeal(ring, [x, y])
     upper = colon_module(N, px, M)
     assert upper.equals(ideal_sub(ring, x, y))
-    flags, problems = verify_step(N, upper, px, M)
-    assert flags == StepFlags(maximal_verified=True)
-    assert problems == [
+    assert verify_step(N, upper, px, M) == [
         "Ass(upper/lower) is {(x), (x, y)}, not {(x)}",
         "prime is not maximal in Ass(M/lower) = {(x), (x, y)}",
     ]
-    flags, problems = verify_step(N, colon_module(N, m, M), m, M)
-    assert flags.all_verified() and problems == []
-    flags, problems = verify_step(N, N, m, M)
-    assert flags == StepFlags() and problems == ["step is not proper"]
+    assert verify_step(N, colon_module(N, m, M), m, M) == []
+    assert verify_step(N, N, m, M) == ["step is not proper"]
+
+
+def test_require_ok_names_every_problem():
+    """A chain that fails verify_rpe is refused with each problem in the
+    message: here one step N < (x) by (y), which does not reach R."""
+    ring, x, y = xy_ring()
+    M = QuotientModule.of_ring(ring)
+    N = M.span(((x * x,), (x * y,)))
+    step = PrimeExtensionStep(N, M.span(((x,),)), PrimeIdeal(ring, [y]))
+    report = verify_rpe(Filtration(M, N, (step,)))
+    assert not report["ok"]
+    with pytest.raises(VerificationError) as err:
+        require_ok(report)
+    assert str(err.value) == (
+        "filtration failed verification: step 1: colon ideal of the step is "
+        "(x, y), not (y); step 1: prime is not maximal in Ass(M/lower) = "
+        "{(x), (x, y)}; chain does not reach the whole module"
+    )
+    assert require_ok(verify_rpe(rpe_filtration(N, M)))["ok"]
 
 
 def test_verify_step_regularity_needs_an_associated_prime():
@@ -220,12 +237,14 @@ def test_verify_step_regularity_needs_an_associated_prime():
     py = PrimeIdeal(ring, [y])
     assert upper.equals(colon_module(N, py, M))
     for prime in (py, PrimeIdeal(ring, [x, y - ring.one()])):
-        flags, problems = verify_step(N, upper, prime, M)
-        assert flags.maximal_verified == (prime is py)
-        assert not flags.regular_verified
-        assert not flags.prime_extension_verified
-        assert "colon ideal of the step is (x, y), not %s" % prime in problems
-        assert "prime is not maximal in Ass(M/lower) = {(x), (x, y)}" in problems
+        maximal = [] if prime is py else [
+            "upper is not the full colon (lower : prime) in M"
+        ]
+        assert verify_step(N, upper, prime, M) == [
+            "colon ideal of the step is (x, y), not %s" % prime,
+            *maximal,
+            "prime is not maximal in Ass(M/lower) = {(x), (x, y)}",
+        ]
 
 
 def test_rpe_respects_step_budget(monkeypatch):

@@ -121,9 +121,9 @@ def test_gpf_counterexample_module():
 
 
 def test_supp_conditions_fail_on_counterexample():
-    """The product (x, y) * (x) exists nowhere in the counterexample
-    module: already the first telescoping condition dies because the
-    scaled module (x) * M is zero."""
+    """In the counterexample module the first telescoping condition for
+    (x, y) * (x) fails, because the scaled module (x) * M is zero, though
+    N itself has that factorization: the condition is not necessary."""
     ring, M, N = counterexample_module()
     x, y = ring.gen(0), ring.gen(1)
     m = PrimeIdeal(ring, [x, y])
@@ -135,6 +135,26 @@ def test_supp_conditions_fail_on_counterexample():
     assert bad.index == 1
     assert bad.module_is_zero
     assert "scaled module is zero" in bad.describe()
+
+
+def test_tail_first_chain_refuses_a_realized_target():
+    """Without the support conditions the chain refuses too.  Over
+    M = (R/(x))^2, N = ((y, 0)) factors as (x) * (x, y), but the smallest
+    (x)-witness is (x) * M = 0, and (x, y) is not associated to the zero
+    module it leaves.  The larger (x)-witness ((1, 0)) leads to N, so the
+    smallest choice of the tail-first chain is not always the best."""
+    ring, M, N = counterexample_module()
+    x, y = ring.gen(0), ring.gen(1)
+    m = PrimeIdeal(ring, [x, y])
+    px = PrimeIdeal(ring, [x])
+    assert gpf(N, M).equals(FactorizationTarget([(m, 1), (px, 1)]))
+    tail = construct_prime_power(px, 1, M)
+    assert tail.equals(M.span(()))
+    with pytest.raises(HypothesisError, match="not associated"):
+        construct_prime_power(m, 1, M.module_of(tail))
+    larger = M.span(((ring.one(), ring.zero()),))
+    assert gpf(larger, M).equals(PrimeMultiset([(px, 1)]))
+    assert construct_prime_power(m, 1, M.module_of(larger)).equals(N)
 
 
 def test_supp_conditions_hold_on_ring():

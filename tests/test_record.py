@@ -1,6 +1,7 @@
 import pytest
 
-from gpfkit.filtration import StepFlags
+from gpfkit.filtration import Filtration
+from gpfkit.primes import MONOMIAL
 from gpfkit.gpf import ExistsReport, IffReport
 from gpfkit.record import Record
 
@@ -34,8 +35,8 @@ def test_bad_arguments_raise_type_error(args, named):
 
 
 def test_library_records_keep_their_defaults():
-    assert StepFlags() == StepFlags(False, False, False)
-    assert StepFlags(maximal_verified=True) != StepFlags()
+    f = Filtration(None, None, ())
+    assert (f.ass_complete, f.source) == (True, MONOMIAL)
     r = IffReport(False, [], failed_index=2)
     assert (r.filtration, r.failed_index) == (None, 2)
     assert ExistsReport(False, None, []).factors is None
