@@ -42,8 +42,6 @@ from .modops import (
     saturate,
 )
 from .primes import (
-    MONOMIAL,
-    CandidateRegistry,
     PrimeIdeal,
     PrimeSet,
     ass_contains,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError",
-    "CandidateRegistry",
     "FactorizationTarget",
     "Filtration",
     "GF",
@@ -66,7 +63,6 @@ __all__ = [
     "HypothesisError",
     "Ideal",
     "IncompleteRegistryError",
-    "MONOMIAL",
     "ParseError",
     "PolyRing",
     "Polynomial",

@@ -207,9 +207,6 @@ class Polynomial:
     def monomials(self):
         return self._terms.keys()
 
-    def coeff(self, mono):
-        return self._terms.get(mono, self.ring.field.zero)
-
     def is_zero(self):
         return not self._terms
 

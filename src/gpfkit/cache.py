@@ -7,11 +7,11 @@ hit returns exactly what the computation would return again:
   key, the rank and the set of `vector_key`s of the nonzero generators
   (monomial bases are read off exponents and never stored);
 * `ASS_MEMBERS`: the verdicts of `primes.ass_contains` on quotients
-  that need a candidate registry, keyed by the ring key, the rank, the
+  that need candidate primes, keyed by the ring key, the rank, the
   quotient's key and the prime's key (monomial quotients read their
   primes off exponents and store none);
-* `VARIABLE_PRIMES`: the variable primes monomial-mode Ass enumeration
-  returns, keyed by the ring key and the tuple of variable indices.
+* `VARIABLE_PRIMES`: the variable primes Ass enumeration without
+  candidates returns, keyed by the ring key and the variable indices.
 
 Each table keeps at most `MAX_ENTRIES` entries and drops the least
 recently used one beyond that.  `clear_caches()` empties them all.

@@ -1,9 +1,12 @@
 """Command line front end: run scripts, emit text or JSON result streams.
 
 Exit codes: 0 when every command ran (false verdicts are still
-successes), 1 for usage, parse or semantic errors, 2 for verification,
-construction or budget failures, 3 when an associated-prime enumeration
-against a declared candidate set came back empty.
+successes), 1 for usage errors and for script errors the parser or the
+declarations catch (syntax, unknown or repeated names, misshapen
+vectors), 2 for verification, construction or budget failures and for
+inputs the library refuses (a repeated or comparable prime in `exists`,
+a submodule that fills its module), 3 when an associated-prime
+enumeration against a declared candidate set came back empty.
 
 JSON mode prints one document per command with stable key order, and
 reports `millis: 0` unless --timings is given, so identical inputs give
@@ -33,7 +36,7 @@ from .gpf import (
     exists_incomparable,
 )
 from .modops import colon_module
-from .primes import ATTEST_LINEAR, MONOMIAL, ass_enumerate
+from .primes import ATTEST_LINEAR, ass_enumerate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,10 +82,6 @@ class Runner:
         self.args = args
         self.out = out
         self.tie_break = args.tie_break
-
-    @property
-    def source(self):
-        return self.env.registry if self.env.registry is not None else MONOMIAL
 
     def _prime_notes(self, primes):
         """Attestation notes, plus the caveat when a registry is declared."""
@@ -176,7 +175,7 @@ class Runner:
         )
         module = self.env.module(cmd.args["module"], cmd.line, cmd.col)
         filt = rpe_filtration(
-            sub, module, source=self.source, tie_break=self.tie_break
+            sub, module, self.env.registry, tie_break=self.tie_break
         )
         inputs = {
             "submodule": _fmt_sub(sub),
@@ -230,9 +229,7 @@ class Runner:
             cmd.args["sub"], cmd.args["module"], cmd.line, cmd.col
         )
         module = self.env.module(cmd.args["module"], cmd.line, cmd.col)
-        primes = ass_enumerate(
-            module.with_denominator(sub), source=self.source
-        )
+        primes = ass_enumerate(module.with_denominator(sub), self.env.registry)
         inputs = {
             "submodule": _fmt_sub(sub),
             "module": _fmt_module(module),
@@ -267,7 +264,7 @@ class Runner:
             for e in cmd.args["entries"]
         ]
         module = self.env.module(cmd.args["module"], cmd.line, cmd.col)
-        report = exists_incomparable(primes, module, source=self.source)
+        report = exists_incomparable(primes, module, self.env.registry)
         inputs = {
             "primes": ", ".join(str(p) for p in primes),
             "module": _fmt_module(module),
@@ -287,7 +284,7 @@ class Runner:
     def cmd_construct(self, cmd):
         target = self.env.target(cmd.args["factors"], cmd.line, cmd.col)
         module = self.env.module(cmd.args["module"], cmd.line, cmd.col)
-        sub = construct_general(target, module, source=self.source)
+        sub = construct_general(target, module, self.env.registry)
         inputs = {
             "target": str(target),
             "module": _fmt_module(module),
@@ -299,7 +296,7 @@ class Runner:
     def cmd_check_iff(self, cmd):
         target = self.env.target(cmd.args["factors"], cmd.line, cmd.col)
         module = self.env.module(cmd.args["module"], cmd.line, cmd.col)
-        report = check_iff_criterion(target, module, source=self.source)
+        report = check_iff_criterion(target, module, self.env.registry)
         inputs = {
             "target": str(target),
             "module": _fmt_module(module),

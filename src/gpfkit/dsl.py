@@ -30,7 +30,7 @@ from .errors import BudgetError, ParseError
 from .fields import GF, QQ
 from .gpf import FactorizationTarget
 from .modops import QuotientModule, partial_products
-from .primes import CandidateRegistry, PrimeIdeal
+from .primes import PrimeIdeal
 from .record import Record
 
 COMMANDS = (
@@ -552,11 +552,10 @@ class Env:
             )
         elif isinstance(stmt, CandidatesDecl):
             self._check_ring(stmt)
-            primes = [
+            self.registry = tuple(
                 self.prime_of(entry, stmt.line, stmt.col)
                 for entry in stmt.entries
-            ]
-            self.registry = CandidateRegistry(primes)
+            )
         else:
             raise TypeError("not a declaration: %s" % type(stmt).__name__)
 

@@ -24,17 +24,18 @@ class VerificationError(GpfError):
 
 
 class HypothesisError(GpfError):
-    """A construction hypothesis does not hold; carries index and evidence."""
+    """A construction hypothesis does not hold; carries the index of the
+    failed condition when there is one."""
 
-    def __init__(self, message, index=None, evidence=None):
+    def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
-        self.evidence = evidence
 
 
 class IncompleteRegistryError(GpfError):
-    """An associated-prime enumeration came back empty against a candidate
-    registry while the module is nonzero, so no further progress is sound."""
+    """An associated-prime enumeration came back empty against the
+    candidate primes while the module is nonzero, so no further progress
+    is sound."""
 
 
 class BudgetError(GpfError):

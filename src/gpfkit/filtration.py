@@ -26,12 +26,7 @@ from .errors import (
     VerificationError,
 )
 from .modops import colon_ideal, colon_module, unit_ideal
-from .primes import (
-    MONOMIAL,
-    ass_enumerate,
-    check_tie_break,
-    sort_primes,
-)
+from .primes import ass_enumerate, check_tie_break, sort_primes
 from .record import Record
 
 # Steps one filtration may take before it is refused with BudgetError.
@@ -51,12 +46,12 @@ class Filtration(Record):
     """A chain of submodules of the ambient quotient module, from base up.
 
     ass_complete records whether the Ass enumerations behind the steps
-    were exhaustive or relative to a candidate registry; `verify_rpe`
-    re-derives every step.
+    were exhaustive or relative to the candidate primes in `candidates`;
+    `verify_rpe` re-derives every step.
     """
 
-    __slots__ = ("ambient", "base", "steps", "ass_complete", "source")
-    _defaults = (True, MONOMIAL)
+    __slots__ = ("ambient", "base", "steps", "ass_complete", "candidates")
+    _defaults = (True, None)
 
     def modules(self):
         out = [self.base]
@@ -71,7 +66,7 @@ class Filtration(Record):
         return len(self.steps)
 
 
-def verify_step(lower, upper, prime, ambient, source=MONOMIAL):
+def verify_step(lower, upper, prime, ambient, candidates=None):
     """Re-derive the three step properties; returns the failed checks, so
     an empty list means a regular maximal prime extension."""
     if not upper.contains_module(lower):
@@ -85,7 +80,7 @@ def verify_step(lower, upper, prime, ambient, source=MONOMIAL):
     # Prime extension: the colon ideal is exactly the prime and the
     # quotient has that single associated prime.
     ann = colon_ideal(lower, upper)
-    ass = ass_enumerate(ambient.module_of(upper).with_denominator(lower), source)
+    ass = ass_enumerate(ambient.module_of(upper).with_denominator(lower), candidates)
     if not prime.equals(ann):
         problems.append(
             "colon ideal of the step is %s, not %s" % (ann, prime)
@@ -101,7 +96,7 @@ def verify_step(lower, upper, prime, ambient, source=MONOMIAL):
 
     # Regularity: the prime is a member of Ass(M/lower) that no other
     # member strictly contains.
-    amb_ass = ass_enumerate(ambient.with_denominator(lower), source)
+    amb_ass = ass_enumerate(ambient.with_denominator(lower), candidates)
     if not amb_ass.contains_prime(prime) or any(
         q.key() != prime.key() and q.strictly_contains(prime) for q in amb_ass
     ):
@@ -111,7 +106,7 @@ def verify_step(lower, upper, prime, ambient, source=MONOMIAL):
     return problems
 
 
-def rpe_filtration(N, M, source=MONOMIAL, tie_break="lex"):
+def rpe_filtration(N, M, candidates=None, tie_break="lex"):
     """A regular prime extension filtration from N up to M.
 
     Each step colons out a maximal element of the freshly enumerated
@@ -120,8 +115,8 @@ def rpe_filtration(N, M, source=MONOMIAL, tie_break="lex"):
 
     No step is re-checked here.  For p maximal in a complete Ass(M/N),
     (N : p)/N has the single associated prime p, so each step is a
-    regular maximal prime extension by construction; over a candidate
-    registry that rests on the registry.  `verify_rpe` re-derives every
+    regular maximal prime extension by construction; over candidate
+    primes that rests on the candidates.  `verify_rpe` re-derives every
     step.
     """
     check_tie_break(tie_break)
@@ -143,7 +138,7 @@ def rpe_filtration(N, M, source=MONOMIAL, tie_break="lex"):
             raise BudgetError(
                 "filtration did not terminate within %d steps" % MAX_STEPS
             )
-        ass = ass_enumerate(Q, source)
+        ass = ass_enumerate(Q, candidates)
         complete = complete and ass.complete
         if not ass:
             raise IncompleteRegistryError(
@@ -164,7 +159,7 @@ def rpe_filtration(N, M, source=MONOMIAL, tie_break="lex"):
         base=N,
         steps=tuple(steps),
         ass_complete=complete,
-        source=source,
+        candidates=candidates,
     )
 
 
@@ -190,7 +185,6 @@ def interchange(filt, i):
             "interchange needs the later prime not contained in the "
             "earlier one",
             index=i,
-            evidence={"lower": str(p_low), "upper": str(p_high)},
         )
     window = filt.ambient.module_of(hi.upper)
     mid = colon_module(lo.lower, p_high, window)
@@ -202,7 +196,7 @@ def interchange(filt, i):
     steps[i - 1] = PrimeExtensionStep(lo.lower, mid, p_high)
     steps[i] = PrimeExtensionStep(mid, hi.upper, p_low)
     out = Filtration(
-        filt.ambient, filt.base, tuple(steps), filt.ass_complete, filt.source
+        filt.ambient, filt.base, tuple(steps), filt.ass_complete, filt.candidates
     )
     require_ok(verify_rpe(out))
     return out
@@ -217,7 +211,7 @@ def verify_rpe(filt):
     the ambient module; and the prime is maximal among the associated
     primes of M over the lower module.  Also checks the chain starts at
     the base and reaches the whole module.  Associated primes are
-    enumerated as the filtration's own were, from `filt.source`.  The
+    enumerated as the filtration's own were, from `filt.candidates`.  The
     report is ok when it lists no problem.
     """
     problems = []
@@ -232,7 +226,7 @@ def verify_rpe(filt):
         problems.extend(
             "step %d: %s" % (idx, msg)
             for msg in verify_step(
-                step.lower, step.upper, step.prime, M, filt.source
+                step.lower, step.upper, step.prime, M, filt.candidates
             )
         )
         steps.append(

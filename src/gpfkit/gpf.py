@@ -48,11 +48,9 @@ from .modops import (
     saturate,
 )
 from .primes import (
-    MONOMIAL,
     PrimeSet,
     ass_contains,
     ass_enumerate,
-    ass_membership,
     incomparable,
     supp_contains,
 )
@@ -178,12 +176,12 @@ class FactorizationTarget(PrimeMultiset):
         return partial_products(self.pairs)[-1]
 
 
-def gpf(N, M, source=MONOMIAL):
+def gpf(N, M, candidates=None):
     """The factorization of N in M: the multiset of filtration primes.
 
     The multiset does not depend on the filtration, so the tie-break
     between maximal primes is not a parameter here."""
-    filt = rpe_filtration(N, M, source=source)
+    filt = rpe_filtration(N, M, candidates)
     return PrimeMultiset.from_primes(filt.primes())
 
 
@@ -257,7 +255,7 @@ class ExistsReport(Record):
     _defaults = (None,)
 
 
-def exists_incomparable(primes, M, source=MONOMIAL):
+def exists_incomparable(primes, M, candidates=None):
     """Whether the product of pairwise incomparable primes arises as a
     factorization in M, with a verified witness when it does.
 
@@ -283,13 +281,13 @@ def exists_incomparable(primes, M, source=MONOMIAL):
     if not all(c.holds for c in conditions):
         return ExistsReport(False, None, conditions)
     target = FactorizationTarget([(p, 1) for p in primes])
-    K = construct_general(target, M, source=source)
+    K = construct_general(target, M, candidates)
     return ExistsReport(True, K, conditions, target)
 
 
-def _verified(N, M, want, source):
+def _verified(N, M, want, candidates):
     """N, once an independent filtration run in M factors it as want."""
-    got = gpf(N, M, source=source)
+    got = gpf(N, M, candidates)
     if not got.equals(want):
         raise VerificationError(
             "constructed submodule factors as %s, not %s" % (got, want)
@@ -297,7 +295,7 @@ def _verified(N, M, want, source):
     return N
 
 
-def construct_prime_power(p, r, M, source=MONOMIAL):
+def construct_prime_power(p, r, M, candidates=None):
     """A submodule N of M with factorization p^r, when one exists.
 
     Requires p associated to p^{r-1}M / p^r M.  N is the saturation of
@@ -313,14 +311,12 @@ def construct_prime_power(p, r, M, source=MONOMIAL):
     A = module_scale(below, M)
     Q = M.module_of(A).with_denominator(B)
     if not ass_contains(p, Q):
-        ev = ass_membership(p, Q)
         raise HypothesisError(
-            "%s is not associated to p^%d M / p^%d M" % (p, r - 1, r),
-            evidence={"colon": ev.colon, "ann": ev.ann},
+            "%s is not associated to p^%d M / p^%d M" % (p, r - 1, r)
         )
     others = [
         q
-        for q in ass_enumerate(M.with_denominator(B), source)
+        for q in ass_enumerate(M.with_denominator(B), candidates)
         if q.key() != p.key()
     ]
     if not others:
@@ -344,10 +340,10 @@ def construct_prime_power(p, r, M, source=MONOMIAL):
                 "witness product %s unexpectedly lies in %s" % (f, p)
             )
         N = saturate(B, f, M)
-    return _verified(N, M, PrimeMultiset([(p, r)]), source)
+    return _verified(N, M, PrimeMultiset([(p, r)]), candidates)
 
 
-def construct_general(target, M, source=MONOMIAL):
+def construct_general(target, M, candidates=None):
     """A submodule with the target factorization, built tail-first.
 
     Checks the telescoping support conditions, and refuses at the first
@@ -391,13 +387,13 @@ def construct_general(target, M, source=MONOMIAL):
                 "sufficient and whether a submodule of M has this "
                 "factorization is open" % (inside[0], bad.prime)
             )
-        raise HypothesisError(message, index=bad.index, evidence={"condition": bad})
+        raise HypothesisError(message, index=bad.index)
     cur = M
     N = None
     for p, r in reversed(target.pairs):
-        N = construct_prime_power(p, r, cur, source=source)
+        N = construct_prime_power(p, r, cur, candidates)
         cur = M.module_of(N)
-    return _verified(N, M, target, source)
+    return _verified(N, M, target, candidates)
 
 
 class IffSegment(Record):
@@ -411,7 +407,7 @@ class IffReport(Record):
     _defaults = (None, None)
 
 
-def check_iff_criterion(target, M, source=MONOMIAL):
+def check_iff_criterion(target, M, candidates=None):
     """Whether aM factors exactly as the target product a.
 
     With the primes in descending order and a_i the partial products,
@@ -435,7 +431,7 @@ def check_iff_criterion(target, M, source=MONOMIAL):
             found = PrimeSet([])
         else:
             found = ass_enumerate(
-                M.module_of(upper).with_denominator(lower), source
+                M.module_of(upper).with_denominator(lower), candidates
             )
         ok = len(found) == 1 and found.contains_prime(p)
         segments.append(IffSegment(i, p, found, ok))
@@ -448,8 +444,8 @@ def check_iff_criterion(target, M, source=MONOMIAL):
         ambient=M,
         base=chain[0],
         steps=tuple(map(PrimeExtensionStep, chain, chain[1:], primes)),
-        ass_complete=source is MONOMIAL,
-        source=source,
+        ass_complete=candidates is None,
+        candidates=candidates,
     )
     require_ok(verify_rpe(filt))
     return IffReport(True, segments, filtration=filt)

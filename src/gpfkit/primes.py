@@ -2,7 +2,8 @@
 
 Primality of an arbitrary ideal is not decided here.  A `PrimeIdeal` is
 an `Ideal` (it inherits membership, containment, equality and products)
-that carries an attestation of how its primality is known:
+that carries an attestation, derived from its generators, of how its
+primality is known:
 
 * ``linear-verified``: every leading term of the reduced basis of p + J
   in the polynomial ring S, where J is the ring's relation ideal, is a
@@ -12,10 +13,8 @@ that carries an attestation of how its primality is known:
   the polynomial ring in the remaining variables, a domain (Cox, Little
   & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2).  The unit
   ideal's basis {1} fails.  Checked structurally at construction.
-* ``finite-verified``: primality was confirmed by exhaustive products in
-  a finite model; used by the brute-force oracle.
-* ``assumed``: supplied by the caller, typically through a candidate
-  registry.  Every result computed from assumed primes inherits the
+* ``assumed``: every other prime, typically one the caller declares as
+  a candidate.  Every result computed from assumed primes inherits the
   assumption and is flagged in output.
 
 Membership of a prime p in Ass(M/N) is decided through the colon module
@@ -35,21 +34,20 @@ of J's irredundant irreducible components (Miller & Sturmfels,
 *Combinatorial Commutative Algebra*, ch. 1 and 5; the colon and the
 decomposition live in `monomial`).  The set is complete, so
 `ass_contains` answers a monomial quotient by looking the prime up in it.
-Anything else needs a registry of candidate primes and the result is
-flagged as relative to those candidates.
+Anything else needs a sequence of candidate primes, each tested, and
+the result is flagged as relative to those candidates.
 
-Registry membership depends only on the module and the prime, and both
+Candidate membership depends only on the module and the prime, and both
 are named by canonical reduced-basis keys, so `ass_contains` answers each
 (module, prime) question once and keeps the verdict in the bounded
 `cache.ASS_MEMBERS` table; a hit returns what the same exact computation
-would.  Only the boolean is kept: registry candidates are the caller's
-own primes on every enumeration, so their attestations and the order of
-a `PrimeSet` come from the caller, and `ass_membership`, which returns
-evidence, always computes.  Monomial-mode primes carry nothing of the
-caller's: each is built once per ring and support
-(`cache.VARIABLE_PRIMES`).  `filtration.verify_rpe` still re-derives
-every property of a filtration; what it no longer repeats is the
-computation behind a membership question already answered.
+would.  Only the boolean is kept: candidates are the caller's own
+primes on every enumeration, so the prime objects of a `PrimeSet` come
+from the caller, and `ass_membership` always computes.  Primes read off
+exponents carry nothing of the caller's: each is built once per ring
+and support (`cache.VARIABLE_PRIMES`).  `filtration.verify_rpe` still
+re-derives every property of a filtration; what it no longer repeats is
+the computation behind a membership question already answered.
 """
 
 from __future__ import annotations
@@ -65,39 +63,23 @@ from .modops import (
     colon_ideal,
     colon_module,
 )
-from .record import Record
 
 ATTEST_LINEAR = "linear-verified"
-ATTEST_FINITE = "finite-verified"
 ATTEST_ASSUMED = "assumed"
 
 log = logging.getLogger("gpfkit")
 
 
-class _MonomialSource:
-    """Sentinel for complete Ass enumeration of monomial quotients."""
-
-    def __repr__(self):
-        return "MONOMIAL"
-
-
-MONOMIAL = _MonomialSource()
-
-
 class PrimeIdeal(Ideal):
     """An ideal together with an attestation of primality."""
 
-    def __init__(self, ring, gens, attestation=None):
+    def __init__(self, ring, gens):
         super().__init__(ring, gens)
         linear = all(
             sum(v[0].leading_term()[0]) == 1
             for v in self.as_submodule().groebner().vectors
         )
-        if attestation is None:
-            attestation = ATTEST_LINEAR if linear else ATTEST_ASSUMED
-        elif attestation == ATTEST_LINEAR and not linear:
-            raise ValueError("generators do not pass the linear prime check")
-        self.attestation = attestation
+        self.attestation = ATTEST_LINEAR if linear else ATTEST_ASSUMED
         self._token = None
 
     @classmethod
@@ -136,8 +118,8 @@ def incomparable(p, q):
 class PrimeSet:
     """A finite set of primes, sorted canonically, with a completeness flag.
 
-    ``complete`` is False when the set came from testing a candidate
-    registry, which can miss primes outside the registry.
+    ``complete`` is False when the set came from testing candidates,
+    which can miss primes outside them.
     """
 
     def __init__(self, primes, complete=True):
@@ -190,38 +172,6 @@ class PrimeSet:
         return "{%s}" % ", ".join(str(p) for p in self.primes)
 
 
-class CandidateRegistry:
-    """An ordered, deduplicated list of candidate primes for Ass searches."""
-
-    def __init__(self, primes):
-        seen = set()
-        out = []
-        ring = None
-        for p in primes:
-            if ring is None:
-                ring = p.ring
-            elif p.ring != ring:
-                raise RingMismatchError("registry candidates over different rings")
-            if p.key() not in seen:
-                seen.add(p.key())
-                out.append(p)
-        self.ring = ring
-        self.primes = tuple(out)
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __len__(self):
-        return len(self.primes)
-
-
-class AssEvidence(Record):
-    """The verdict of a membership test with the colon module K and, when
-    K != N, the annihilator of K/N."""
-
-    __slots__ = ("member", "colon", "ann")
-
-
 def supp_contains(p, Q):
     """Whether p lies in the support of the quotient module: Ann(Q) <= p."""
     if p.ring != Q.ring:
@@ -230,7 +180,7 @@ def supp_contains(p, Q):
 
 
 def ass_membership(p, Q):
-    """Evidence for whether p is an associated prime of the quotient Q.
+    """Whether p is an associated prime of the quotient Q, computed.
 
     Q presents M/N with N as the denominator.  Computes K = (N : p) in M;
     p is associated exactly when K != N and Ann(K/N) <= p.
@@ -239,10 +189,7 @@ def ass_membership(p, Q):
         raise RingMismatchError("prime over a different ring")
     N = Q.span(())
     K = colon_module(N, p, Q)
-    if K.equals(N):
-        return AssEvidence(False, K, None)
-    ann = colon_ideal(N, K)
-    return AssEvidence(p.contains_ideal(ann), K, ann)
+    return not K.equals(N) and p.contains_ideal(colon_ideal(N, K))
 
 
 def ass_contains(p, Q):
@@ -257,7 +204,7 @@ def ass_contains(p, Q):
     key = (Q.ring.key(), Q.rank, Q.key(), p.key())
     member = cache.ASS_MEMBERS.get(key)
     if member is None:
-        member = ass_membership(p, Q).member
+        member = ass_membership(p, Q)
         cache.ASS_MEMBERS.put(key, member)
     return member
 
@@ -296,28 +243,26 @@ def _monomial_ass(Q):
     return out, len(colons)
 
 
-def ass_enumerate(Q, source=MONOMIAL):
+def ass_enumerate(Q, candidates=None):
     """The associated primes of the quotient module Q.
 
-    In MONOMIAL mode the generators must be monomial vectors over a plain
-    polynomial ring; the primes are read off exponents (see the module
-    docstring), no membership is tested, and the result is complete.  A
-    decomposition past `monomial.MAX_COMPONENTS` components raises
-    BudgetError.  With a CandidateRegistry each of its candidates is
+    Without candidates the generators must be monomial vectors over a
+    plain polynomial ring; the primes are read off exponents (see the
+    module docstring), no membership is tested, and the result is
+    complete.  A decomposition past `monomial.MAX_COMPONENTS` components
+    raises BudgetError.  Given a sequence of candidate primes, each is
     tested by `ass_contains` and the result is flagged incomplete
     (relative to the candidates).
     """
-    if isinstance(source, CandidateRegistry):
-        found = [p for p in source if ass_contains(p, Q)]
+    if candidates is not None:
+        found = [p for p in candidates if ass_contains(p, Q)]
         log.debug(
             "ass_enumerate: %d candidates over %d variables, %d confirmed",
-            len(source),
+            len(candidates),
             Q.ring.nvars,
             len(found),
         )
         return PrimeSet(found, complete=False)
-    if source is not MONOMIAL:
-        raise TypeError("ass source must be MONOMIAL or a CandidateRegistry")
     if not monomial_eligible(Q):
         raise IncompleteRegistryError(
             "associated prime enumeration needs monomial generators over "

@@ -3,7 +3,7 @@
 from gpfkit.arith import PolyRing
 from gpfkit.fields import QQ
 from gpfkit.modops import Submodule, QuotientModule
-from gpfkit.primes import CandidateRegistry, PrimeIdeal
+from gpfkit.primes import PrimeIdeal
 
 
 def xy_ring():
@@ -30,9 +30,7 @@ def twisted_setup():
     x, y, z = ring.gen(0), ring.gen(1), ring.gen(2)
     p = PrimeIdeal(ring, [x, z])
     m = PrimeIdeal(ring, [x, y, z])
-    registry = CandidateRegistry(
-        [p, m, PrimeIdeal(ring, [x, y]), PrimeIdeal(ring, [y, z])]
-    )
+    registry = (p, m, PrimeIdeal(ring, [x, y]), PrimeIdeal(ring, [y, z]))
     return ring, p, m, registry
 
 

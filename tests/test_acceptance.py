@@ -88,12 +88,12 @@ def test_criterion_1_binomial_quotient_reference_values():
     assert ass_contains(m, seg)
 
     target = FactorizationTarget([(p, 2)])
-    report = check_iff_criterion(target, M, source=registry)
+    report = check_iff_criterion(target, M, candidates=registry)
     assert report.verdict is False
     assert report.failed_index == 1
 
     with pytest.raises(HypothesisError) as err:
-        construct_general(target, M, source=registry)
+        construct_general(target, M, candidates=registry)
     assert err.value.index == 1
     assert "support condition" in str(err.value)
     assert time.monotonic() - t0 < 5.0
@@ -298,7 +298,7 @@ def test_criterion_8_prime_power():
     tring, p, tm, registry = twisted_setup()
     TM = QuotientModule.of_ring(tring)
     with pytest.raises(HypothesisError) as err:
-        construct_prime_power(p, 2, TM, source=registry)
+        construct_prime_power(p, 2, TM, candidates=registry)
     assert "not associated" in str(err.value)
 
 

@@ -1,7 +1,5 @@
 """The bounded memo tables in gpfkit.cache and what they may not change."""
 
-import importlib
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,14 +8,11 @@ from gpfkit.arith import PolyRing
 from gpfkit.cache import LRU, clear_caches
 from gpfkit.errors import IncompleteRegistryError, RingMismatchError
 from gpfkit.fields import GF, QQ
+from gpfkit.gpf import construct_prime_power
 from gpfkit.groebner import buchberger
 from gpfkit.modops import QuotientModule, module_scale
 from gpfkit.primes import (
-    ATTEST_ASSUMED,
-    ATTEST_FINITE,
     ATTEST_LINEAR,
-    MONOMIAL,
-    CandidateRegistry,
     PrimeIdeal,
     ass_contains,
     ass_enumerate,
@@ -131,11 +126,8 @@ def test_prime_power_construction_reads_the_cached_verdict(monkeypatch):
             repeats.append(q.token())
         return compute(q, quotient)
 
-    # the gpf module, which the package's gpf function shadows
-    gpf_module = importlib.import_module("gpfkit.gpf")
     monkeypatch.setattr(primes, "ass_membership", counting)
-    monkeypatch.setattr(gpf_module, "ass_membership", counting)
-    N = gpf_module.construct_prime_power(m, 2, M, source=registry)
+    N = construct_prime_power(m, 2, M, candidates=registry)
     assert N.equals(module_scale(m.power(2), M))
     assert repeats == []
 
@@ -151,7 +143,7 @@ def _shape(found):
 
 @st.composite
 def monomial_cases(draw):
-    """A monomial quotient over QQ or F_5 with the MONOMIAL source."""
+    """A monomial quotient over QQ or F_5 with no candidates."""
     field = draw(st.sampled_from([QQ, GF(5)]))
     nvars = draw(st.integers(2, 4))
     rank = draw(st.sampled_from([1, 2]))
@@ -168,9 +160,9 @@ def monomial_cases(draw):
 
     M = QuotientModule.free(ring, rank, vectors(0, 2))
     if draw(st.booleans()):
-        return M.with_denominator(M.span(vectors(1, 3))), MONOMIAL
+        return M.with_denominator(M.span(vectors(1, 3))), None
     upper = M.span(vectors(1, 2))
-    return M.module_of(upper).with_denominator(M.span(vectors(0, 2))), MONOMIAL
+    return M.module_of(upper).with_denominator(M.span(vectors(0, 2))), None
 
 
 @st.composite
@@ -190,14 +182,14 @@ def test_warm_caches_give_the_cold_answer(cases):
     """Quotients enumerated one after another share the tables; each
     answer, first or repeated, is the one a cold start gives."""
     clear_caches()
-    first = [ass_enumerate(Q, source) for Q, source in cases]
+    first = [ass_enumerate(Q, candidates) for Q, candidates in cases]
     misses = cache.ASS_MEMBERS.misses
-    again = [ass_enumerate(Q, source) for Q, source in cases]
+    again = [ass_enumerate(Q, candidates) for Q, candidates in cases]
     assert cache.ASS_MEMBERS.misses == misses  # nothing computed again
     cold = []
-    for Q, source in cases:
+    for Q, candidates in cases:
         clear_caches()
-        cold.append(ass_enumerate(Q, source))
+        cold.append(ass_enumerate(Q, candidates))
     want = [_shape(found) for found in cold]
     assert [_shape(found) for found in first] == want
     assert [_shape(found) for found in again] == want
@@ -221,28 +213,23 @@ def test_quotients_sharing_a_part_are_told_apart():
 
 
 def test_registries_keep_their_own_primes():
-    """Equal keys, different attestations: the cache holds verdicts only,
-    so each registry gets its own prime objects back."""
+    """Equal keys, different generators: the cache holds verdicts only,
+    so each candidate sequence gets its own prime objects back."""
     ring, p, m, registry = twisted_setup()
     x, y, z = ring.gens()
     M = QuotientModule.of_ring(ring)
     Q = M.module_of(M.span([(x,), (z,)])).with_denominator(
         M.span([(g,) for g in p.power(2).gens])
     )
-    mine = CandidateRegistry(
-        [
-            PrimeIdeal(ring, [x, z], attestation=ATTEST_FINITE),
-            PrimeIdeal(ring, [x, y, z], attestation=ATTEST_ASSUMED),
-        ]
-    )
+    mine = (PrimeIdeal(ring, [z, x]), PrimeIdeal(ring, [x + y, y, z]))
     first = ass_enumerate(Q, registry)
     misses = cache.ASS_MEMBERS.misses
     second = ass_enumerate(Q, mine)
     assert cache.ASS_MEMBERS.misses == misses  # answered from the cache
     assert [str(q) for q in first] == [str(q) for q in second] == ["(x, y, z)"]
-    assert first.primes[0] is m and m.attestation == ATTEST_LINEAR
-    assert second.primes[0] is mine.primes[1]
-    assert second.primes[0].attestation == ATTEST_ASSUMED
+    assert first.primes[0] is m
+    assert second.primes[0] is mine[1]
+    assert [str(g) for g in second.primes[0].gens] == ["x + y", "y", "z"]
 
 
 def test_prime_over_another_ring_still_raises_after_a_hit():

@@ -187,6 +187,38 @@ def test_missing_registry_exit_three(tmp_path, capsys):
     assert "candidate registry" in err
 
 
+def test_candidate_mode_json_bytes_are_pinned(tmp_path, capsys):
+    """Over the binomial quotient ring every associated prime is tested
+    against the declared candidates, and each document says so."""
+    script = TWISTED.replace(
+        "check-iff p^2 in R;",
+        "submodule N in R = (x^2, x*z, z^2);\nass N in R;\ngpf N in R;\n"
+        "verify N in R;",
+    )
+    code = _run(tmp_path, script, "--json")
+    out = capsys.readouterr().out
+    assert code == 0
+    head = (
+        '{"attestations": ["associated primes are relative to the declared '
+        'candidate set"], "command": "%s", "inputs": {"module": "free(1)", '
+        '"submodule": "(x^2, x*y, x*z, y*z, z^2)"}, "millis": 0, "result": '
+    )
+    checked = '{"checked": ["prime_extension", "maximal", "regular"], '
+    assert out.splitlines() == [
+        head % "ass"
+        + '{"complete": false, "primes": ["(x, y, z)", "(x, z)"]}, '
+        '"verification": {}}',
+        head % "gpf"
+        + '{"factorization": "(x, y, z) * (x, z)", "factors": [{"exponent": '
+        '1, "prime": "(x, y, z)"}, {"exponent": 1, "prime": "(x, z)"}]}, '
+        '"verification": {"ass_complete": false, "steps": true}}',
+        head % "verify"
+        + '{"ok": true, "steps": [' + checked + '"index": 1, "prime": '
+        '"(x, y, z)"}, ' + checked + '"index": 2, "prime": "(x, z)"}]}, '
+        '"verification": {"steps": true}}',
+    ]
+
+
 def test_field_override(tmp_path, capsys):
     script = "ring R = QQ[x,y];\nsubmodule N in R = (x^2, x*y);\ngpf N in R;"
     code = _run(tmp_path, script, "--field", "Fp:5", "--json")

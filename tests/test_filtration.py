@@ -279,8 +279,8 @@ def test_twisted_verify_with_registry():
     ring, p, m, registry = twisted_setup()
     M = QuotientModule.of_ring(ring)
     N = M.span([(g,) for g in p.gens])
-    filt = rpe_filtration(N, M, source=registry)
-    assert filt.source is registry
+    filt = rpe_filtration(N, M, candidates=registry)
+    assert filt.candidates is registry
     report = verify_rpe(filt)
     assert report["ok"]
 

@@ -1,7 +1,6 @@
 import pytest
 
 from gpfkit.filtration import Filtration
-from gpfkit.primes import MONOMIAL
 from gpfkit.gpf import ExistsReport, IffReport
 from gpfkit.record import Record
 
@@ -36,7 +35,7 @@ def test_bad_arguments_raise_type_error(args, named):
 
 def test_library_records_keep_their_defaults():
     f = Filtration(None, None, ())
-    assert (f.ass_complete, f.source) == (True, MONOMIAL)
+    assert (f.ass_complete, f.candidates) == (True, None)
     r = IffReport(False, [], failed_index=2)
     assert (r.filtration, r.failed_index) == (None, 2)
     assert ExistsReport(False, None, []).factors is None
