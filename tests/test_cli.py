@@ -491,3 +491,203 @@ def test_buchberger_over_the_pair_budget_exit_two(tmp_path, capsys, monkeypatch)
         clear_caches()
     assert code == 2
     assert capsys.readouterr().err == "error: Buchberger selected more than 1 pairs\n"
+
+
+# Every command once, with named and inline operands, a fraction
+# coefficient and a named ideal.
+ALL_COMMANDS = """
+ring R = QQ[x,y];
+prime p = (x, y);
+prime q = (x);
+ideal a = p * q;
+module M = free(2) / ((x, 0));
+submodule N in M = ((x*y, 0), (0, 1/2*x^2));
+gpf N in M;
+filtration N in M;
+ass N in M;
+colon N : a in M;
+colon ((0, x^2 + 1/2*x*y)) : (x, y)^2 in M;
+exists { q, (y) } in R;
+construct a in R;
+check-iff p * q in R;
+verify N in M;
+"""
+
+ALL_COMMANDS_TEXT = """\
+gpf module=free(2) / ((x, 0)) submodule=((x, 0), (0, x^2))
+  factorization: (x)^2
+  factors:
+    - exponent=2, prime=(x)
+  verified: ass_complete=True, steps=True
+filtration module=free(2) / ((x, 0)) submodule=((x, 0), (0, x^2))
+  base: ((x, 0), (0, x^2))
+  steps:
+    - colon=(N : (x)), index=1, module=((1, 0), (0, x)), prime=(x)
+    - colon=(N : (x) * (x)), index=2, module=((1, 0), (0, 1)), prime=(x)
+  verified: ass_complete=True, steps=True
+ass module=free(2) / ((x, 0)) submodule=((x, 0), (0, x^2))
+  complete: True
+  primes:
+    - (x)
+colon ideal=(x^2, x*y) module=free(2) / ((x, 0)) submodule=((x, 0), (0, x^2))
+  module: ((1, 0), (0, x))
+colon ideal=(x^2, x*y, y^2) module=free(2) / ((x, 0)) submodule=((x, 0), (0, x^2 + 1/2*x*y))
+  module: ((x, 0), (0, x^2 + 1/2*x*y))
+exists module=free(1) primes=(x), (y)
+  conditions:
+    - condition 1 for (x) holds
+    - condition 2 for (y) holds
+  verdict: True
+  witness: (x*y)
+  verified: witness_factorization=True
+construct module=free(1) target=(x, y) * (x)
+  submodule: (x^2, x*y)
+  verified: factorization=True
+check-iff module=free(1) target=(x, y) * (x)
+  segments:
+    - found=['(x, y)'], index=1, ok=True, prime=(x, y)
+    - found=['(x)'], index=2, ok=True, prime=(x)
+  steps:
+    - colon=(N : (x, y)), index=1, module=(x), prime=(x, y)
+    - colon=(N : (x, y) * (x)), index=2, module=(1), prime=(x)
+  verdict: True
+  verified: steps=True
+verify module=free(2) / ((x, 0)) submodule=((x, 0), (0, x^2))
+  ok: True
+  steps:
+    - checked=['prime_extension', 'maximal', 'regular'], index=1, prime=(x)
+    - checked=['prime_extension', 'maximal', 'regular'], index=2, prime=(x)
+  verified: steps=True
+"""
+
+
+def test_all_commands_text_bytes_are_pinned(tmp_path, capsys):
+    assert _run(tmp_path, ALL_COMMANDS) == 0
+    assert capsys.readouterr() == (ALL_COMMANDS_TEXT, "")
+
+
+def test_all_commands_json_bytes_are_pinned(tmp_path, capsys):
+    assert _run(tmp_path, ALL_COMMANDS, "--json") == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert out == "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
+    M = "free(2) / ((x, 0))"
+    on_N = {"module": M, "submodule": "((x, 0), (0, x^2))"}
+    target = {"module": "free(1)", "target": "(x, y) * (x)"}
+    x_chain = [
+        {"colon": "(N : (x))", "index": 1, "module": "((1, 0), (0, x))", "prime": "(x)"},
+        {"colon": "(N : (x) * (x))", "index": 2, "module": "((1, 0), (0, 1))", "prime": "(x)"},
+    ]
+    checked = ["prime_extension", "maximal", "regular"]
+    results = [
+        (
+            "gpf",
+            on_N,
+            {"factorization": "(x)^2", "factors": [{"exponent": 2, "prime": "(x)"}]},
+            {"ass_complete": True, "steps": True},
+        ),
+        (
+            "filtration",
+            on_N,
+            {"base": "((x, 0), (0, x^2))", "steps": x_chain},
+            {"ass_complete": True, "steps": True},
+        ),
+        ("ass", on_N, {"complete": True, "primes": ["(x)"]}, {}),
+        ("colon", dict(on_N, ideal="(x^2, x*y)"), {"module": "((1, 0), (0, x))"}, {}),
+        (
+            "colon",
+            {"ideal": "(x^2, x*y, y^2)", "module": M, "submodule": "((x, 0), (0, x^2 + 1/2*x*y))"},
+            {"module": "((x, 0), (0, x^2 + 1/2*x*y))"},
+            {},
+        ),
+        (
+            "exists",
+            {"module": "free(1)", "primes": "(x), (y)"},
+            {
+                "conditions": ["condition 1 for (x) holds", "condition 2 for (y) holds"],
+                "verdict": True,
+                "witness": "(x*y)",
+            },
+            {"witness_factorization": True},
+        ),
+        ("construct", target, {"submodule": "(x^2, x*y)"}, {"factorization": True}),
+        (
+            "check-iff",
+            target,
+            {
+                "segments": [
+                    {"found": ["(x, y)"], "index": 1, "ok": True, "prime": "(x, y)"},
+                    {"found": ["(x)"], "index": 2, "ok": True, "prime": "(x)"},
+                ],
+                "steps": [
+                    {"colon": "(N : (x, y))", "index": 1, "module": "(x)", "prime": "(x, y)"},
+                    {"colon": "(N : (x, y) * (x))", "index": 2, "module": "(1)", "prime": "(x)"},
+                ],
+                "verdict": True,
+            },
+            {"steps": True},
+        ),
+        (
+            "verify",
+            on_N,
+            {
+                "ok": True,
+                "steps": [
+                    {"checked": checked, "index": 1, "prime": "(x)"},
+                    {"checked": checked, "index": 2, "prime": "(x)"},
+                ],
+            },
+            {"steps": True},
+        ),
+    ]
+    assert docs == [
+        {
+            "attestations": [],
+            "command": command,
+            "inputs": inputs,
+            "millis": 0,
+            "result": result,
+            "verification": verification,
+        }
+        for command, inputs, result, verification in results
+    ]
+
+
+@pytest.mark.parametrize(
+    "script, err",
+    [
+        (
+            "ring R = QQ[x,y];\nsubmodule N in R = (x^2, x*y;\n",
+            "line 2, col 29: expected ')', found ';'",
+        ),
+        ("ring R = QQ[x,y];\ngpf N in R;\n", "line 2, col 1: unknown submodule 'N'"),
+        (
+            "ring R = QQ[x,y];\nmodule M = free(2);\nsubmodule N in M = ((x, y, 1));\n",
+            "line 3, col 21: expected a vector of 2 entries, got 3",
+        ),
+        ("ring R = F4[x,y];\n", "line 1, col 1: 4 is not prime"),
+        (
+            "ring R = QQ[x,y];\nprime p = (x);\nideal p = (y);\n",
+            "line 3, col 1: name 'p' is already declared",
+        ),
+        ("ring R = QQ[x,y,x];\n", "line 1, col 1: duplicate variable 'x'"),
+        (
+            "ring R = QQ[x,y];\nprime p = (x);\ngpf p in p;\n",
+            "line 3, col 1: unknown module 'p'",
+        ),
+    ],
+    ids=[
+        "unclosed-list",
+        "unknown-submodule",
+        "vector-length",
+        "field-F4",
+        "repeated-name",
+        "duplicate-variable",
+        "prime-as-module",
+    ],
+)
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_script_errors_are_pinned(tmp_path, capsys, script, err, flags):
+    assert _run(tmp_path, script, *flags) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % err)

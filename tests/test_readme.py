@@ -28,3 +28,14 @@ def test_readme_python_blocks_print_their_comments():
         "{(x, y, z), (x, z)}",
         "(x, y, z) * (x, z)",
     ]
+
+
+def test_readme_scripts_parse():
+    """Both script blocks parse: the chain.gpf example and the "Script
+    language" summary, the one text that uses every statement form."""
+    from gpfkit import dsl
+
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", text, re.S | re.M)
+    scripts = [b for lang, b in blocks if not lang and re.search(r"^ring ", b, re.M)]
+    assert [len(dsl.parse(s).statements) for s in scripts] == [7, 14]
