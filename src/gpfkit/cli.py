@@ -35,7 +35,7 @@ from .gpf import (
     construct_general,
     exists_incomparable,
 )
-from .modops import colon_module
+from .modops import colon_module, partial_products
 from .primes import ATTEST_LINEAR, ass_enumerate
 
 EXIT_OK = 0
@@ -81,7 +81,6 @@ class Runner:
         self.env = env
         self.args = args
         self.out = out
-        self.tie_break = args.tie_break
 
     def _prime_notes(self, primes):
         """Attestation notes, plus the caveat when a registry is declared."""
@@ -128,7 +127,10 @@ class Runner:
             }
             self.out.write(json.dumps(doc, sort_keys=True) + "\n")
             return
-        self.out.write("%s %s\n" % (op, self._inputs_line(inputs)))
+        self.out.write(
+            "%s %s\n"
+            % (op, " ".join("%s=%s" % (k, v) for k, v in sorted(inputs.items())))
+        )
         for line in self._result_lines(result):
             self.out.write("  %s\n" % line)
         for note in notes:
@@ -140,11 +142,6 @@ class Runner:
             self.out.write("  verified: %s\n" % parts)
         if self.args.timings:
             self.out.write("  (%d ms)\n" % millis)
-
-    def _inputs_line(self, inputs):
-        return " ".join(
-            "%s=%s" % (k, v) for k, v in sorted(inputs.items())
-        )
 
     def _result_lines(self, result):
         lines = []
@@ -167,22 +164,34 @@ class Runner:
 
     # --- command handlers ---
 
-    def _verified_filtration(self, cmd):
-        """The filtration a command asks for, its verify_rpe report, the
-        inputs and the attestation notes."""
+    def _operands(self, cmd):
+        """A command's submodule and module, and the inputs that echo
+        them."""
         sub = self.env.submodule(
             cmd.args["sub"], cmd.args["module"], cmd.line, cmd.col
         )
         module = self.env.module(cmd.args["module"], cmd.line, cmd.col)
-        filt = rpe_filtration(
-            sub, module, self.env.registry, tie_break=self.tie_break
-        )
         inputs = {
             "submodule": _fmt_sub(sub),
             "module": _fmt_module(module),
         }
+        return sub, module, inputs
+
+    def _verified_filtration(self, cmd):
+        """The filtration a command asks for, its verify_rpe report, the
+        inputs, the attestation notes, and the verification that gpf and
+        filtration print."""
+        sub, module, inputs = self._operands(cmd)
+        filt = rpe_filtration(
+            sub, module, self.env.registry, tie_break=self.args.tie_break
+        )
+        report = verify_rpe(filt)
+        verification = {
+            "steps": report["ok"],
+            "ass_complete": filt.ass_complete,
+        }
         notes = self._prime_notes(filt.primes())
-        return filt, verify_rpe(filt), inputs, notes
+        return filt, report, inputs, notes, verification
 
     def _chain(self, filt):
         """Filtration steps as an audit-friendly colon chain."""
@@ -201,7 +210,7 @@ class Runner:
         return steps
 
     def cmd_gpf(self, cmd):
-        filt, report, inputs, notes = self._verified_filtration(cmd)
+        filt, _, inputs, notes, verification = self._verified_filtration(cmd)
         ms = PrimeMultiset.from_primes(filt.primes())
         result = {
             "factorization": str(ms),
@@ -209,31 +218,16 @@ class Runner:
                 {"prime": str(p), "exponent": r} for p, r in ms.entries()
             ],
         }
-        verification = {
-            "steps": report["ok"],
-            "ass_complete": filt.ass_complete,
-        }
         return inputs, result, notes, verification
 
     def cmd_filtration(self, cmd):
-        filt, report, inputs, notes = self._verified_filtration(cmd)
+        filt, _, inputs, notes, verification = self._verified_filtration(cmd)
         result = {"base": inputs["submodule"], "steps": self._chain(filt)}
-        verification = {
-            "steps": report["ok"],
-            "ass_complete": filt.ass_complete,
-        }
         return inputs, result, notes, verification
 
     def cmd_ass(self, cmd):
-        sub = self.env.submodule(
-            cmd.args["sub"], cmd.args["module"], cmd.line, cmd.col
-        )
-        module = self.env.module(cmd.args["module"], cmd.line, cmd.col)
+        sub, module, inputs = self._operands(cmd)
         primes = ass_enumerate(module.with_denominator(sub), self.env.registry)
-        inputs = {
-            "submodule": _fmt_sub(sub),
-            "module": _fmt_module(module),
-        }
         result = {
             "primes": [str(p) for p in primes],
             "complete": primes.complete,
@@ -242,18 +236,11 @@ class Runner:
         return inputs, result, notes, {}
 
     def cmd_colon(self, cmd):
-        sub = self.env.submodule(
-            cmd.args["sub"], cmd.args["module"], cmd.line, cmd.col
-        )
-        module = self.env.module(cmd.args["module"], cmd.line, cmd.col)
+        sub, module, inputs = self._operands(cmd)
         pairs = self.env.target_pairs(cmd.args["factors"])
-        ideal = self.env.ideal_of_pairs(pairs)
+        ideal = partial_products(pairs)[-1]
         out = colon_module(sub, ideal, module)
-        inputs = {
-            "submodule": _fmt_sub(sub),
-            "ideal": str(ideal),
-            "module": _fmt_module(module),
-        }
+        inputs["ideal"] = str(ideal)
         result = {"module": _fmt_sub(out)}
         notes = _attestation_notes([p for p, _ in pairs])
         return inputs, result, notes, {}
@@ -321,7 +308,7 @@ class Runner:
         return inputs, result, notes, verification
 
     def cmd_verify(self, cmd):
-        _, report, inputs, notes = self._verified_filtration(cmd)
+        _, report, inputs, notes, _ = self._verified_filtration(cmd)
         result = {"ok": True, "steps": require_ok(report)["steps"]}
         return inputs, result, notes, {"steps": True}
 
@@ -420,7 +407,7 @@ def _run(args, out):
     field = None
     if args.field is not None:
         try:
-            field = dsl.parse_field_flag(args.field)
+            field = dsl.parse_field(args.field)
         except ValueError as exc:
             sys.stderr.write("error: %s\n" % exc)
             return EXIT_USAGE

@@ -29,7 +29,7 @@ from .arith import PolyRing
 from .errors import BudgetError, ParseError
 from .fields import GF, QQ
 from .gpf import FactorizationTarget
-from .modops import QuotientModule, partial_products
+from .modops import QuotientModule
 from .primes import PrimeIdeal
 from .record import Record
 
@@ -221,15 +221,19 @@ class Parser:
 
     # --- declarations ---
 
-    def decl_ring(self):
+    def declared(self, what):
+        """The keyword, the declared name and "="; returns the keyword
+        token and the name."""
         tok = self.advance()
-        name = self.name("a ring name").value
+        name = self.name(what).value
         self.expect("=")
+        return tok, name
+
+    def decl_ring(self):
+        tok, name = self.declared("a ring name")
         spec = self.name("a coefficient field (QQ or F<q>)")
         self.expect("[")
-        variables = [self.name("a variable name").value]
-        while self.accept(","):
-            variables.append(self.name("a variable name").value)
+        variables = self.separated(lambda: self.name("a variable name").value)
         self.expect("]")
         relations = []
         if self.accept("/"):
@@ -239,23 +243,17 @@ class Parser:
         )
 
     def decl_prime(self):
-        tok = self.advance()
-        name = self.name("a prime name").value
-        self.expect("=")
+        tok, name = self.declared("a prime name")
         gens = self.poly_list()
         return PrimeDecl(name, gens, tok.line, tok.col)
 
     def decl_ideal(self):
-        tok = self.advance()
-        name = self.name("an ideal name").value
-        self.expect("=")
+        tok, name = self.declared("an ideal name")
         factors = self.ideal_expr()
         return IdealDecl(name, factors, tok.line, tok.col)
 
     def decl_module(self):
-        tok = self.advance()
-        name = self.name("a module name").value
-        self.expect("=")
+        tok, name = self.declared("a module name")
         self.keyword("free")
         self.expect("(")
         rank = self.expect("int", "a rank").value
@@ -283,32 +281,21 @@ class Parser:
         return CandidatesDecl(entries, tok.line, tok.col)
 
     def command(self):
+        """One of COMMANDS: its operands, then "in" and a module name."""
         tok = self.advance()
         op = tok.value
         if op in ("gpf", "filtration", "ass", "verify"):
-            sub = self.subref()
-            self.keyword("in")
-            module = self.name("a module name").value
-            args = {"sub": sub, "module": module}
+            args = {"sub": self.subref()}
         elif op == "colon":
             sub = self.subref()
             self.expect(":")
-            factors = self.ideal_expr()
-            self.keyword("in")
-            module = self.name("a module name").value
-            args = {"sub": sub, "factors": factors, "module": module}
+            args = {"sub": sub, "factors": self.ideal_expr()}
         elif op == "exists":
-            entries = self.prime_set()
-            self.keyword("in")
-            module = self.name("a module name").value
-            args = {"entries": entries, "module": module}
-        elif op in ("construct", "check-iff"):
-            factors = self.ideal_expr()
-            self.keyword("in")
-            module = self.name("a module name").value
-            args = {"factors": factors, "module": module}
-        else:
-            raise ParseError("unknown command %r" % op, tok.line, tok.col)
+            args = {"entries": self.prime_set()}
+        else:  # construct, check-iff
+            args = {"factors": self.ideal_expr()}
+        self.keyword("in")
+        args["module"] = self.name("a module name").value
         return Command(op, args, tok.line, tok.col)
 
     def keyword(self, word):
@@ -323,87 +310,67 @@ class Parser:
 
     # --- shared pieces ---
 
-    def subref(self):
-        if self.cur.kind == "name":
-            return self.advance().value
-        return self.item_list()
+    def separated(self, element, sep=","):
+        """One or more elements, parsed by `element`, between separators."""
+        out = [element()]
+        while self.accept(sep):
+            out.append(element())
+        return out
 
-    def item_list(self):
+    def parenthesized(self, element):
+        """A parenthesized, comma-separated list, possibly empty."""
         self.expect("(", "a generator list")
-        items = []
-        if self.cur.kind != ")":
-            items.append(self.item())
-            while self.accept(","):
-                items.append(self.item())
-        self.expect(")")
-        return items
-
-    def item(self):
-        tok = self.cur
-        if tok.kind == "(":
-            save = self.pos
-            self.advance()
-            first = self.poly()
-            if self.cur.kind == ",":
-                entries = [first]
-                while self.accept(","):
-                    entries.append(self.poly())
-                self.expect(")")
-                return Item(entries, tok.line, tok.col)
-            self.expect(")")
-            if self.cur.kind in ("^", "*", "+", "-", "/"):
-                self.pos = save
-                return Item([self.poly()], tok.line, tok.col)
-            return Item([first], tok.line, tok.col)
-        return Item([self.poly()], tok.line, tok.col)
-
-    def poly_list(self):
-        self.expect("(", "a generator list")
-        out = []
-        if self.cur.kind != ")":
-            out.append(self.poly())
-            while self.accept(","):
-                out.append(self.poly())
+        out = [] if self.cur.kind == ")" else self.separated(element)
         self.expect(")")
         return out
 
-    def prime_set(self):
-        self.expect("{", "a prime set")
-        entries = []
-        entries.append(self.prime_ref())
-        while self.accept(","):
-            entries.append(self.prime_ref())
-        self.expect("}")
-        return entries
-
-    def prime_ref(self):
+    def name_or_list(self, what):
+        """A declared name, or an inline generator list."""
         tok = self.cur
         if tok.kind == "name":
             return self.advance().value
         if tok.kind == "(":
             return self.poly_list()
         raise ParseError(
-            "expected a prime name or generator list", tok.line, tok.col
+            "expected %s name or generator list" % what, tok.line, tok.col
         )
 
+    def subref(self):
+        if self.cur.kind == "name":
+            return self.advance().value
+        return self.item_list()
+
+    def item_list(self):
+        return self.parenthesized(self.item)
+
+    def item(self):
+        """A scalar, or a parenthesized vector of two or more entries; a
+        parenthesized scalar followed by an operator is a polynomial."""
+        tok = self.cur
+        save = self.pos
+        if self.accept("("):
+            entries = self.separated(self.poly)
+            self.expect(")")
+            if len(entries) > 1 or self.cur.kind not in ("^", "*", "+", "-", "/"):
+                return Item(entries, tok.line, tok.col)
+            self.pos = save
+        return Item([self.poly()], tok.line, tok.col)
+
+    def poly_list(self):
+        return self.parenthesized(self.poly)
+
+    def prime_set(self):
+        self.expect("{", "a prime set")
+        entries = self.separated(lambda: self.name_or_list("a prime"))
+        self.expect("}")
+        return entries
+
     def ideal_expr(self):
-        factors = [self.ideal_factor()]
-        while self.accept("*"):
-            factors.append(self.ideal_factor())
-        return factors
+        return self.separated(self.ideal_factor, "*")
 
     def ideal_factor(self):
         tok = self.cur
-        if tok.kind == "name":
-            base = self.advance().value
-        elif tok.kind == "(":
-            base = self.poly_list()
-        else:
-            raise ParseError(
-                "expected an ideal name or generator list",
-                tok.line,
-                tok.col,
-            )
+        base = self.name_or_list("an ideal")
         exponent = 1
         if self.accept("^"):
             etok = self.expect("int", "an exponent")
@@ -428,10 +395,7 @@ class Parser:
         return ("sum", terms)
 
     def poly_term(self):
-        factors = [self.poly_factor()]
-        while self.accept("*"):
-            factors.append(self.poly_factor())
-        return ("mul", factors)
+        return ("mul", self.separated(self.poly_factor, "*"))
 
     def poly_factor(self):
         node = self.poly_atom()
@@ -480,30 +444,17 @@ def parse(text):
 # --- evaluation -----------------------------------------------------------
 
 
-def _field_of(spec, line, col):
+def parse_field(spec):
+    """A coefficient field by name: QQ, F<q> or Fp:<q>; ValueError
+    otherwise."""
     if spec == "QQ":
         return QQ
-    m = re.fullmatch(r"F([0-9]+)", spec)
-    if m:
-        try:
-            return GF(int(m.group(1)))
-        except ValueError as exc:
-            raise ParseError(str(exc), line, col)
-    raise ParseError(
-        "unknown coefficient field %r (expected QQ or F<q>)" % spec,
-        line,
-        col,
-    )
-
-
-def parse_field_flag(value):
-    """--field values: QQ, Fp:<q>, or F<q>."""
-    if value == "QQ":
-        return QQ
-    m = re.fullmatch(r"(?:Fp:|F)([0-9]+)", value)
+    m = re.fullmatch(r"(?:Fp:|F)([0-9]+)", spec)
     if m:
         return GF(int(m.group(1)))
-    raise ValueError("unknown field %r (expected QQ or Fp:<q>)" % value)
+    raise ValueError(
+        "unknown coefficient field %r (expected QQ or F<q>)" % spec
+    )
 
 
 class Env:
@@ -515,7 +466,6 @@ class Env:
         self.ring_name = None
         self.names = {}
         self.registry = None
-        self._var_index = {}
         self._ring_module = None
 
     # -- declarations --
@@ -523,26 +473,27 @@ class Env:
     def declare(self, stmt):
         if isinstance(stmt, RingDecl):
             self._declare_ring(stmt)
-        elif isinstance(stmt, PrimeDecl):
-            self._check_ring(stmt)
+            return
+        if self.ring is None:
+            raise ParseError(
+                "declare a ring before anything else", stmt.line, stmt.col
+            )
+        if isinstance(stmt, PrimeDecl):
             self._bind(
                 stmt.name,
                 ("prime", PrimeIdeal(self.ring, self.polys(stmt.gens))),
                 stmt,
             )
         elif isinstance(stmt, IdealDecl):
-            self._check_ring(stmt)
             pairs = self.target_pairs(stmt.factors)
             self._bind(stmt.name, ("ideal", pairs), stmt)
         elif isinstance(stmt, ModuleDecl):
-            self._check_ring(stmt)
             denom = [
                 self.vector(item, stmt.rank) for item in stmt.denom
             ]
             module = QuotientModule.free(self.ring, stmt.rank, denom)
             self._bind(stmt.name, ("module", module), stmt)
         elif isinstance(stmt, SubmoduleDecl):
-            self._check_ring(stmt)
             module = self.module(stmt.module, stmt.line, stmt.col)
             vectors = [
                 self.vector(item, module.rank) for item in stmt.items
@@ -551,7 +502,6 @@ class Env:
                 stmt.name, ("submodule", (module.span(vectors), stmt.module)), stmt
             )
         elif isinstance(stmt, CandidatesDecl):
-            self._check_ring(stmt)
             self.registry = tuple(
                 self.prime_of(entry, stmt.line, stmt.col)
                 for entry in stmt.entries
@@ -564,9 +514,12 @@ class Env:
             raise ParseError(
                 "a script declares exactly one ring", stmt.line, stmt.col
             )
-        field = self.field_override or _field_of(
-            stmt.fieldspec, stmt.line, stmt.col
-        )
+        field = self.field_override
+        if field is None:
+            try:
+                field = parse_field(stmt.fieldspec)
+            except ValueError as exc:
+                raise ParseError(str(exc), stmt.line, stmt.col) from None
         seen = set()
         for v in stmt.variables:
             if v in seen:
@@ -574,21 +527,13 @@ class Env:
                     "duplicate variable %r" % v, stmt.line, stmt.col
                 )
             seen.add(v)
-        pure = PolyRing(field, tuple(stmt.variables))
-        self.ring = pure
-        self._var_index = {v: i for i, v in enumerate(stmt.variables)}
+        self.ring = PolyRing(field, tuple(stmt.variables))
         if stmt.relations:
             rels = tuple(self.polys(stmt.relations))
             self.ring = PolyRing(
                 field, tuple(stmt.variables), relations=rels
             )
         self.ring_name = stmt.name
-
-    def _check_ring(self, stmt):
-        if self.ring is None:
-            raise ParseError(
-                "declare a ring before anything else", stmt.line, stmt.col
-            )
 
     def _bind(self, name, entry, stmt):
         if name in self.names or name == self.ring_name:
@@ -603,10 +548,9 @@ class Env:
         kind = node[0]
         if kind == "var":
             _, name, line, col = node
-            idx = self._var_index.get(name)
-            if idx is None:
+            if name not in self.ring.names:
                 raise ParseError("unknown variable %r" % name, line, col)
-            return self.ring.gen(idx)
+            return self.ring.var(name)
         if kind == "const":
             _, value, line, col = node
             return self.ring.const(self._coeff(value, line, col))
@@ -657,15 +601,19 @@ class Env:
 
     # -- operand resolution --
 
+    def _named(self, kind, name, line, col):
+        """What `name` was declared as, if it was declared as a `kind`."""
+        entry = self.names.get(name)
+        if entry is None or entry[0] != kind:
+            raise ParseError("unknown %s %r" % (kind, name), line, col)
+        return entry[1]
+
     def module(self, name, line, col):
         if name == self.ring_name:
             if self._ring_module is None:
                 self._ring_module = QuotientModule.of_ring(self.ring)
             return self._ring_module
-        entry = self.names.get(name)
-        if entry is None or entry[0] != "module":
-            raise ParseError("unknown module %r" % name, line, col)
-        return entry[1]
+        return self._named("module", name, line, col)
 
     def submodule(self, ref, module_name, line, col):
         """Resolve a command's submodule operand against a named module."""
@@ -673,10 +621,7 @@ class Env:
         if isinstance(ref, str):
             if ref == module_name:
                 return module.full()
-            entry = self.names.get(ref)
-            if entry is None or entry[0] != "submodule":
-                raise ParseError("unknown submodule %r" % ref, line, col)
-            sub, home = entry[1]
+            sub, home = self._named("submodule", ref, line, col)
             if home != module_name:
                 raise ParseError(
                     "submodule %r was declared in %r" % (ref, home),
@@ -689,10 +634,7 @@ class Env:
 
     def prime_of(self, ref, line, col):
         if isinstance(ref, str):
-            entry = self.names.get(ref)
-            if entry is None or entry[0] != "prime":
-                raise ParseError("unknown prime %r" % ref, line, col)
-            return entry[1]
+            return self._named("prime", ref, line, col)
         return PrimeIdeal(self.ring, self.polys(ref))
 
     def target_pairs(self, factors):
@@ -727,6 +669,3 @@ class Env:
             return FactorizationTarget.reordered(pairs)
         except ValueError as exc:
             raise ParseError(str(exc), line, col)
-
-    def ideal_of_pairs(self, pairs):
-        return partial_products(pairs)[-1]

@@ -202,14 +202,15 @@ def test_module_name_resolves_to_full_submodule():
     assert sub.equals(module.full())
 
 
-def test_parse_field_flag():
-    assert str(dsl.parse_field_flag("QQ")) == "QQ"
-    assert dsl.parse_field_flag("Fp:7").char == 7
-    assert dsl.parse_field_flag("F7").char == 7
-    with pytest.raises(ValueError):
-        dsl.parse_field_flag("GF(4)")
-    with pytest.raises(ValueError):
-        dsl.parse_field_flag("F4")
+def test_parse_field():
+    """One parser reads the ring declaration's field and --field."""
+    assert str(dsl.parse_field("QQ")) == "QQ"
+    assert dsl.parse_field("Fp:7").char == 7
+    assert dsl.parse_field("F7").char == 7
+    with pytest.raises(ValueError, match="unknown coefficient field 'GF'"):
+        dsl.parse_field("GF")
+    with pytest.raises(ValueError, match="4 is not prime"):
+        dsl.parse_field("F4")
 
 
 def test_comments_and_whitespace():
