@@ -6,7 +6,9 @@ declarations catch (syntax, unknown or repeated names, misshapen
 vectors), 2 for verification, construction or budget failures and for
 inputs the library refuses (a repeated or comparable prime in `exists`,
 a submodule that fills its module), 3 when an associated-prime
-enumeration against a declared candidate set came back empty.
+enumeration needs candidate primes it was not given: none are declared
+and the input is not monomial over a plain polynomial ring, or the
+declared candidates hold no associated prime of a nonzero quotient.
 
 JSON mode prints one document per command with stable key order, and
 reports `millis: 0` unless --timings is given, so identical inputs give

@@ -18,9 +18,9 @@ inside that trusted window.  An element witnesses an associated prime p
 when every generator of p multiplies it into N and no trusted ring
 element outside p does; both tests use only trusted products, so they
 agree with the true ring whenever the ideals involved are generated
-inside the window.  Each bundled fixture records the witness degree it
-needs and is built so that everything it compares is generated and
-detected inside its window.
+inside the window.  Every bundled fixture is scanned with witnesses of
+degree at most 1 (the default `z_max`), and is built so that everything
+it compares is generated and detected inside its window.
 
 Candidate primes are the nonzero variable-generated ideals, the only
 primes that can be associated to monomial subquotients; each accepted
@@ -38,6 +38,7 @@ from collections import Counter
 from functools import partial
 
 from .arith import Polynomial, PolyRing, mono_degree, mono_divides, mono_key
+from .dsl import Env, Parser, tokenize
 from .errors import BudgetError, VerificationError
 from .fields import GF
 from .modops import Ideal, QuotientModule, colon_ideal, colon_module
@@ -109,13 +110,13 @@ class FiniteRing:
     """A truncation of a graded ring to a finite F_q algebra.
 
     Built from a symbolic ring over a prime field (its relations must be
-    homogeneous) and a cap per variable; the model ring adds x_i^cap_i to
-    the relations.  Elements are coefficient tuples over the standard
-    monomial basis.  Products of elements whose degrees sum to less than
-    the least cap agree with the true ring.
+    homogeneous) and one cap for every variable; the model ring adds
+    x_i^cap to the relations.  Elements are coefficient tuples over the
+    standard monomial basis.  Products of elements whose degrees sum to
+    less than the cap agree with the true ring.
     """
 
-    def __init__(self, sym_ring, caps, budget=DEFAULT_BUDGET):
+    def __init__(self, sym_ring, cap, budget=DEFAULT_BUDGET):
         if sym_ring.field.char == 0:
             raise ValueError("finite models need a finite coefficient field")
         for rel in sym_ring.relations:
@@ -126,10 +127,8 @@ class FiniteRing:
                     "relations"
                 )
         names = sym_ring.names
-        if isinstance(caps, int):
-            caps = {n: caps for n in names}
-        self.caps = tuple(caps[n] for n in names)
-        self.trusted_degree = min(self.caps)
+        self.caps = (cap,) * len(names)
+        self.trusted_degree = cap
         self.sym = sym_ring
         self.field = sym_ring.field
         self.q = self.field.char
@@ -488,9 +487,9 @@ def rpe_bruteforce(N, M, tie_break="lex"):
 # ---------------------------------------------------------------------------
 # bundled fixtures
 #
-# Every fixture lives over F2.  Polynomials are written as sums of
-# products, such as "x*x + y*z" (0 and 1 are the constants), and a vector
-# of rank 1 may be written as its single entry.
+# Every fixture lives over F2.  Polynomials are written as in a script,
+# such as "x*x + y*z", and a vector of rank 1 may be written as its single
+# entry.
 
 
 class Fixture(Record):
@@ -505,14 +504,9 @@ class _Model(Record):
 
 
 def _poly(ring, text):
-    out = ring.zero()
-    for term in text.split("+"):
-        mono = ring.one()
-        for name in term.split("*"):
-            name = name.strip()
-            mono = mono * (ring.var(name) if name.isalpha() else ring.const(int(name)))
-        out = out + mono
-    return out
+    env = Env()
+    env.ring = ring
+    return env.poly(Parser(tokenize(text)).poly())
 
 
 def _vectors(ring, rows):
@@ -531,18 +525,18 @@ def _closure(M, vectors):
     return M.closure([_image(M.ring, v) for v in vectors])
 
 
-def _build(variables, caps, relations=(), rank=1, denom=(), N=(), *, rings):
-    """A fixture's model.  Fixtures over the same (variables, caps,
+def _build(variables, cap, relations=(), rank=1, denom=(), N=(), *, rings):
+    """A fixture's model.  Fixtures over the same (variables, cap,
     relations) share one `FiniteRing` through the `rings` dict of one
     battery run, and with it its products, windows and primality
     verdicts."""
-    key = (variables, caps, relations)
+    key = (variables, cap, relations)
     if key not in rings:
         plain = PolyRing(GF(2), variables)
         sym = PolyRing(
             GF(2), plain.names, relations=[_poly(plain, r) for r in relations]
         )
-        rings[key] = FiniteRing(sym, caps)
+        rings[key] = FiniteRing(sym, cap)
     ring = rings[key]
     sym = ring.sym
     denom, N = _vectors(sym, denom), _vectors(sym, N)
