@@ -75,6 +75,17 @@ def test_cross_ring_arithmetic_rejected():
         x + other.gen(0)
 
 
+def test_prime_field_order_check_at_its_edges():
+    """Every order below 2^31 is decided exactly.  46337^2 is the composite
+    below 2^31 whose least prime factor is largest, so a divisor range
+    one short lets it through."""
+    for q in (2, 3, 32003, 2 ** 31 - 1):
+        assert GF(q).char == q
+    for q in (0, 1, 4, 9, 2 ** 31, 46337 ** 2):
+        with pytest.raises(ValueError):
+            GF(q)
+
+
 def _polys(ring, max_terms=3, max_deg=2, coeffs=(-2, -1, 1, 2, 3)):
     monos = st.tuples(
         *(st.integers(min_value=0, max_value=max_deg) for _ in range(ring.nvars))

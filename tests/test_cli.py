@@ -241,6 +241,89 @@ def test_oracle_battery(capsys):
     assert obj["ok"] is True
 
 
+ORACLE_BATTERY = (
+    (
+        "monomial-chain",
+        (
+            "membership agrees on degree-2 samples",
+            "colon by the maximal ideal is (x)",
+            "colon by (x) is the maximal ideal",
+            "colon by the unit returns the submodule",
+            "associated primes are {(x), (x,y)}",
+            "filtration multiset matches under both tie-breaks",
+            "no associated prime when the submodule is everything",
+        ),
+    ),
+    (
+        "maximal-square",
+        (
+            "membership agrees on degree-2 samples",
+            "colon by the maximal ideal is the maximal ideal",
+            "the only associated prime is (x,y)",
+            "filtration multiset is (x,y) twice",
+        ),
+    ),
+    (
+        "two-lines",
+        (
+            "colon by (x) is (y)",
+            "colon by (y) is (x)",
+            "associated primes are {(x), (y)}",
+            "filtration multiset is (x)(y) either way",
+        ),
+    ),
+    (
+        "free-counterexample",
+        (
+            "membership agrees on low-degree samples",
+            "colon by the maximal ideal adds the first unit vector",
+            "associated primes are {(x), (x,y)}",
+            "filtration multiset matches the symbolic engine",
+        ),
+    ),
+    (
+        "residue-field",
+        (
+            "the maximal ideal is the only associated prime",
+            "filtration multiset is a single (x,y)",
+        ),
+    ),
+    (
+        "binomial-quotient",
+        (
+            "membership agrees through the defining relations",
+            "(p^2 : p) is the maximal ideal, both engines",
+            "the annihilator of p is principal, both engines",
+        ),
+    ),
+)
+
+
+def test_oracle_text_bytes_are_pinned(capsys):
+    assert main(["--oracle"]) == 0
+    want = "".join(
+        "fixture %s: ok\n" % name + "".join("  pass %s\n" % c for c in checks)
+        for name, checks in ORACLE_BATTERY
+    )
+    assert capsys.readouterr() == (want, "")
+
+
+def test_oracle_json_bytes_are_pinned(capsys):
+    assert main(["--oracle", "--json"]) == 0
+    report = {
+        "fixtures": [
+            {
+                "checks": [{"check": c, "ok": True} for c in checks],
+                "name": name,
+                "ok": True,
+            }
+            for name, checks in ORACLE_BATTERY
+        ],
+        "ok": True,
+    }
+    assert capsys.readouterr() == (json.dumps(report, sort_keys=True) + "\n", "")
+
+
 def test_missing_script_is_usage_error(capsys):
     code = main([])
     assert code == 1
