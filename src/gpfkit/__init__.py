@@ -48,7 +48,6 @@ from .primes import (
     ass_enumerate,
     ass_membership,
     incomparable,
-    sort_primes,
     supp_contains,
 )
 
@@ -93,7 +92,6 @@ __all__ = [
     "module_scale",
     "rpe_filtration",
     "saturate",
-    "sort_primes",
     "supp_contains",
     "verify_rpe",
 ]

@@ -40,5 +40,6 @@ class IncompleteRegistryError(GpfError):
 
 class BudgetError(GpfError):
     """A size or iteration budget was exceeded (grown irreducible
-    components, predicted ideal product generators, polynomial exponents, element count of a
-    finite model, filtration steps, Buchberger pairs)."""
+    components, predicted ideal product generators, polynomial exponents,
+    a finite model's degree window or scanned module, filtration steps,
+    Buchberger pairs)."""

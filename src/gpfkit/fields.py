@@ -8,34 +8,14 @@ field object so the two representations never mix.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division up to the square root; exact, and quick for the
+    orders below 2^31 that `PrimeField` accepts."""
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 class RationalField:

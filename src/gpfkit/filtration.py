@@ -26,7 +26,7 @@ from .errors import (
     VerificationError,
 )
 from .modops import colon_ideal, colon_module, unit_ideal
-from .primes import ass_enumerate, check_tie_break, sort_primes
+from .primes import ass_enumerate, check_tie_break
 from .record import Record
 
 # Steps one filtration may take before it is refused with BudgetError.
@@ -145,7 +145,8 @@ def rpe_filtration(N, M, candidates=None, tie_break="lex"):
                 "no associated prime found for a nonzero quotient; the "
                 "candidate registry is missing a prime"
             )
-        p = sort_primes(ass.maximal_elements(), tie_break)[0]
+        maximal = ass.maximal_elements()
+        p = maximal[0] if tie_break == "lex" else maximal[-1]
         K = colon_module(cur, p, M)
         if K.equals(cur):
             raise VerificationError(

@@ -145,20 +145,11 @@ class FactorizationTarget(PrimeMultiset):
     def reordered(cls, pairs):
         """The pairs with repeated primes merged, largest primes first,
         breaking ties by canonical token."""
-        remaining = PrimeMultiset(pairs).entries()
+        remaining = dict(PrimeMultiset(pairs).entries())
         ordered = []
         while remaining:
-            pick = next(
-                entry
-                for entry in remaining
-                if not any(
-                    q.strictly_contains(entry[0])
-                    for q, _ in remaining
-                    if q is not entry[0]
-                )
-            )
-            ordered.append(pick)
-            remaining = [entry for entry in remaining if entry is not pick]
+            pick = PrimeSet(remaining).maximal_elements()[0]
+            ordered.append((pick, remaining.pop(pick)))
         return cls(ordered)
 
     def entries(self):

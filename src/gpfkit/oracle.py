@@ -18,9 +18,9 @@ inside that trusted window.  An element witnesses an associated prime p
 when every generator of p multiplies it into N and no trusted ring
 element outside p does; both tests use only trusted products, so they
 agree with the true ring whenever the ideals involved are generated
-inside the window.  Every bundled fixture is scanned with witnesses of
-degree at most 1 (the default `z_max`), and is built so that everything
-it compares is generated and detected inside its window.
+inside the window.  Witnesses have degree at most 1, and every bundled
+fixture is built so that everything it compares is generated and
+detected inside its window.
 
 Candidate primes are the nonzero variable-generated ideals, the only
 primes that can be associated to monomial subquotients; each accepted
@@ -46,7 +46,10 @@ from .primes import ass_enumerate, check_tie_break
 from .gpf import gpf
 from .record import Record
 
-DEFAULT_BUDGET = 4096
+# Vectors a degree window may hold, and elements the module an
+# associated-prime scan runs over may hold, before either is refused.
+MAX_WINDOW = 4096
+MAX_MODULE = 4096
 # Steps one oracle filtration may take before it is refused.
 MAX_STEPS = 32
 
@@ -116,7 +119,7 @@ class FiniteRing:
     less than the cap agree with the true ring.
     """
 
-    def __init__(self, sym_ring, cap, budget=DEFAULT_BUDGET):
+    def __init__(self, sym_ring, cap):
         if sym_ring.field.char == 0:
             raise ValueError("finite models need a finite coefficient field")
         for rel in sym_ring.relations:
@@ -127,15 +130,13 @@ class FiniteRing:
                     "relations"
                 )
         names = sym_ring.names
-        self.caps = (cap,) * len(names)
         self.trusted_degree = cap
         self.sym = sym_ring
         self.field = sym_ring.field
         self.q = self.field.char
-        self.budget = budget
         rels = [dict(r.terms()) for r in sym_ring.relations]
-        for i, c in enumerate(self.caps):
-            mono = tuple(c if j == i else 0 for j in range(len(names)))
+        for i in range(len(names)):
+            mono = tuple(cap if j == i else 0 for j in range(len(names)))
             rels.append({mono: self.field.one})
         self.model = PolyRing(self.field, names, relations=tuple(rels))
         lts = [
@@ -144,14 +145,13 @@ class FiniteRing:
             if not g.is_zero()
         ]
         basis = []
-        for exps in itertools.product(*(range(c) for c in self.caps)):
+        for exps in itertools.product(range(cap), repeat=len(names)):
             if not any(mono_divides(lt, exps) for lt in lts):
                 basis.append(exps)
         basis.sort(key=mono_key)
         self.basis = tuple(basis)
         self.dim = len(basis)
         self.index = {m: i for i, m in enumerate(basis)}
-        self.cardinality = self.q ** self.dim
         self._table = {}
         self._windows = {}
         self._prime_spaces = {}
@@ -161,9 +161,7 @@ class FiniteRing:
 
     def from_poly(self, f):
         """The model element of a polynomial over the symbolic or model ring."""
-        if isinstance(f, Polynomial):
-            f = dict(f.terms())
-        g = self.model.reduce(Polynomial(self.model, dict(f)))
+        g = self.model.reduce(Polynomial(self.model, dict(f.terms())))
         out = [self.field.zero] * self.dim
         for mono, c in g.terms():
             out[self.index[mono]] = c
@@ -216,15 +214,15 @@ class FiniteRing:
     def window_positions(self, max_deg, rank=1, noun="elements"):
         """The coordinates, in `rank` stacked copies of the ring, of the
         basis monomials of degree <= max_deg; refuses a window of more
-        than `budget` vectors."""
+        than `MAX_WINDOW` vectors."""
         idxs = [
             i for i, m in enumerate(self.basis) if mono_degree(m) <= max_deg
         ]
         count = self.q ** (len(idxs) * rank)
-        if count > self.budget:
+        if count > MAX_WINDOW:
             raise BudgetError(
                 "degree window holds %d %s, over the budget %d"
-                % (count, noun, self.budget)
+                % (count, noun, MAX_WINDOW)
             )
         return [c * self.dim + i for c in range(rank) for i in idxs]
 
@@ -391,38 +389,35 @@ def colon_bruteforce(N, gens, M):
     return M.closure(_kernel(ring.field, M.window_basis(deg_bound), image))
 
 
-def ass_bruteforce(N, M, z_max=1, budget=None, check_primality=True):
+def ass_bruteforce(N, M):
     """The variable-subset primes associated to M/N, by definition.
 
-    A subset S is accepted when some trusted witness z outside N has
-    every variable of S multiplying z into N while no trusted ring
-    element outside (S) does.  Returns sorted tuples of variable indices;
-    each submodule is scanned once per module and arguments.
+    A subset S is accepted when some trusted witness z of degree at most
+    1 outside N has every variable of S multiplying z into N while no
+    trusted ring element outside (S) does, and (S) passes the primality
+    scan.  Returns sorted tuples of variable indices; each submodule is
+    scanned once per module.
     """
-    ring = M.ring
-    if budget is None:
-        budget = ring.budget
-    if M.cardinality > budget:
+    if M.cardinality > MAX_MODULE:
         raise BudgetError(
             "module holds %d elements, over the budget %d"
-            % (M.cardinality, budget)
+            % (M.cardinality, MAX_MODULE)
         )
-    if z_max > ring.trusted_degree - 2:
+    if M.ring.trusted_degree < 3:
         raise BudgetError(
-            "witness degree %d leaves no trusted room for products" % z_max
+            "witness degree 1 leaves no trusted room for products"
         )
     if N.dim == 0:
         raise VerificationError(
             "the zero submodule of a free module has no monomial "
             "associated prime; the oracle cannot certify the zero ideal"
         )
-    key = (N.key(), z_max, check_primality)
-    if key not in M._ass:
-        M._ass[key] = _ass_scan(N, M, z_max, check_primality)
-    return list(M._ass[key])
+    if N.key() not in M._ass:
+        M._ass[N.key()] = _ass_scan(N, M)
+    return list(M._ass[N.key()])
 
 
-def _ass_scan(N, M, z_max, check_primality):
+def _ass_scan(N, M):
     ring = M.ring
     nvars = len(ring.model.names)
     varelems = [ring.var(i) for i in range(nvars)]
@@ -430,7 +425,7 @@ def _ass_scan(N, M, z_max, check_primality):
     # and a basis of its annihilator inside the trusted window (whose
     # budget is checked for every z, needed or not)
     witnesses = []
-    for z in M.window(z_max):
+    for z in M.window(1):
         if N.contains(z):
             continue
         basis = ring.window_basis(ring.trusted_degree - 1 - max(M.vdeg(z), 0))
@@ -447,7 +442,7 @@ def _ass_scan(N, M, z_max, check_primality):
                 for kills, ann in witnesses
             ):
                 continue
-            if check_primality and not ring.is_prime_restricted(pspace):
+            if not ring.is_prime_restricted(pspace):
                 continue
             found.append(S)
     return sorted(found)
@@ -733,19 +728,11 @@ def bundled_fixtures():
     return list(_FIXTURES)
 
 
-def run_fixture_checks(names=None):
+def run_fixture_checks():
     """Run every bundled fixture's checks; returns a nested report."""
     report = {"ok": True, "fixtures": []}
-    fixtures = bundled_fixtures()
     rings = {}
-    if names is not None:
-        known = {fx.name for fx in fixtures}
-        missing = [n for n in names if n not in known]
-        if missing:
-            raise ValueError("unknown fixtures: %s" % ", ".join(missing))
-    for fx in fixtures:
-        if names is not None and fx.name not in names:
-            continue
+    for fx in bundled_fixtures():
         ctx = fx.build(rings=rings)
         entry = {"name": fx.name, "ok": True, "checks": []}
         for desc, fn in fx.checks:

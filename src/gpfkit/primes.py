@@ -52,7 +52,6 @@ the computation behind a membership question already answered.
 
 from __future__ import annotations
 
-import itertools
 import logging
 
 from . import cache, monomial
@@ -152,21 +151,6 @@ class PrimeSet:
             ):
                 out.append(p)
         return out
-
-    def minimal_elements(self):
-        out = []
-        for p in self.primes:
-            if not any(
-                q.key() != p.key() and p.strictly_contains(q) for q in self.primes
-            ):
-                out.append(p)
-        return out
-
-    def is_antichain(self):
-        return all(
-            incomparable(p, q)
-            for p, q in itertools.combinations(self.primes, 2)
-        )
 
     def __str__(self):
         return "{%s}" % ", ".join(str(p) for p in self.primes)
@@ -282,11 +266,3 @@ def check_tie_break(tie_break):
     if tie_break not in ("lex", "revlex"):
         raise ValueError("tie_break must be 'lex' or 'revlex'")
 
-
-def sort_primes(primes, tie_break="lex"):
-    """Sort primes by token; revlex reverses the order."""
-    check_tie_break(tie_break)
-    out = sorted(primes, key=PrimeIdeal.token)
-    if tie_break == "revlex":
-        out.reverse()
-    return out

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,6 @@ def test_truncated_ring_dimensions():
     ring = _f2xy(3)
     assert ring.dim == 9
     assert ring.trusted_degree == 3
-    assert ring.cardinality == 2 ** 9
     x = ring.var(0)
     assert ring.deg(x) == 1
     cube = ring.mul(ring.mul(x, x), x)
@@ -101,41 +101,55 @@ def test_ass_bruteforce_refuses_zero_submodule():
         ass_bruteforce(N, mod)
 
 
-def test_ass_bruteforce_budget():
+def test_ass_bruteforce_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_MODULE", 64)
     sym = PolyRing(GF(2), ("x", "y", "z"))
     ring = FiniteRing(sym, 4)
     mod = FiniteModule(ring, 1)
     N = mod.closure([mod.flatten([ring.from_poly(sym.gen(0))])])
     with pytest.raises(BudgetError):
-        ass_bruteforce(N, mod, budget=64)
+        ass_bruteforce(N, mod)
 
 
-def test_window_budget():
+def test_ass_bruteforce_needs_room_above_the_witness_degree():
+    """Witnesses have degree 1, so a cap below 3 leaves no trusted
+    product of a witness and a variable."""
+    ring = _f2xy(2)
+    mod = FiniteModule(ring, 1)
+    N = mod.closure([ring.var(0)])
+    with pytest.raises(BudgetError, match="witness degree 1 leaves no trusted room"):
+        ass_bruteforce(N, mod)
+
+
+def test_window_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_WINDOW", 16)
     sym = PolyRing(GF(2), ("x", "y", "z"))
-    ring = FiniteRing(sym, 4, budget=16)
+    ring = FiniteRing(sym, 4)
     mod = FiniteModule(ring, 1)
     with pytest.raises(BudgetError):
         mod.window(3)
 
 
-def test_colon_bruteforce_budget():
+def test_colon_bruteforce_budget(monkeypatch):
     """The colon's kernel is solved on the window's basis, but a window
     over the budget is refused all the same."""
+    monkeypatch.setattr(oracle, "MAX_WINDOW", 16)
     sym = PolyRing(GF(2), ("x", "y", "z"))
-    ring = FiniteRing(sym, 4, budget=16)
+    ring = FiniteRing(sym, 4)
     mod = FiniteModule(ring, 1)
     with pytest.raises(BudgetError, match="holds 1024 vectors, over the budget 16"):
         colon_bruteforce(mod.closure([]), [ring.var(0)], mod)
 
 
-def test_ass_bruteforce_annihilator_budget():
-    """A witness whose annihilator window is over the ring's budget is
+def test_ass_bruteforce_annihilator_budget(monkeypatch):
+    """A witness whose annihilator window is over the window budget is
     refused, though the witness window itself fits."""
-    ring = FiniteRing(PolyRing(GF(2), ("x", "y")), 3, budget=16)
+    monkeypatch.setattr(oracle, "MAX_WINDOW", 16)
+    ring = FiniteRing(PolyRing(GF(2), ("x", "y")), 3)
     mod = FiniteModule(ring, 1)
     N = mod.closure([ring.from_poly(ring.sym.gen(0) * ring.sym.gen(1))])
     with pytest.raises(BudgetError, match="holds 64 elements, over the budget 16"):
-        ass_bruteforce(N, mod, budget=math.inf)
+        ass_bruteforce(N, mod)
 
 
 def test_is_prime_restricted():
@@ -184,7 +198,7 @@ def test_ass_bruteforce_scans_each_submodule_once(monkeypatch):
     scans, verdicts = [], []
     real_scan, real_verdict = oracle._ass_scan, FiniteRing._primality_scan
     monkeypatch.setattr(
-        oracle, "_ass_scan", lambda *a: scans.append(a[2:]) or real_scan(*a)
+        oracle, "_ass_scan", lambda *a: scans.append(a[0].key()) or real_scan(*a)
     )
     monkeypatch.setattr(
         FiniteRing,
@@ -194,12 +208,11 @@ def test_ass_bruteforce_scans_each_submodule_once(monkeypatch):
     first = ass_bruteforce(N, mod)
     first.append("a caller's edit")
     assert ass_bruteforce(N, mod) == [(0,), (1,)]
-    assert ass_bruteforce(N, mod, z_max=0) == []
-    assert scans == [(1, True), (0, True)]
+    assert scans == [N.key()]
     assert len(verdicts) == 2
     rpe_bruteforce(N, mod, tie_break="lex")
     rpe_bruteforce(N, mod, tie_break="revlex")
-    assert len(scans) == 4 and len(verdicts) == 2
+    assert len(scans) == 3 and len(verdicts) == 2
 
 
 # The enumerations the kernels replace: every element of the window is
@@ -214,7 +227,7 @@ def _scan_colon(N, gens, M):
     )
 
 
-def _scan_ass(N, M, z_max):
+def _scan_ass(N, M):
     """The variable subsets witnessed in M/N, before the primality scan."""
     ring = M.ring
     nvars = len(ring.model.names)
@@ -226,7 +239,7 @@ def _scan_ass(N, M, z_max):
     ]
     primes = {S: unit.closure([ring.var(i) for i in S]) for S in subsets}
     found = set()
-    for z in M.window(z_max):
+    for z in M.window(1):
         if N.contains(z):
             continue
         window = ring.window(ring.trusted_degree - 1 - max(M.vdeg(z), 0))
@@ -289,18 +302,19 @@ def model_inputs(draw):
 @given(model_inputs())
 def test_kernels_by_elimination_match_the_window_scan(case):
     """Colons and annihilators solved by elimination on the window's basis
-    agree with testing every window element, budget refusals included;
-    over F3 the pivots are not all 1.  The primality scan is one code on
-    both sides, so the comparison stops before it."""
+    agree with testing every window element, window budget refusals
+    included (the module bound is lifted); over F3 the pivots are not all
+    1.  The primality scan is one code on both sides, so the comparison
+    stops before it: every candidate passes it here."""
     M, N, gens = case
     assert _outcome(lambda: colon_bruteforce(N, gens, M).key()) == _outcome(
         lambda: _scan_colon(N, gens, M).key()
     )
-    for z_max in (1, 0):
-        got = _outcome(
-            lambda: ass_bruteforce(N, M, z_max=z_max, budget=math.inf, check_primality=False)
-        )
-        assert got == _outcome(lambda: _scan_ass(N, M, z_max))
+    with mock.patch.object(oracle, "MAX_MODULE", math.inf), mock.patch.object(
+        FiniteRing, "is_prime_restricted", lambda self, space: True
+    ):
+        got = _outcome(lambda: ass_bruteforce(N, M))
+    assert got == _outcome(lambda: _scan_ass(N, M))
 
 
 # Every check of the battery, in order: dropping or renaming one fails.
@@ -378,11 +392,3 @@ def test_fixture_battery_work(monkeypatch):
         counts[key] = 0
     run_fixture_checks()
     assert counts == first
-
-
-def test_fixture_selection_by_name():
-    report = run_fixture_checks(["monomial-chain"])
-    assert report["ok"]
-    assert len(report["fixtures"]) == 1
-    with pytest.raises(ValueError):
-        run_fixture_checks(["no-such-fixture"])

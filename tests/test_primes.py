@@ -20,7 +20,6 @@ from gpfkit.primes import (
     ass_enumerate,
     ass_membership,
     incomparable,
-    sort_primes,
     supp_contains,
 )
 from gpfkit.arith import PolyRing
@@ -175,19 +174,8 @@ def test_prime_set_dedup_and_extremes():
     s = PrimeSet([m, px, px2])
     assert len(list(s)) == 2
     assert [str(p) for p in s.maximal_elements()] == ["(x, y)"]
-    assert [str(p) for p in s.minimal_elements()] == ["(x)"]
-    assert not s.is_antichain()
-    assert PrimeSet([px, PrimeIdeal(ring, [y])]).is_antichain()
-
-
-def test_sort_primes_tie_breaks():
-    ring, x, y = xy_ring()
-    px = PrimeIdeal(ring, [x])
-    py = PrimeIdeal(ring, [y])
-    assert [str(p) for p in sort_primes([py, px], "lex")] == ["(x)", "(y)"]
-    assert [str(p) for p in sort_primes([py, px], "revlex")] == ["(y)", "(x)"]
-    with pytest.raises(ValueError):
-        sort_primes([px], "random")
+    antichain = PrimeSet([PrimeIdeal(ring, [y]), px])
+    assert [str(p) for p in antichain.maximal_elements()] == ["(x)", "(y)"]
 
 
 def test_ass_membership_monomial_chain():
