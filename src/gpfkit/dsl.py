@@ -514,12 +514,11 @@ class Env:
             raise ParseError(
                 "a script declares exactly one ring", stmt.line, stmt.col
             )
-        field = self.field_override
-        if field is None:
-            try:
-                field = parse_field(stmt.fieldspec)
-            except ValueError as exc:
-                raise ParseError(str(exc), stmt.line, stmt.col) from None
+        try:
+            field = parse_field(stmt.fieldspec)
+        except ValueError as exc:
+            raise ParseError(str(exc), stmt.line, stmt.col) from None
+        field = self.field_override or field
         seen = set()
         for v in stmt.variables:
             if v in seen:

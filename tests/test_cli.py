@@ -228,6 +228,19 @@ def test_field_override(tmp_path, capsys):
     assert obj["result"]["factorization"] == "(x) * (x, y)"
 
 
+def test_field_override_still_reads_the_declared_field(tmp_path, capsys):
+    """--field replaces a valid declared field; a misspelt one is still
+    the declaration's error."""
+    script = "ring R = RR[x];\nsubmodule N in R = (x);\ngpf N in R;\n"
+    for flags in ((), ("--json",)):
+        assert _run(tmp_path, script, "--field", "F7", *flags) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: line 1, col 1: unknown coefficient field 'RR' "
+            "(expected QQ or F<q>)\n",
+        )
+
+
 def test_bad_field_flag(tmp_path, capsys):
     code = _run(tmp_path, "ring R = QQ[x];", "--field", "F4")
     assert code == 1
