@@ -144,6 +144,7 @@ class PrimeSet:
         return frozenset(p.key() for p in self.primes)
 
     def maximal_elements(self):
+        """The primes no other member strictly contains, in token order."""
         out = []
         for p in self.primes:
             if not any(
@@ -265,4 +266,3 @@ def ass_enumerate(Q, candidates=None):
 def check_tie_break(tie_break):
     if tie_break not in ("lex", "revlex"):
         raise ValueError("tie_break must be 'lex' or 'revlex'")
-
