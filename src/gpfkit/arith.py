@@ -14,6 +14,8 @@ kernels need.
 
 from __future__ import annotations
 
+from operator import add, le, sub
+
 from .errors import RingMismatchError
 
 # ---------------------------------------------------------------------------
@@ -21,25 +23,25 @@ from .errors import RingMismatchError
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True when a divides b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b, a):
     """Exponent vector of b / a; caller guarantees divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def mono_degree(a):

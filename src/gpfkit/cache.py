@@ -1,6 +1,6 @@
 """The library's memo tables, all bounded by one entry count.
 
-Three tables remember answers that depend only on canonical keys, so a
+Four tables remember answers that depend only on canonical keys, so a
 hit returns exactly what the computation would return again:
 
 * `BASES`: reduced bases from `groebner.buchberger`, keyed by the ring
@@ -11,7 +11,15 @@ hit returns exactly what the computation would return again:
   quotient's key and the prime's key (monomial quotients read their
   primes off exponents and store none);
 * `VARIABLE_PRIMES`: the variable primes Ass enumeration without
-  candidates returns, keyed by the ring key and the variable indices.
+  candidates returns, keyed by the ring key and the variable indices;
+* `RESULTS`: the answers of the leaf module operations that `memoized`
+  marks: `modops.colon_module`, `modops.colon_ideal`, `modops.module_scale`
+  of split inputs and `primes._monomial_ass`.  The key is the
+  operation's name, the ring key and rank of its last operand (the
+  module it works in) and the `key()` of every operand
+  (`Submodule.key()`, `Ideal.key()`, `QuotientModule.key()`).  Keys of
+  equal submodules over different rings can compare equal, so the ring
+  key is part of the key.
 
 Each table keeps at most `MAX_ENTRIES` entries and drops the least
 recently used one beyond that.  `clear_caches()` empties them all.
@@ -19,12 +27,15 @@ recently used one beyond that.  `clear_caches()` empties them all.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 
 # Entries per table.  One pass of a bench corpus (gpfbench, seeds 1 and
-# 11) peaks at 32 bases and 10 verdicts (one quotient-ring script;
-# monomial corpora store neither) and 22 primes, so nothing is evicted
-# there; a longer-lived process evicts instead of growing.
+# 11, 30 s corpora) peaks at 32 bases and 10 verdicts (one quotient-ring
+# script; monomial corpora store neither), 22 primes and 477 results
+# (a 36-item inverse-products pass; one quotient-ring script stores at
+# most 22), so nothing is evicted there; a longer-lived process evicts
+# instead of growing.
 MAX_ENTRIES = 4096
 
 
@@ -68,9 +79,37 @@ class LRU:
 BASES = LRU()
 ASS_MEMBERS = LRU()
 VARIABLE_PRIMES = LRU()
+RESULTS = LRU()
+
+
+def memoized(name):
+    """Decorate an operation on canonical operands so that each question
+    is computed once and its answer kept in `RESULTS`.  The operands are
+    positional, each with a canonical `key()`, and the last one carries
+    the ring and rank; the caller has checked that every operand lies
+    over that ring.  Answers are shared between callers, so they must
+    not be changed; an exception is raised again on every call, never
+    stored."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def remembered(*operands):
+            last = operands[-1]
+            key = (name, last.ring.key(), last.rank) + tuple(
+                op.key() for op in operands
+            )
+            value = RESULTS.get(key)
+            if value is None:
+                value = fn(*operands)
+                RESULTS.put(key, value)
+            return value
+
+        return remembered
+
+    return wrap
 
 
 def clear_caches():
     """Empty every memo table and reset its counts."""
-    for table in (BASES, ASS_MEMBERS, VARIABLE_PRIMES):
+    for table in (BASES, ASS_MEMBERS, VARIABLE_PRIMES, RESULTS):
         table.clear()

@@ -34,6 +34,18 @@ holds only the exponent lists it was built from, as its split
 and its generators, basis and canonical vectors are built as
 polynomials only when first read, in the same canonical form as the
 kernel's, so its bytes equal the kernel's.
+
+A filtration colons out one prime after another and its verification
+and the inverse question ask the same questions again, so
+`colon_module`, `colon_ideal` and `module_scale` of split inputs keep
+their answers in the bounded `cache.RESULTS` table, keyed by the ring,
+the rank and the operands' canonical keys.  Each answer is a reduced
+basis or a split, so it depends only on those keys, and a hit returns
+what the computation would.  The ring and rank checks run on every
+call, the containment checks only when the answer is computed: a hit
+means operands with the same keys passed them before.  `module_scale`
+of inputs that do not split returns the generator products as given,
+which print as given, so that answer is not kept.
 """
 
 from __future__ import annotations
@@ -41,7 +53,7 @@ from __future__ import annotations
 import logging
 import math
 
-from . import groebner, monomial
+from . import cache, groebner, monomial
 from .arith import mono_key, mono_mul
 from .errors import BudgetError, RingMismatchError
 from .groebner import buchberger, check_vector, monomial_basis, vector_key
@@ -95,6 +107,7 @@ class Ideal:
         else:
             self._sub = Submodule(ring, 1, [(g,) for g in gens])
         self._gens = None
+        self._key = None
 
     @property
     def gens(self):
@@ -112,7 +125,9 @@ class Ideal:
         return tuple(v[0] for v in self._sub.canonical())
 
     def key(self):
-        return tuple(k for (k,) in self._sub.key())
+        if self._key is None:
+            self._key = tuple(k for (k,) in self._sub.key())
+        return self._key
 
     def contains(self, f):
         return self._sub.contains((f,))
@@ -159,7 +174,7 @@ class Ideal:
 
 def unit_ideal(ring):
     if ring.relations:
-        return Ideal(ring, [ring.one()])
+        return Ideal(ring, Submodule.free(ring, 1))
     return Ideal(ring, Submodule.of_split(ring, [[(0,) * ring.nvars]]))
 
 
@@ -222,6 +237,11 @@ class Submodule:
 
     @classmethod
     def free(cls, ring, rank):
+        """ring^rank, generated by the unit vectors.  Over a quotient ring
+        whose relations leave 1 nonzero they are also its reduced basis
+        (each relation vector r e_c reduces to zero by e_c), which is
+        built off them with no Buchberger run; over a plain ring the
+        split gives the same basis."""
         zero = ring.zero()
         one = ring.one()
         gens = []
@@ -229,7 +249,10 @@ class Submodule:
             v = [zero] * rank
             v[i] = one
             gens.append(tuple(v))
-        return cls(ring, rank, gens)
+        sub = cls(ring, rank, gens)
+        if ring.is_quotient and ring.reduce(one):
+            sub._gb = monomial_basis(ring, [[(0,) * ring.nvars]] * rank)
+        return sub
 
     @property
     def gens(self):
@@ -280,12 +303,14 @@ class Submodule:
         return self._gb
 
     def canonical(self):
-        """Reduced basis vectors that are nonzero modulo the relations."""
+        """Reduced basis vectors that are nonzero modulo the relations;
+        none, with no basis computed, when no generator was given."""
         if self._canonical is None:
             vecs = []
-            for v in reversed(self.groebner().vectors):
-                if any(not self.ring.reduce(p).is_zero() for p in v):
-                    vecs.append(v)
+            if self._gens != ():
+                for v in reversed(self.groebner().vectors):
+                    if any(not self.ring.reduce(p).is_zero() for p in v):
+                        vecs.append(v)
             self._canonical = tuple(vecs)
         return self._canonical
 
@@ -293,15 +318,16 @@ class Submodule:
         """The `vector_key`s of the canonical vectors.  A split submodule
         builds them off its exponents in the canonical order: component 0
         first, each component's monomials in descending grevlex, each
-        with coefficient one."""
+        with the coefficient int 1, which equals and hashes as the
+        field's one and is cheaper to hash than `Fraction(1)`."""
         if self._key is None:
             split = self.monomial_split()
             if split is None:
                 self._key = tuple(vector_key(v) for v in self.canonical())
             else:
-                one, blank = self.ring.field.one, ((),) * self.rank
+                blank = ((),) * self.rank
                 self._key = tuple(
-                    blank[:c] + (((m, one),),) + blank[c + 1 :]
+                    blank[:c] + (((m, 1),),) + blank[c + 1 :]
                     for c, gens in enumerate(split)
                     for m in sorted(gens, key=mono_key, reverse=True)
                 )
@@ -389,7 +415,7 @@ class QuotientModule:
 
     @classmethod
     def of_ring(cls, ring):
-        return cls(Submodule(ring, 1, [(ring.one(),)]))
+        return cls(Submodule.free(ring, 1))
 
     @classmethod
     def free(cls, ring, rank, denom_gens=()):
@@ -493,24 +519,30 @@ def _monomial_parts(*subs):
 def module_scale(ideal, M):
     """The submodule ideal * M of the quotient M, with denominator adjoined;
     of split inputs, per component c the minimal exponent sums of the
-    ideal's and T_c's generators together with D_c."""
+    ideal's and T_c's generators together with D_c, computed once per
+    key.  Otherwise the products of the generators, which print as
+    given, so that answer is not kept."""
     if ideal.ring != M.ring:
         raise RingMismatchError("scaling by an ideal over a different ring")
-    parts = _monomial_parts(ideal.as_submodule(), M.top, M.denom)
-    if parts is not None:
-        (f_exps,), tops, denoms = parts
-        return Submodule.of_split(
-            M.ring,
-            [
-                monomial.minimal([mono_mul(f, t) for f in f_exps for t in t_c] + d_c)
-                for t_c, d_c in zip(tops, denoms)
-            ],
-        )
+    if _monomial_parts(ideal.as_submodule(), M.top, M.denom) is not None:
+        return _scale_split(ideal, M)
     gens = []
     for g in ideal.gens:
         for v in M.top.gens:
             gens.append(tuple(g * p for p in v))
     return M.span(gens)
+
+
+@cache.memoized("module_scale")
+def _scale_split(ideal, M):
+    (f_exps,), tops, denoms = _monomial_parts(ideal.as_submodule(), M.top, M.denom)
+    return Submodule.of_split(
+        M.ring,
+        [
+            monomial.minimal([mono_mul(f, t) for f in f_exps for t in t_c] + d_c)
+            for t_c, d_c in zip(tops, denoms)
+        ],
+    )
 
 
 def colon_module(N, ideal, M):
@@ -521,8 +553,13 @@ def colon_module(N, ideal, M):
     ... | f_s m | m) over the generators m of M and N as the bottom.  A
     zero ideal returns all of M and logs a diagnostic.
     """
-    if N.ring != M.ring or N.rank != M.rank:
+    if N.ring != M.ring or ideal.ring != M.ring or N.rank != M.rank:
         raise RingMismatchError("colon arguments in different ambients")
+    return _colon_module(N, ideal, M)
+
+
+@cache.memoized("colon_module")
+def _colon_module(N, ideal, M):
     if not M.contains_submodule(N):
         raise ValueError("N is not a submodule of M")
     parts = _monomial_parts(N, M.denom, M.full(), ideal.as_submodule())
@@ -557,6 +594,11 @@ def colon_ideal(B, A):
     kernel with the single row (a_1 | ... | a_s | 1) over the generators
     a_i of A outside B, and B as the bottom."""
     B._compat(A)
+    return _colon_ideal(B, A)
+
+
+@cache.memoized("colon_ideal")
+def _colon_ideal(B, A):
     ring = B.ring
     if not A.contains_module(B):
         raise ValueError("transporter wants B inside A")

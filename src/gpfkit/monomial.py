@@ -10,7 +10,9 @@ the empty list; the unit ideal holds the zero tuple.
 
 from __future__ import annotations
 
-from .arith import mono_div, mono_divides, mono_gcd, mono_lcm
+from operator import le
+
+from .arith import mono_div, mono_gcd, mono_lcm
 from .errors import BudgetError
 
 # The bound on grown components: (x_1 y_1, ..., x_n y_n) has 2^n, and at
@@ -34,7 +36,7 @@ def split(rank, vectors):
 
 def member(gens, m):
     """Whether x^m lies in the monomial ideal: some generator divides it."""
-    return any(mono_divides(g, m) for g in gens)
+    return any(all(map(le, g, m)) for g in gens)
 
 
 def minimal(gens):

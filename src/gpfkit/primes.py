@@ -45,9 +45,12 @@ would.  Only the boolean is kept: candidates are the caller's own
 primes on every enumeration, so the prime objects of a `PrimeSet` come
 from the caller, and `ass_membership` always computes.  Primes read off
 exponents carry nothing of the caller's: each is built once per ring
-and support (`cache.VARIABLE_PRIMES`).  `filtration.verify_rpe` still
-re-derives every property of a filtration; what it no longer repeats is
-the computation behind a membership question already answered.
+and support (`cache.VARIABLE_PRIMES`), and the associated primes of a
+monomial quotient are read off once per key of the quotient
+(`cache.RESULTS`).  `filtration.verify_rpe` still walks every step and
+compares what the filtration recorded with the operations' answers;
+what it no longer repeats is the computation behind a colon, a
+transporter, a membership question or a monomial Ass already answered.
 """
 
 from __future__ import annotations
@@ -200,13 +203,15 @@ def monomial_eligible(Q):
     return None not in (Q.top.monomial_split(), Q.denom.monomial_split())
 
 
+@cache.memoized("monomial_ass")
 def _monomial_ass(Q):
-    """The associated primes of the monomial quotient Q = (T + D)/D,
-    smallest support first, and the number of ideals decomposed: the
-    supports of the irreducible components of (D_c : x^t) for each
+    """The associated primes of the monomial quotient Q = (T + D)/D, as a
+    tuple, smallest support first, and the number of ideals decomposed:
+    the supports of the irreducible components of (D_c : x^t) for each
     minimal generator x^t of T_c outside D_c.  Each prime is built once
     per ring and support, its basis read off the variables' exponents,
-    and then kept in `cache.VARIABLE_PRIMES`."""
+    and then kept in `cache.VARIABLE_PRIMES`; the answer is computed
+    once per key of Q and kept in `cache.RESULTS`."""
     colons = set()
     for tops, gens in zip(Q.top.monomial_split(), Q.denom.monomial_split()):
         for t in tops:
@@ -225,7 +230,7 @@ def _monomial_ass(Q):
             p = PrimeIdeal(ring, Submodule.of_split(ring, [monomial.minimal(exps)]))
             cache.VARIABLE_PRIMES.put((ring.key(), s), p)
         out.append(p)
-    return out, len(colons)
+    return tuple(out), len(colons)
 
 
 def ass_enumerate(Q, candidates=None):

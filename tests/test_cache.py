@@ -10,12 +10,19 @@ from gpfkit.errors import IncompleteRegistryError, RingMismatchError
 from gpfkit.fields import GF, QQ
 from gpfkit.gpf import construct_prime_power
 from gpfkit.groebner import buchberger
-from gpfkit.modops import QuotientModule, module_scale
+from gpfkit.modops import (
+    Ideal,
+    QuotientModule,
+    colon_ideal,
+    colon_module,
+    module_scale,
+)
 from gpfkit.primes import (
     ATTEST_LINEAR,
     PrimeIdeal,
     ass_contains,
     ass_enumerate,
+    monomial_eligible,
 )
 
 from helpers import twisted_ring, twisted_setup, xy_ring
@@ -67,8 +74,10 @@ def test_clear_caches_empties_every_table():
     T = QuotientModule.of_ring(twisted)
     ass_enumerate(T.with_denominator(T.span([(g,) for g in p.power(2).gens])), registry)
     buchberger([(x * x,)], ring=ring, rank=1)
+    colon_module(M.span(((x * x,),)), Ideal(ring, [x]), M)
     tables = _tables()
     assert cache.BASES in tables and cache.ASS_MEMBERS in tables
+    assert cache.RESULTS in tables
     assert all(len(t) for t in tables)
     clear_caches()
     assert all(len(t) == 0 and t.hits == t.misses == 0 for t in tables)
@@ -293,3 +302,96 @@ def test_variable_primes_are_built_once_per_ring_and_support(monkeypatch):
         ref = buchberger([(g,) for g in p.gens], ring=p.ring, rank=1)
         assert p.as_submodule().groebner().key() == ref.key()
         assert p.attestation == ATTEST_LINEAR
+
+
+@st.composite
+def operation_cases(draw):
+    """A module M = R^k / D, a submodule N of it and an ideal over
+    QQ[x,y,z], F_5[x,y,z] or the binomial quotient; with monomial
+    generators only, or entries of up to two terms of degree at most 2."""
+    kind = draw(st.sampled_from(["QQ", "GF5", "twisted"]))
+    if kind == "twisted":
+        ring = twisted_ring()
+    else:
+        ring = PolyRing(QQ if kind == "QQ" else GF(5), ("x", "y", "z"))
+    rank = draw(st.integers(1, 2))
+    monomials = draw(st.booleans())
+
+    def poly(most):
+        p = ring.zero()
+        for _ in range(draw(st.integers(1, most))):
+            exps = draw(st.tuples(*[st.integers(0, 2)] * 3))
+            p = p + ring.monomial(exps, draw(st.sampled_from([1, 2, -1])))
+        return p
+
+    def vector():
+        if monomials:
+            vec = [ring.zero()] * rank
+            vec[draw(st.integers(0, rank - 1))] = poly(1)
+            return tuple(vec)
+        return tuple(poly(2) for _ in range(rank))
+
+    M = QuotientModule.free(ring, rank, [vector() for _ in range(draw(st.integers(0, 1)))])
+    N = M.span([vector() for _ in range(draw(st.integers(0, 2)))])
+    ideal = Ideal(ring, [poly(1 if monomials else 2) for _ in range(draw(st.integers(1, 2)))])
+    return M, N, ideal
+
+
+def _answers(M, N, ideal):
+    """The key and text of each memoized operation's answer on the case."""
+    out = [
+        colon_module(N, ideal, M),
+        colon_ideal(N, M.full()),
+        colon_ideal(M.denom, N),
+        module_scale(ideal, M),
+    ]
+    shapes = [(sub.key(), str(sub)) for sub in out]
+    Q = M.with_denominator(N)
+    if monomial_eligible(Q):
+        found, decomposed = primes._monomial_ass(Q)
+        shapes.append(([p.key() for p in found], [str(p) for p in found], decomposed))
+    return shapes
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(operation_cases(), min_size=1, max_size=3))
+def test_warm_operations_give_the_cold_answer(cases):
+    """Each memoized operation, asked again with the tables warm (other
+    cases' answers in them too), returns the key and text it returns
+    from empty tables."""
+    clear_caches()
+    first = [_answers(*case) for case in cases]
+    hits = cache.RESULTS.hits
+    warm = [_answers(*case) for case in cases]
+    assert cache.RESULTS.hits > hits
+    cold = []
+    for case in cases:
+        clear_caches()
+        cold.append(_answers(*case))
+    assert first == cold
+    assert warm == cold
+
+
+def test_equal_keys_over_different_rings_are_different_questions():
+    """(x^2) : (x) over QQ[x,y], F_5[x,y] and QQ[x,y]/(xy): the operands'
+    keys compare equal across the three rings, so only the ring in the
+    key keeps the answers apart."""
+    plain = PolyRing(QQ, ("x", "y"))
+    x, y = plain.gens()
+    rings = [plain, PolyRing(GF(5), ("x", "y")), PolyRing(QQ, ("x", "y"), relations=(x * y,))]
+    keys, got, operands = [], [], []
+    for ring in rings:
+        x = ring.gen(0)
+        M = QuotientModule.of_ring(ring)
+        N = M.span(((x * x,),))
+        keys.append((N.key(), Ideal(ring, [x]).key(), M.key()))
+        got.append(colon_module(N, Ideal(ring, [x]), M))
+        operands.append((N, Ideal(ring, [x]), M))
+    assert keys[0] == keys[1] == keys[2]
+    assert [str(sub) for sub in got] == ["(x)", "(x)", "(x, y)"]
+    assert [sub.ring for sub in got] == rings
+    assert len(cache.RESULTS) == cache.RESULTS.misses == 3
+    # an ideal over another ring is refused, not answered from the table
+    (N, _, M), (_, stranger, _) = operands[0], operands[1]
+    with pytest.raises(RingMismatchError):
+        colon_module(N, stranger, M)

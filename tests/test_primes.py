@@ -10,6 +10,7 @@ from gpfkit.errors import (
     RingMismatchError,
 )
 from gpfkit import monomial, primes
+from gpfkit.cache import clear_caches
 from gpfkit.modops import Ideal, QuotientModule
 from gpfkit.primes import (
     ATTEST_ASSUMED,
@@ -257,6 +258,9 @@ def test_ass_enumerate_budget_guard(monkeypatch):
     Q = M.with_denominator(M.span(((a * d,), (b * e,), (c * f,))))
     assert len(ass_enumerate(Q)) == 8
     monkeypatch.setattr(monomial, "MAX_COMPONENTS", 7)
+    # a lowered bound is another program: forget the answer computed
+    # under the old one
+    clear_caches()
     with pytest.raises(BudgetError, match="over the bound 7"):
         ass_enumerate(Q)
 
