@@ -383,10 +383,10 @@ def test_equal_keys_over_different_rings_are_different_questions():
     for ring in rings:
         x = ring.gen(0)
         M = QuotientModule.of_ring(ring)
-        N = M.span(((x * x,),))
-        keys.append((N.key(), Ideal(ring, [x]).key(), M.key()))
-        got.append(colon_module(N, Ideal(ring, [x]), M))
-        operands.append((N, Ideal(ring, [x]), M))
+        N, ideal = M.span(((x * x,),)), Ideal(ring, [x])
+        keys.append((N.key(), ideal.key(), M.key()))
+        got.append(colon_module(N, ideal, M))
+        operands.append((N, ideal, M))
     assert keys[0] == keys[1] == keys[2]
     assert [str(sub) for sub in got] == ["(x)", "(x)", "(x, y)"]
     assert [sub.ring for sub in got] == rings
