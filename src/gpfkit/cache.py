@@ -1,25 +1,23 @@
 """The library's memo tables, all bounded by one entry count.
 
-Four tables remember answers that depend only on canonical keys, so a
+Three tables remember answers that depend only on canonical keys, so a
 hit returns exactly what the computation would return again:
 
 * `BASES`: reduced bases from `groebner.buchberger`, keyed by the ring
   key, the rank and the set of `vector_key`s of the nonzero generators
   (monomial bases are read off exponents and never stored);
-* `ASS_MEMBERS`: the verdicts of `primes.ass_contains` on quotients
-  that need candidate primes, keyed by the ring key, the rank, the
-  quotient's key and the prime's key (monomial quotients read their
-  primes off exponents and store none);
 * `VARIABLE_PRIMES`: the variable primes Ass enumeration without
   candidates returns, keyed by the ring key and the variable indices;
-* `RESULTS`: the answers of the leaf module operations that `memoized`
-  marks: `modops.colon_module`, `modops.colon_ideal`, `modops.module_scale`
-  of split inputs and `primes._monomial_ass`.  The key is the
-  operation's name, the ring key and rank of its last operand (the
-  module it works in) and the `key()` of every operand
-  (`Submodule.key()`, `Ideal.key()`, `QuotientModule.key()`).  Keys of
-  equal submodules over different rings can compare equal, so the ring
-  key is part of the key.
+* `RESULTS`: the answers of the operations that `memoized` marks:
+  `modops.colon_module`, `modops.colon_ideal`, `modops.module_scale` of
+  split inputs, the `primes.ass_contains` verdicts on quotients that
+  need candidate primes, and the complete Ass `PrimeSet` of a monomial
+  quotient (`primes._monomial_ass`), one object shared by every caller.
+  The key is the operation's name, the ring key and rank of its last
+  operand (the module it works in) and the `key()` of every operand
+  (`Submodule.key()`, `Ideal.key()`, `PrimeIdeal.key()`,
+  `QuotientModule.key()`).  Keys of equal submodules over different
+  rings can compare equal, so the ring key is part of the key.
 
 Each table keeps at most `MAX_ENTRIES` entries and drops the least
 recently used one beyond that.  `clear_caches()` empties them all.
@@ -31,11 +29,11 @@ import functools
 from collections import OrderedDict
 
 # Entries per table.  One pass of a bench corpus (gpfbench, seeds 1 and
-# 11, 30 s corpora) peaks at 32 bases and 10 verdicts (one quotient-ring
-# script; monomial corpora store neither), 22 primes and 477 results
-# (a 36-item inverse-products pass; one quotient-ring script stores at
-# most 22), so nothing is evicted there; a longer-lived process evicts
-# instead of growing.
+# 11, 30 s corpora) peaks at 31 bases (one quotient-ring script;
+# monomial corpora store none), 22 primes and 477 results (a 36-item
+# inverse-products pass; one quotient-ring script stores at most 32,
+# verdicts included), so nothing is evicted there; a longer-lived
+# process evicts instead of growing.
 MAX_ENTRIES = 4096
 
 
@@ -77,7 +75,6 @@ class LRU:
 
 
 BASES = LRU()
-ASS_MEMBERS = LRU()
 VARIABLE_PRIMES = LRU()
 RESULTS = LRU()
 
@@ -111,5 +108,5 @@ def memoized(name):
 
 def clear_caches():
     """Empty every memo table and reset its counts."""
-    for table in (BASES, ASS_MEMBERS, VARIABLE_PRIMES, RESULTS):
+    for table in (BASES, VARIABLE_PRIMES, RESULTS):
         table.clear()

@@ -97,9 +97,7 @@ def verify_step(lower, upper, prime, ambient, candidates=None):
     # Regularity: the prime is a member of Ass(M/lower) that no other
     # member strictly contains.
     amb_ass = ass_enumerate(ambient.with_denominator(lower), candidates)
-    if not amb_ass.contains_prime(prime) or any(
-        q.key() != prime.key() and q.strictly_contains(prime) for q in amb_ass
-    ):
+    if not any(q.key() == prime.key() for q in amb_ass.maximal_elements()):
         problems.append(
             "prime is not maximal in Ass(M/lower) = %s" % amb_ass
         )

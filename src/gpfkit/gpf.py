@@ -201,7 +201,7 @@ class SuppCondition(Record):
 
 
 def _supp_condition(index, p, scaled, M):
-    Q = QuotientModule(scaled, M.span(()), check=False)
+    Q = QuotientModule(scaled, M.denom, check=False)
     zero = Q.is_zero()
     if supp_contains(p, Q):
         return SuppCondition(index, p, True, zero)

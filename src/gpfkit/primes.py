@@ -39,18 +39,18 @@ the result is flagged as relative to those candidates.
 
 Candidate membership depends only on the module and the prime, and both
 are named by canonical reduced-basis keys, so `ass_contains` answers each
-(module, prime) question once and keeps the verdict in the bounded
-`cache.ASS_MEMBERS` table; a hit returns what the same exact computation
-would.  Only the boolean is kept: candidates are the caller's own
-primes on every enumeration, so the prime objects of a `PrimeSet` come
-from the caller, and `ass_membership` always computes.  Primes read off
-exponents carry nothing of the caller's: each is built once per ring
-and support (`cache.VARIABLE_PRIMES`), and the associated primes of a
-monomial quotient are read off once per key of the quotient
-(`cache.RESULTS`).  `filtration.verify_rpe` still walks every step and
-compares what the filtration recorded with the operations' answers;
-what it no longer repeats is the computation behind a colon, a
-transporter, a membership question or a monomial Ass already answered.
+(module, prime) question once and keeps the verdict in `cache.RESULTS`;
+a hit returns what the same exact computation would.  Only the boolean
+is kept: candidates are the caller's own primes on every enumeration,
+so the prime objects of a `PrimeSet` come from the caller, and
+`ass_membership` always computes.  Primes read off exponents carry
+nothing of the caller's: each is built once per ring and support
+(`cache.VARIABLE_PRIMES`), and one `PrimeSet` per key of a monomial
+quotient (`cache.RESULTS`) is shared by every caller.
+`filtration.verify_rpe` still walks every step and compares what the
+filtration recorded with the operations' answers; what it no longer
+repeats is the computation behind a colon, a transporter, a membership
+question or a monomial Ass already answered.
 """
 
 from __future__ import annotations
@@ -104,10 +104,7 @@ class PrimeIdeal(Ideal):
         return self._token
 
     def __str__(self):
-        gens = self.canonical_gens()
-        if not gens:
-            return "(0)"
-        return "(%s)" % ", ".join(str(g) for g in gens)
+        return "(%s)" % (", ".join(self.token()) or "0")
 
     def __repr__(self):
         return "PrimeIdeal%s[%s]" % (self, self.attestation)
@@ -121,7 +118,9 @@ class PrimeSet:
     """A finite set of primes, sorted canonically, with a completeness flag.
 
     ``complete`` is False when the set came from testing candidates,
-    which can miss primes outside them.
+    which can miss primes outside them.  A set is never changed, so the
+    complete set of a monomial quotient is shared by every caller
+    (`cache.RESULTS`) and finds its maximal elements once.
     """
 
     def __init__(self, primes, complete=True):
@@ -130,6 +129,8 @@ class PrimeSet:
             seen.setdefault(p.key(), p)
         self.primes = tuple(sorted(seen.values(), key=PrimeIdeal.token))
         self.complete = complete
+        self._keys = frozenset(seen)
+        self._maximal = None
 
     def __iter__(self):
         return iter(self.primes)
@@ -141,20 +142,20 @@ class PrimeSet:
         return bool(self.primes)
 
     def contains_prime(self, p):
-        return any(q.key() == p.key() for q in self.primes)
+        return p.key() in self._keys
 
     def key(self):
-        return frozenset(p.key() for p in self.primes)
+        return self._keys
 
     def maximal_elements(self):
         """The primes no other member strictly contains, in token order."""
-        out = []
-        for p in self.primes:
-            if not any(
-                q.key() != p.key() and q.strictly_contains(p) for q in self.primes
-            ):
-                out.append(p)
-        return out
+        if self._maximal is None:
+            self._maximal = tuple(
+                p
+                for p in self.primes
+                if not any(q is not p and q.strictly_contains(p) for q in self.primes)
+            )
+        return self._maximal
 
     def __str__(self):
         return "{%s}" % ", ".join(str(p) for p in self.primes)
@@ -175,7 +176,9 @@ def ass_membership(p, Q):
     """
     if p.ring != Q.ring:
         raise RingMismatchError("prime over a different ring")
-    N = Q.span(())
+    if not p.contains_ideal(Q.ann()):
+        return False  # outside Supp(Q), which holds Ass(Q)
+    N = Q.denom
     K = colon_module(N, p, Q)
     return not K.equals(N) and p.contains_ideal(colon_ideal(N, K))
 
@@ -184,17 +187,17 @@ def ass_contains(p, Q):
     """Whether p is an associated prime of the quotient Q.  A monomial
     quotient looks p up in its complete set of associated primes; any
     other computes once per (module, prime) and then reads the verdict
-    from `cache.ASS_MEMBERS`."""
+    from `cache.RESULTS`."""
     if p.ring != Q.ring:
         raise RingMismatchError("prime over a different ring")
     if monomial_eligible(Q):
-        return any(q.key() == p.key() for q in _monomial_ass(Q)[0])
-    key = (Q.ring.key(), Q.rank, Q.key(), p.key())
-    member = cache.ASS_MEMBERS.get(key)
-    if member is None:
-        member = ass_membership(p, Q)
-        cache.ASS_MEMBERS.put(key, member)
-    return member
+        return _monomial_ass(Q)[0].contains_prime(p)
+    return _verdict(p, Q)
+
+
+@cache.memoized("ass_contains")
+def _verdict(p, Q):
+    return ass_membership(p, Q)
 
 
 def monomial_eligible(Q):
@@ -206,7 +209,7 @@ def monomial_eligible(Q):
 @cache.memoized("monomial_ass")
 def _monomial_ass(Q):
     """The associated primes of the monomial quotient Q = (T + D)/D, as a
-    tuple, smallest support first, and the number of ideals decomposed:
+    complete `PrimeSet`, and the number of ideals decomposed:
     the supports of the irreducible components of (D_c : x^t) for each
     minimal generator x^t of T_c outside D_c.  Each prime is built once
     per ring and support, its basis read off the variables' exponents,
@@ -223,14 +226,14 @@ def _monomial_ass(Q):
         for comp in monomial.irreducible_components(J)
     }
     ring, out = Q.ring, []
-    for s in sorted(supports, key=lambda s: (len(s), s)):
+    for s in sorted(supports):
         p = cache.VARIABLE_PRIMES.get((ring.key(), s))
         if p is None:
             exps = [tuple(int(i == j) for j in range(ring.nvars)) for i in s]
             p = PrimeIdeal(ring, Submodule.of_split(ring, [monomial.minimal(exps)]))
             cache.VARIABLE_PRIMES.put((ring.key(), s), p)
         out.append(p)
-    return tuple(out), len(colons)
+    return PrimeSet(out), len(colons)
 
 
 def ass_enumerate(Q, candidates=None):
@@ -238,11 +241,11 @@ def ass_enumerate(Q, candidates=None):
 
     Without candidates the generators must be monomial vectors over a
     plain polynomial ring; the primes are read off exponents (see the
-    module docstring), no membership is tested, and the result is
-    complete.  A decomposition past `monomial.MAX_COMPONENTS` components
-    raises BudgetError.  Given a sequence of candidate primes, each is
-    tested by `ass_contains` and the result is flagged incomplete
-    (relative to the candidates).
+    module docstring), no membership is tested, and the complete set is
+    shared by every quotient with the same key.  A decomposition past
+    `monomial.MAX_COMPONENTS` components raises BudgetError.  Given a
+    sequence of candidate primes, each is tested by `ass_contains` and
+    the result is flagged incomplete (relative to the candidates).
     """
     if candidates is not None:
         found = [p for p in candidates if ass_contains(p, Q)]
@@ -265,7 +268,7 @@ def ass_enumerate(Q, candidates=None):
         Q.ring.nvars,
         decomposed,
     )
-    return PrimeSet(found, complete=True)
+    return found
 
 
 def check_tie_break(tie_break):

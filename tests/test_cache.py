@@ -76,9 +76,10 @@ def test_clear_caches_empties_every_table():
     buchberger([(x * x,)], ring=ring, rank=1)
     colon_module(M.span(((x * x,),)), Ideal(ring, [x]), M)
     tables = _tables()
-    assert cache.BASES in tables and cache.ASS_MEMBERS in tables
-    assert cache.RESULTS in tables
+    assert cache.BASES in tables and cache.RESULTS in tables
     assert all(len(t) for t in tables)
+    verdicts = [k for k in cache.RESULTS._data if k[0] == "ass_contains"]
+    assert len(verdicts) == len(registry)
     clear_caches()
     assert all(len(t) == 0 and t.hits == t.misses == 0 for t in tables)
 
@@ -192,9 +193,9 @@ def test_warm_caches_give_the_cold_answer(cases):
     answer, first or repeated, is the one a cold start gives."""
     clear_caches()
     first = [ass_enumerate(Q, candidates) for Q, candidates in cases]
-    misses = cache.ASS_MEMBERS.misses
+    misses = cache.RESULTS.misses
     again = [ass_enumerate(Q, candidates) for Q, candidates in cases]
-    assert cache.ASS_MEMBERS.misses == misses  # nothing computed again
+    assert cache.RESULTS.misses == misses  # nothing computed again
     cold = []
     for Q, candidates in cases:
         clear_caches()
@@ -232,9 +233,9 @@ def test_registries_keep_their_own_primes():
     )
     mine = (PrimeIdeal(ring, [z, x]), PrimeIdeal(ring, [x + y, y, z]))
     first = ass_enumerate(Q, registry)
-    misses = cache.ASS_MEMBERS.misses
+    misses = cache.RESULTS.misses
     second = ass_enumerate(Q, mine)
-    assert cache.ASS_MEMBERS.misses == misses  # answered from the cache
+    assert cache.RESULTS.misses == misses  # answered from the cache
     assert [str(q) for q in first] == [str(q) for q in second] == ["(x, y, z)"]
     assert first.primes[0] is m
     assert second.primes[0] is mine[1]
@@ -302,6 +303,29 @@ def test_variable_primes_are_built_once_per_ring_and_support(monkeypatch):
         ref = buchberger([(g,) for g in p.gens], ring=p.ring, rank=1)
         assert p.as_submodule().groebner().key() == ref.key()
         assert p.attestation == ATTEST_LINEAR
+
+
+def test_monomial_quotients_share_one_prime_set(monkeypatch):
+    """Two presentations of R/(x^2, xy) get the same PrimeSet object, and
+    only the first call for its maximal elements compares primes."""
+    ring, x, y = xy_ring()
+    M = QuotientModule.of_ring(ring)
+    first = ass_enumerate(M.with_denominator(M.span(((x * x,), (x * y,)))))
+    second = ass_enumerate(M.with_denominator(M.span(((x * y,), (3 * x * x,)))))
+    assert second is first
+    compared = []
+    strictly = PrimeIdeal.strictly_contains
+
+    def counting(p, q):
+        compared.append((p.token(), q.token()))
+        return strictly(p, q)
+
+    monkeypatch.setattr(PrimeIdeal, "strictly_contains", counting)
+    assert [str(p) for p in first.maximal_elements()] == ["(x, y)"]
+    assert compared
+    del compared[:]
+    assert [str(p) for p in second.maximal_elements()] == ["(x, y)"]
+    assert compared == []
 
 
 @st.composite

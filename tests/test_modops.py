@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpfkit import cache, clear_caches, groebner, modops, monomial
+from gpfkit import clear_caches, groebner, modops, monomial, primes
 from gpfkit.arith import PolyRing
 from gpfkit.errors import BudgetError, RingMismatchError
 from gpfkit.fields import GF, QQ
@@ -749,7 +749,7 @@ def test_non_monomial_inputs_take_the_elimination(monkeypatch):
         [((0, 2), 1), ((1,), 2), ((0, 1, 2), 1)],
     ],
 )
-def test_filtration_agrees_on_both_paths(picks):
+def test_filtration_agrees_on_both_paths(picks, monkeypatch):
     """rpe_filtration and verify_rpe on criterion-6 inputs give the same
     steps, primes and verification problems, none, whichever path the
     module layer takes."""
@@ -757,15 +757,22 @@ def test_filtration_agrees_on_both_paths(picks):
     M = QuotientModule.of_ring(ring)
     pairs = [(PrimeIdeal.from_variables(ring, s), r) for s, r in picks]
     aM = module_scale(FactorizationTarget.reordered(pairs).product_ideal(), M)
+    tested = []
+    compute = primes.ass_membership
+
+    def counting(p, Q):
+        tested.append(p)
+        return compute(p, Q)
+
+    monkeypatch.setattr(primes, "ass_membership", counting)
 
     def run():
-        before = cache.ASS_MEMBERS.misses
+        before = len(tested)
         filt = rpe_filtration(aM, M)
         report = verify_rpe(filt)
         steps = [(str(s.prime), s.upper.gens) for s in filt.steps]
         # monomial quotients read their primes off exponents
-        misses = cache.ASS_MEMBERS.misses - before
-        return steps, report["ok"], report["problems"], misses
+        return steps, report["ok"], report["problems"], len(tested) - before
 
     clear_caches()
     fast = run()

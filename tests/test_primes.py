@@ -189,6 +189,21 @@ def test_ass_membership_monomial_chain():
     assert not ass_membership(PrimeIdeal(ring, [y]), Q)
 
 
+def test_candidate_outside_the_support_needs_no_colon(monkeypatch):
+    """Over the twisted ring R/(y) is QQ[x,z]/(x^2, z^2): (x, z) does
+    not contain y, so it lies outside Supp(R/(y)) and is refused before
+    any colon, while the maximal ideal is tested through one."""
+    ring, p, m, registry = twisted_setup()
+    M = QuotientModule.of_ring(ring)
+    Q = M.with_denominator(M.span([(ring.gen(1),)]))
+    colons = _count_calls(monkeypatch, primes, "colon_module")
+    assert not supp_contains(p, Q)
+    assert not ass_membership(p, Q)
+    assert colons == []
+    assert ass_membership(m, Q)
+    assert len(colons) == 1
+
+
 def test_ass_contains_on_twisted_segment():
     """In the twisted ring, p/p^2 has the maximal ideal associated but
     not p itself."""
