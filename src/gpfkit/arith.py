@@ -76,9 +76,10 @@ def term_key(term):
 class PolyRing:
     """k[x_1..x_m], optionally modulo a tuple of quotient relations.
 
-    Relations are stored as polynomials of the ring itself; all generating
-    sets handed to basis computations are extended by them, which is how
-    every operation downstream works modulo the relation ideal.
+    Relations are stored as polynomials of the ring itself; the module
+    layer adjoins them to every generating set it hands to a basis
+    computation, which is how every operation downstream works modulo
+    the relation ideal.
     """
 
     def __init__(self, field, names, relations=()):
@@ -160,16 +161,11 @@ class PolyRing:
 
     def _relation_gb(self):
         """The reduced basis of the relation ideal, computed once over
-        this ring itself (rank 1, relations not adjoined again)."""
+        this ring itself, from the relations alone (rank 1)."""
         if self._gb is None:
             from .groebner import buchberger
 
-            self._gb = buchberger(
-                [(r,) for r in self.relations],
-                ring=self,
-                rank=1,
-                include_relations=False,
-            )
+            self._gb = buchberger([(r,) for r in self.relations], ring=self, rank=1)
         return self._gb
 
     def relation_basis(self):

@@ -30,11 +30,11 @@ module layer reads colon, intersection and transporter off such kernels.
 Reduced bases are canonical for a given submodule, so results are
 memoized in the bounded `cache.BASES` table, keyed by ring, rank and the
 set of `vector_key`s of the nonzero generators; the key is built before
-any flattening.  For quotient rings the relation ideal times each unit
-vector is adjoined to every generating set except the relation basis
-itself and a seeded kernel's blocks, which hold them (both computed
-with `include_relations=False`); a pair inside one such block, already
-a reduced basis, is never formed.  The basis of a direct sum
+any flattening.  A call bases exactly the generators it is given: over a
+quotient ring the module layer (`modops`) adjoins the relation vectors
+it needs, and the relation basis itself is computed from the relations
+alone.  A pair inside a labelled group of generators, already a
+reduced basis, is never formed.  The basis of a direct sum
 of monomial ideals is its minimal generators, read off exponents by
 `monomial_basis` with no Buchberger run and no `cache.BASES` entry.
 A call that selects more than `MAX_PAIRS` pairs raises BudgetError.
@@ -192,18 +192,6 @@ class GroebnerBasis:
         return tuple(vector_key(v) for v in self.vectors)
 
 
-def relation_vectors(ring, rank):
-    """The relation ideal times each unit vector, as rank-length vectors."""
-    out = []
-    zero = ring.zero()
-    for r in ring.relation_basis():
-        for comp in range(rank):
-            vec = [zero] * rank
-            vec[comp] = r
-            out.append(tuple(vec))
-    return out
-
-
 def monomial_basis(ring, ideals):
     """The reduced basis of the direct sum of monomial ideals I_c e_c over
     a ring without relations, each given by its minimal exponent tuples:
@@ -220,17 +208,15 @@ def monomial_basis(ring, ideals):
     return GroebnerBasis(ring, len(ideals), entries)
 
 
-def buchberger(gens, *, ring, rank, include_relations=True, _groups=None):
-    """Reduced basis of the submodule of ring^rank the vectors generate.
+def buchberger(gens, *, ring, rank, _groups=None):
+    """Reduced basis of the submodule of ring^rank the vectors generate,
+    exactly these vectors: no relation of a quotient ring is adjoined.
 
     `_groups`, passed only by `modops._kernel`, labels each generator; a
     label other than None promises that its generators are already a
     reduced basis, so no pair forms inside it.  It is not in the key."""
     gens = [tuple(v) for v in gens]
     groups = list(_groups or [None] * len(gens))
-    if include_relations and ring.is_quotient:
-        rel = relation_vectors(ring, rank)
-        gens, groups = gens + rel, groups + [None] * len(rel)
     nonzero = {}
     for v, g in zip(gens, groups):
         check_vector(v, ring, rank)

@@ -8,8 +8,10 @@ subquotient top/denominator of R^k; every submodule of it is represented
 by generators in R^k with the denominator generators adjoined, and each
 operation taking the quotient as context adds the denominator before
 computing.  Over quotient rings the relation ideal is adjoined in every
-component: by the basis layer, or in a kernel by its seeded blocks and
-its x block's relation vectors.
+component here, never by `groebner.buchberger`, which bases exactly the
+generators it is given: `Submodule.groebner` adds the relation vectors
+(`relation_vectors`) to the generators, and a kernel holds them in its
+seeded blocks and its x block's relation group.
 
 Colon, transporter and intersection share one primitive, `_kernel`: the
 x whose images in rows (image_1 | ... | image_s | x) all lie in a bottom
@@ -53,7 +55,7 @@ from __future__ import annotations
 import logging
 import math
 
-from . import cache, groebner, monomial
+from . import cache, monomial
 from .arith import mono_key, mono_mul
 from .errors import BudgetError, RingMismatchError
 from .groebner import buchberger, check_vector, monomial_basis, vector_key
@@ -66,6 +68,19 @@ _UNSPLIT = object()  # `Submodule._split` not yet computed; None: no split
 # time growing as n^3: n = 43, 990 generators, takes 1.0 s on a 2-vCPU
 # Xeon VM.
 MAX_PRODUCT_GENS = 1000
+
+
+def relation_vectors(ring, rank):
+    """The relation ideal times each unit vector, as rank-length vectors;
+    () over a ring without relations."""
+    if not ring.is_quotient:
+        return ()
+    zero = ring.zero()
+    return tuple(
+        (zero,) * comp + (r,) + (zero,) * (rank - comp - 1)
+        for r in ring.relation_basis()
+        for comp in range(rank)
+    )
 
 
 def _dedup_vectors(vectors):
@@ -297,7 +312,8 @@ class Submodule:
         if self._gb is None:
             split = self.monomial_split()
             if split is None:
-                self._gb = buchberger(self.gens, ring=self.ring, rank=self.rank)
+                gens = self.gens + relation_vectors(self.ring, self.rank)
+                self._gb = buchberger(gens, ring=self.ring, rank=self.rank)
             else:
                 self._gb = monomial_basis(self.ring, split)
         return self._gb
@@ -481,28 +497,27 @@ def _kernel(ring, rows, bottom, s, k):
     O'Shea, *Using Algebraic Geometry*, ch. 5).  No rows give the zero
     submodule of R^k.
 
-    Each block is seeded with the bottom's reduced basis (usually a
-    cached one) as one labelled group, so no pair forms inside it, as
-    Singular's `std(G, p)` extends a known basis G.  The seed holds a
-    quotient ring's relations even for an empty bottom, so they are
-    adjoined, as one more group, to the x block alone.
+    Each block is seeded, as one labelled group, with the reduced basis
+    (usually a cached one) of the bottom and a quotient ring's relation
+    vectors, so no pair forms inside it, as Singular's `std(G, p)`
+    extends a known basis G.  The seed holds the relations even for an
+    empty bottom; the x block gets them as one more group.
     """
     if not rows:
         return Submodule.zero(ring, k).groebner()
     width, rank = s * k, len(rows[0])
-    seed = buchberger(bottom, ring=ring, rank=k).vectors
+    seed_gens = tuple(bottom) + relation_vectors(ring, k)
+    seed = buchberger(seed_gens, ring=ring, rank=k).vectors
     zero = ring.zero()
     work, groups = list(rows), [None] * len(rows)
     for start in range(0, width, k):
         pad = (zero,) * (rank - start - k)
         work += [(zero,) * start + b + pad for b in seed]
         groups += [start] * len(seed)
-    if ring.is_quotient:
-        rel = groebner.relation_vectors(ring, rank - width)
-        work += [(zero,) * width + r for r in rel]
-        groups += [width] * len(rel)
-    gb = buchberger(work, ring=ring, rank=rank, include_relations=False, _groups=groups)
-    return gb.tail(width)
+    rel = relation_vectors(ring, rank - width)
+    work += [(zero,) * width + r for r in rel]
+    groups += [width] * len(rel)
+    return buchberger(work, ring=ring, rank=rank, _groups=groups).tail(width)
 
 
 def _monomial_parts(*subs):

@@ -219,6 +219,55 @@ def test_candidate_mode_json_bytes_are_pinned(tmp_path, capsys):
     ]
 
 
+# The twisted cubic: a rank-2 module with denominators over a binomial
+# quotient ring, so every kernel is seeded with relation blocks in two
+# components.
+TWISTED_CUBIC = """
+ring R = QQ[x,y,z,w] / (x*z - y^2, y*w - z^2, x*w - y*z);
+prime p = (x, y, z);
+prime q = (y, z, w);
+prime m = (x, y, z, w);
+candidates = { p, q, m };
+module M = free(2) / ((x^2, y*w), (0, z^3));
+submodule N in M = ((x*y, z^2), (w^2, 0), (0, x*w));
+ass N in M;
+gpf N in M;
+check-iff p^2 * m in M;
+"""
+
+
+def test_twisted_cubic_json_bytes_are_pinned(tmp_path, capsys):
+    """The quotient-ring kernel path end to end: reduced inputs, Ass,
+    the factorization and the criterion's failing segment."""
+    assert _run(tmp_path, TWISTED_CUBIC, "--json") == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    head = (
+        '{"attestations": ["associated primes are relative to the declared '
+        'candidate set"], "command": "%s", "inputs": {"module": "free(2) / '
+        '((x^2, y*w), (0, x*w^2))", %s}, "millis": 0, "result": '
+    )
+    on_N = (
+        '"submodule": "((x^2, y*w), (x*y, y*w), (w^2, 0), (0, y*w^2), '
+        '(0, y*z), (0, x*w))"'
+    )
+    assert out.splitlines() == [
+        head % ("ass", on_N)
+        + '{"complete": false, "primes": ["(x, y, z)", "(x, y, z, w)", '
+        '"(y, z, w)"]}, "verification": {}}',
+        head % ("gpf", on_N)
+        + '{"factorization": "(x, y, z)^2 * (x, y, z, w)^4 * (y, z, w)^3", '
+        '"factors": [{"exponent": 2, "prime": "(x, y, z)"}, {"exponent": 4, '
+        '"prime": "(x, y, z, w)"}, {"exponent": 3, "prime": "(y, z, w)"}]}, '
+        '"verification": {"ass_complete": false, "steps": true}}',
+        head % ("check-iff", '"target": "(x, y, z, w) * (x, y, z)^2"')
+        + '{"failed_index": 2, "segments": [{"found": ["(x, y, z, w)"], '
+        '"index": 1, "ok": true, "prime": "(x, y, z, w)"}, {"found": '
+        '["(x, y, z)", "(x, y, z, w)"], "index": 2, "ok": false, "prime": '
+        '"(x, y, z)"}], "verdict": false}, "verification": {}}',
+    ]
+
+
 def test_field_override(tmp_path, capsys):
     script = "ring R = QQ[x,y];\nsubmodule N in R = (x^2, x*y);\ngpf N in R;"
     code = _run(tmp_path, script, "--field", "Fp:5", "--json")

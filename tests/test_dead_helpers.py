@@ -317,6 +317,22 @@ def test_caches_live_in_the_cache_module():
     assert not found, "caches outside cache.py: %s" % ", ".join(found)
 
 
+def test_groebner_reads_no_ring_relations():
+    """`buchberger` bases exactly the generators it is given: groebner.py
+    reads no `relations`, `is_quotient` or `relation_basis` attribute, so
+    only the module layer adjoins a quotient ring's relations."""
+    tree = ast.parse((PACKAGE / "groebner.py").read_text(encoding="utf-8"))
+    read = sorted(
+        {
+            sub.attr
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute)
+            and sub.attr in ("relations", "is_quotient", "relation_basis")
+        }
+    )
+    assert not read, "groebner.py reads %s" % ", ".join(read)
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     """The command line starts without the dataclasses and inspect
     modules, and without the oracle, which only --oracle imports; -S keeps

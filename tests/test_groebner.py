@@ -8,6 +8,7 @@ from gpfkit.arith import PolyRing, Polynomial, mono_divides
 from gpfkit.errors import BudgetError, RingMismatchError
 from gpfkit.fields import QQ
 from gpfkit.groebner import buchberger
+from gpfkit.modops import Submodule
 
 from helpers import twisted_ring, xy_ring
 
@@ -42,13 +43,27 @@ def test_basis_key_independent_of_generator_order():
     assert buchberger(again, ring=ring, rank=1) is buchberger(gens, ring=ring, rank=1)
 
 
-def test_quotient_relations_enter_the_basis():
-    pure, px, _ = xy_ring()
+def _x_squared_ring():
+    """QQ[x,y]/(x^2) with its x and y."""
+    _, px, _ = xy_ring()
     ring = PolyRing(QQ, ("x", "y"), relations=(px * px,))
-    x, y = ring.gen(0), ring.gen(1)
-    gb = buchberger([(x * y,)], ring=ring, rank=1)
+    return ring, ring.gen(0), ring.gen(1)
+
+
+def test_quotient_relations_enter_the_basis():
+    ring, x, y = _x_squared_ring()
+    gb = Submodule(ring, 1, [(x * y,)]).groebner()
     assert gb.contains((x * x * y,))
     assert gb.contains((x * x,))
+
+
+def test_buchberger_bases_exactly_its_generators():
+    """Over QQ[x,y]/(x^2) `buchberger` adjoins no relation: x^2 lies in
+    the basis of the submodule, which the module layer builds, and not in
+    the basis of (xy) alone."""
+    ring, x, y = _x_squared_ring()
+    assert not buchberger([(x * y,)], ring=ring, rank=1).contains((x * x,))
+    assert Submodule(ring, 1, [(x * y,)]).groebner().contains((x * x,))
 
 
 def test_vector_membership_rank_two():
@@ -61,7 +76,7 @@ def test_vector_membership_rank_two():
 def test_twisted_ring_membership():
     ring = twisted_ring()
     x, y, z = ring.gen(0), ring.gen(1), ring.gen(2)
-    gb = buchberger([(x * x,), (x * z,), (z * z,)], ring=ring, rank=1)
+    gb = Submodule(ring, 1, [(x * x,), (x * z,), (z * z,)]).groebner()
     assert gb.contains((x * y,))
     assert gb.contains((y * z,))
     assert not gb.contains((y * y,))

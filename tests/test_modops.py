@@ -344,7 +344,8 @@ def test_results_keep_the_basis_of_their_generators(ambient):
             saturate(N, f, M),
         ]
         for sub in got:
-            fresh = buchberger(sub.gens, ring=ring, rank=sub.rank)
+            gens = sub.gens + modops.relation_vectors(ring, sub.rank)
+            fresh = buchberger(gens, ring=ring, rank=sub.rank)
             assert sub.groebner().key() == fresh.key()
 
 
@@ -372,6 +373,7 @@ def _vector_transporter(B, a):
     """{r : r a in B}, from the kernel of (a | 1) and (B | 0) in rank k + 1."""
     ring, k = B.ring, B.rank
     work = [tuple(a) + (ring.one(),)] + [tuple(b) + (ring.zero(),) for b in B.gens]
+    work += modops.relation_vectors(ring, k + 1)
     gb = buchberger(work, ring=ring, rank=k + 1)
     return Ideal(ring, [v[k] for v in gb.vectors if all(p.is_zero() for p in v[:k])])
 
@@ -786,8 +788,8 @@ def test_filtration_agrees_on_both_paths(picks, monkeypatch):
 
 def _unseeded_kernel(ring, rows, bottom, s, k):
     """The kernel built without seeding: the raw bottom generators in
-    every block and the default `buchberger`, relations adjoined in every
-    component and every pair formed."""
+    every block and the relations adjoined in every component, every
+    pair formed."""
     width, rank = s * k, len(rows[0])
     work = list(rows)
     for start in range(0, width, k):
@@ -795,6 +797,7 @@ def _unseeded_kernel(ring, rows, bottom, s, k):
             vec = [ring.zero()] * rank
             vec[start : start + k] = b
             work.append(tuple(vec))
+    work += modops.relation_vectors(ring, rank)
     return buchberger(work, ring=ring, rank=rank).tail(width)
 
 
@@ -897,9 +900,10 @@ def test_seeded_kernel_forms_fewer_pairs(monkeypatch):
     _, rows, bottom, s, k = args
     width, rank = s * k, len(rows[0])
     clear_caches()
-    seed = buchberger(bottom, ring=ring, rank=k).vectors
+    seed_gens = tuple(bottom) + modops.relation_vectors(ring, k)
+    seed = buchberger(seed_gens, ring=ring, rank=k).vectors
     groups = [(start, b) for start in range(0, width, k) for b in seed]
-    groups += [(width, r) for r in groebner.relation_vectors(ring, rank - width)]
+    groups += [(width, r) for r in modops.relation_vectors(ring, rank - width)]
     block = {}
     for start, b in groups:
         vec = (zero,) * start + b + (zero,) * (rank - start - len(b))
