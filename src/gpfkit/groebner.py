@@ -3,10 +3,14 @@
 Ideals are the k = 1 case.  Vectors are tuples of polynomials; internally a
 vector is flattened to a map from (component, monomial) terms to
 coefficients, and a basis is a list of monic entries (leading term, term
-map, components) that `_entry` alone builds.  All reductions run on those
-maps, through one reducer, `_nf`: inside Buchberger, in
-`GroebnerBasis.normal_form` and `contains`, and in quotient-ring
-reduction, which is the normal form modulo the ring's relation basis.
+map, components); `_entry` makes one of any nonzero term map.  All
+reductions run on those maps, through one reducer, `_nf`: inside
+Buchberger, in `GroebnerBasis.normal_form` and `contains`, and in
+quotient-ring reduction, which is the normal form modulo the ring's
+relation basis.  `_nf` keeps the remainder's terms in a heap, each keyed
+once as it enters, and skips a popped term that has cancelled (Monagan &
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).
 Pairs are selected by sugar, then lcm, then pair index, read off a heap
 (Giovini, Mora, Niesi, Robbiano & Traverso, "One sugar cube, please",
 ISSAC 1991): an input entry's sugar is the largest degree of its terms,
@@ -59,13 +63,13 @@ from .errors import BudgetError, RingMismatchError
 
 # The bound on the pairs one `buchberger` call selects, counted as they
 # leave the heap, before either criterion; over 200 times the largest
-# count measured.  Measured on a 2-vCPU Xeon VM with sugar selection:
-# 528 pairs in 11 ms (a rank-2 module script over
-# QQ[x,y,z,w]/(xz - y^2, yw - z^2, xw - yz)) and, in the test suite, at
-# most 663 pairs in 3.6 s and 1,055 pairs in 3.0 s (random kernels of
+# count measured.  Measured on a 2-vCPU Xeon VM with sugar selection and
+# the heap-ordered remainder: 528 pairs in 13 ms (a rank-2 module script
+# over QQ[x,y,z,w]/(xz - y^2, yw - z^2, xw - yz)) and, in the test suite,
+# at most 663 pairs in 1.6 s and 1,055 pairs in 1.7 s (random kernels of
 # the seeded-kernel property test at Hypothesis seeds 3 and 11; under
 # smallest lcm first the seed-3 draw selected 10,567 pairs in 96 s).
-# At those rates a call stopped at the bound has run for 5 s to 12 min.
+# At those rates a call stopped at the bound has run for 6 s to 10 min.
 MAX_PAIRS = 250_000
 
 
@@ -101,14 +105,24 @@ def _entry(d, field):
     return lt, dd, frozenset(c for c, _ in dd)
 
 
+def _heap_key(term):
+    """`term_key` negated, so the heap's smallest is the largest term."""
+    comp, m = term
+    return comp, -sum(m), m[::-1]
+
+
 def _nf(f, entries, field):
     """Full normal form of term-map f against monic (lt, map) entries."""
     zero = field.zero
     rem = dict(f)
+    heap = [(_heap_key(t), t) for t in rem]
+    heapq.heapify(heap)
     out = {}
-    while rem:
-        t = max(rem, key=term_key)
-        c = rem.pop(t)
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = rem.pop(t, None)
+        if c is None:  # cancelled after it was pushed
+            continue
         hit = None
         for lt, g, _ in entries:
             if lt[0] == t[0] and mono_divides(lt[1], t[1]):
@@ -122,11 +136,14 @@ def _nf(f, entries, field):
             tt = (gc, mono_mul(gm, shift))
             if tt == t:
                 continue
-            s = field.sub(rem.get(tt, zero), field.mul(c, gco))
+            old = rem.get(tt)
+            s = field.sub(zero if old is None else old, field.mul(c, gco))
             if s == zero:
                 rem.pop(tt, None)
             else:
                 rem[tt] = s
+                if old is None:
+                    heapq.heappush(heap, (_heap_key(tt), tt))
     return out
 
 
@@ -179,13 +196,17 @@ class GroebnerBasis:
         those components dropped.  Position over term puts component 0
         highest, so these are the entries whose leading component is at
         least `width`, and they are a reduced basis of the submodule of
-        such vectors."""
-        shifted = [
-            {(c - width, m): co for (c, m), co in d.items()}
-            for lt, d, _ in self._entries
+        such vectors.  They are monic already, so each entry is shifted
+        down by `width` as it stands."""
+        entries = [
+            (
+                (lt[0] - width, lt[1]),
+                {(c - width, m): co for (c, m), co in d.items()},
+                frozenset(c - width for c in comps),
+            )
+            for lt, d, comps in self._entries
             if lt[0] >= width
         ]
-        entries = [_entry(d, self.ring.field) for d in shifted]
         return GroebnerBasis(self.ring, self.rank - width, entries)
 
     def key(self):

@@ -1,4 +1,3 @@
-import heapq
 import random
 
 import pytest
@@ -109,25 +108,25 @@ def test_quotient_reduce_is_the_relation_basis_normal_form():
 
 def test_pair_budget_refuses_one_pair_more(monkeypatch):
     """A call that selects more than MAX_PAIRS pairs raises BudgetError
-    and stores no basis; a bound at the call's own pair count, counted
-    off the pair heap, admits it with the same basis."""
+    and stores no basis; the smallest bound that admits the call, its
+    own pair count, gives the same basis, and one pair less refuses it
+    again."""
     ring, x, y = xy_ring()
     gens = [(x * x - y,), (x * y - 1,)]
-    popped = []
-    real = heapq.heappop
-
-    def counted(heap):
-        popped.append(heap)
-        return real(heap)
-
-    monkeypatch.setattr(groebner.heapq, "heappop", counted)
     clear_caches()
     want = buchberger(gens, ring=ring, rank=1)
-    count = len(popped)
+    for count in range(1, 100):
+        monkeypatch.setattr(groebner, "MAX_PAIRS", count)
+        clear_caches()
+        try:
+            got = buchberger(gens, ring=ring, rank=1)
+        except BudgetError:
+            continue
+        break
+    else:
+        pytest.fail("no bound under 100 pairs admits the call")
     assert count > 1
-    monkeypatch.setattr(groebner, "MAX_PAIRS", count)
-    clear_caches()
-    assert buchberger(gens, ring=ring, rank=1).key() == want.key()
+    assert got.key() == want.key()
     monkeypatch.setattr(groebner, "MAX_PAIRS", count - 1)
     clear_caches()
     message = "Buchberger selected more than %d pairs" % (count - 1)
