@@ -4,7 +4,8 @@ Three tables remember answers that depend only on canonical keys, so a
 hit returns exactly what the computation would return again:
 
 * `BASES`: reduced bases from `groebner.buchberger`, keyed by the ring
-  key, the rank and the set of `vector_key`s of the nonzero generators
+  key, the rank and the set of `vector_key`s of the nonzero generators,
+  over a quotient ring the relation vectors `modops` adjoins among them
   (monomial bases are read off exponents and never stored);
 * `VARIABLE_PRIMES`: the variable primes Ass enumeration without
   candidates returns, keyed by the ring key and the variable indices;
