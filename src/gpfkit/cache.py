@@ -5,8 +5,8 @@ hit returns exactly what the computation would return again:
 
 * `BASES`: reduced bases from `groebner.buchberger`, keyed by the ring
   key, the rank and the set of `vector_key`s of the nonzero generators,
-  over a quotient ring the relation vectors `modops` adjoins among them
-  (monomial bases are read off exponents and never stored);
+  the relation vectors `modops` adjoins among them; monomial bases,
+  read off exponents, and kernels (`groebner.kernel`) are never stored;
 * `VARIABLE_PRIMES`: the variable primes Ass enumeration without
   candidates returns, keyed by the ring key and the variable indices;
 * `RESULTS`: the answers of the operations that `memoized` marks:
@@ -30,11 +30,11 @@ import functools
 from collections import OrderedDict
 
 # Entries per table.  One pass of a bench corpus (gpfbench, seeds 1 and
-# 11, 30 s corpora) peaks at 31 bases (one quotient-ring script;
-# monomial corpora store none), 22 primes and 477 results (a 36-item
-# inverse-products pass; one quotient-ring script stores at most 32,
-# verdicts included), so nothing is evicted there; a longer-lived
-# process evicts instead of growing.
+# 11, 30 s corpora) peaks at 12 bases, none wider than rank 2 (one
+# quotient-ring script; monomial corpora store none), 22 primes and 477
+# results (a 36-item inverse-products pass; one quotient-ring script
+# stores at most 32, verdicts included), so nothing is evicted there; a
+# longer-lived process evicts instead of growing.
 MAX_ENTRIES = 4096
 
 

@@ -28,20 +28,23 @@ does not.  Pairs are discarded by the two classical criteria:
 
 Every basis is computed under grevlex extended position over term
 (`arith.term_key`), so the vectors of a basis that vanish on the leading
-components form a basis of that kernel (`GroebnerBasis.tail`); the
-module layer reads colon, intersection and transporter off such kernels.
+components form a basis of that kernel (`GroebnerBasis.tail`).  Colon,
+intersection and transporter are read off such kernels, which `kernel`
+builds on term maps: each image block and the relations form a labelled
+group, already a reduced basis, inside which no pair is formed, and
+only the tail becomes a basis, which is not stored.
 
-Reduced bases are canonical for a given submodule, so results are
-memoized in the bounded `cache.BASES` table, keyed by ring, rank and the
-set of `vector_key`s of the nonzero generators; the key is built before
-any flattening.  A call bases exactly the generators it is given: over a
-quotient ring the module layer (`modops`) adjoins the relation vectors
-it needs, and the relation basis itself is computed from the relations
-alone.  A pair inside a labelled group of generators, already a
-reduced basis, is never formed.  The basis of a direct sum
-of monomial ideals is its minimal generators, read off exponents by
-`monomial_basis` with no Buchberger run and no `cache.BASES` entry.
-A call that selects more than `MAX_PAIRS` pairs raises BudgetError.
+Reduced bases are canonical for a given submodule, so the results of
+`buchberger` are memoized in the bounded `cache.BASES` table, keyed by
+ring, rank and the set of `vector_key`s of the nonzero generators; the
+key is built before any flattening.  A call bases exactly the
+generators it is given: over a quotient ring the module layer
+(`modops`) adjoins the relation vectors it needs, and the relation
+basis itself is computed from the relations alone.  The basis of a
+direct sum of monomial ideals is its minimal generators, read off
+exponents by `monomial_basis` with no Buchberger run and no
+`cache.BASES` entry.  A run, `buchberger` or `kernel`, that selects
+more than `MAX_PAIRS` pairs raises BudgetError.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from .arith import (
 )
 from .errors import BudgetError, RingMismatchError
 
-# The bound on the pairs one `buchberger` call selects, counted as they
+# The bound on the pairs one Buchberger run selects, counted as they
 # leave the heap, before either criterion; over 200 times the largest
 # count measured.  Measured on a 2-vCPU Xeon VM with sugar selection and
 # the heap-ordered remainder: 528 pairs in 13 ms (a rank-2 module script
@@ -103,6 +106,16 @@ def _entry(d, field):
     inv = field.invert(d[lt])
     dd = {t: field.mul(inv, c) for t, c in d.items()}
     return lt, dd, frozenset(c for c, _ in dd)
+
+
+def _shift(entry, by):
+    """A monic entry with every component moved by `by`, coefficients kept."""
+    lt, d, comps = entry
+    return (
+        (lt[0] + by, lt[1]),
+        {(c + by, m): co for (c, m), co in d.items()},
+        frozenset(c + by for c in comps),
+    )
 
 
 def _heap_key(term):
@@ -188,26 +201,8 @@ class GroebnerBasis:
         check_vector(v, self.ring, self.rank)
         return not _nf(_flatten(v), self._entries, self.ring.field)
 
-    def is_zero(self):
-        return not self.vectors
-
     def tail(self, width):
-        """The basis vectors that vanish on the first `width` components,
-        those components dropped.  Position over term puts component 0
-        highest, so these are the entries whose leading component is at
-        least `width`, and they are a reduced basis of the submodule of
-        such vectors.  They are monic already, so each entry is shifted
-        down by `width` as it stands."""
-        entries = [
-            (
-                (lt[0] - width, lt[1]),
-                {(c - width, m): co for (c, m), co in d.items()},
-                frozenset(c - width for c in comps),
-            )
-            for lt, d, comps in self._entries
-            if lt[0] >= width
-        ]
-        return GroebnerBasis(self.ring, self.rank - width, entries)
+        return _tail(self.ring, self.rank, self._entries, width)
 
     def key(self):
         return tuple(vector_key(v) for v in self.vectors)
@@ -229,28 +224,64 @@ def monomial_basis(ring, ideals):
     return GroebnerBasis(ring, len(ideals), entries)
 
 
-def buchberger(gens, *, ring, rank, _groups=None):
-    """Reduced basis of the submodule of ring^rank the vectors generate,
-    exactly these vectors: no relation of a quotient ring is adjoined.
+def _tail(ring, rank, entries, width):
+    """The basis of the vectors vanishing on the first `width` components,
+    those dropped: the entries whose leading component is `width` or more."""
+    kept = [_shift(e, -width) for e in entries if e[0][0] >= width]
+    return GroebnerBasis(ring, rank - width, kept)
 
-    `_groups`, passed only by `modops._kernel`, labels each generator; a
-    label other than None promises that its generators are already a
-    reduced basis, so no pair forms inside it.  It is not in the key."""
-    gens = [tuple(v) for v in gens]
-    groups = list(_groups or [None] * len(gens))
-    nonzero = {}
-    for v, g in zip(gens, groups):
+
+def _distinct(vectors, ring, rank):
+    """The nonzero vectors, each checked, by `vector_key`, first one kept."""
+    out = {}
+    for v in vectors:
+        v = tuple(v)
         check_vector(v, ring, rank)
         if any(v):
-            nonzero.setdefault(vector_key(v), (v, g))
+            out.setdefault(vector_key(v), v)
+    return out
+
+
+def buchberger(gens, *, ring, rank):
+    """Reduced basis of the submodule of ring^rank the vectors generate,
+    exactly these vectors: no relation of a quotient ring is adjoined."""
+    nonzero = _distinct(gens, ring, rank)
     ckey = (ring.key(), rank, frozenset(nonzero))
     hit = cache.BASES.get(ckey)
     if hit is not None:
         return hit
+    entries = [_entry(_flatten(v), ring.field) for v in nonzero.values()]
+    gb = GroebnerBasis(ring, rank, _reduced(entries, [None] * len(entries), ring.field))
+    cache.BASES.put(ckey, gb)
+    return gb
 
+
+def kernel(rows, seed, relations, s):
+    """The reduced basis of the tails x of the combinations of the rows
+    (image_1 | ... | image_s | x) whose images, of the seed's rank, lie in
+    the submodule the seed bases (Cox, Little & O'Shea, *Using Algebraic
+    Geometry*, ch. 5).  As Singular's `std(G, p)` extends a known basis G,
+    the seed's entries fill each image block and the `relations`, ring
+    elements in a reduced basis, each x component; nothing is stored."""
+    ring, k = seed.ring, seed.rank
     field = ring.field
-    entries = [_entry(_flatten(v), field) for v, _ in nonzero.values()]
-    groups = [g for _, g in nonzero.values()]
+    width, rank = s * k, len(rows[0])
+    entries = [_entry(_flatten(v), field) for v in _distinct(rows, ring, rank).values()]
+    groups = [None] * len(entries)
+    for start in range(0, width, k):
+        entries += [_shift(e, start) for e in seed._entries]
+        groups += [start] * len(seed._entries)
+    for r in relations:
+        e = _entry(_flatten((r,)), field)
+        entries += [_shift(e, c) for c in range(width, rank)]
+        groups += [width] * (rank - width)
+    return _tail(ring, rank, _reduced(entries, groups, field), width)
+
+
+def _reduced(entries, groups, field):
+    """The entries of the reduced basis the monic entries generate, the
+    lists extended in place.  A label other than None in `groups` marks
+    its entries as a reduced basis already: no pair forms inside it."""
     sugars = [max(sum(m) for _, m in e[1]) for e in entries]
 
     # a heap of (sugar, lcm key, pair, lcm term); the chain criterion
@@ -276,18 +307,13 @@ def buchberger(gens, *, ring, rank, _groups=None):
     while heap:
         selected += 1
         if selected > MAX_PAIRS:
-            raise BudgetError(
-                "Buchberger selected more than %d pairs" % MAX_PAIRS
-            )
+            raise BudgetError("Buchberger selected more than %d pairs" % MAX_PAIRS)
         sugar, _, (i, j), lcm_term = heapq.heappop(heap)
         pending.discard((i, j))
         ei, ej = entries[i], entries[j]
         # coprime criterion, safe only in the single-component case
-        if (
-            len(ei[2]) == 1
-            and ei[2] == ej[2]
-            and mono_is_one(mono_gcd(ei[0][1], ej[0][1]))
-        ):
+        one_comp = len(ei[2]) == 1 and ei[2] == ej[2]
+        if one_comp and mono_is_one(mono_gcd(ei[0][1], ej[0][1])):
             continue
         # chain criterion
         skip = False
@@ -316,17 +342,12 @@ def buchberger(gens, *, ring, rank, _groups=None):
     kept = []
     for e in entries:
         lt = e[0]
-        if any(
-            k[0][0] == lt[0] and mono_divides(k[0][1], lt[1]) for k in kept
-        ):
-            continue
-        kept.append(e)
+        if not any(k[0][0] == lt[0] and mono_divides(k[0][1], lt[1]) for k in kept):
+            kept.append(e)
     # tail-reduce each survivor against the others
     final = []
     for idx, e in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
         final.append(_entry(_nf(e[1], others, field), field))
     final.sort(key=lambda e: term_key(e[0]))
-    gb = GroebnerBasis(ring, rank, final)
-    cache.BASES.put(ckey, gb)
-    return gb
+    return final

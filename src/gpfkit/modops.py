@@ -10,17 +10,18 @@ operation taking the quotient as context adds the denominator before
 computing.  Over quotient rings the relation ideal is adjoined in every
 component here, never by `groebner.buchberger`, which bases exactly the
 generators it is given: `Submodule.groebner` adds the relation vectors
-(`relation_vectors`) to the generators, and a kernel holds them in its
-seeded blocks and its x block's relation group.
+(`relation_vectors`) to the generators, a kernel's seed holds them, and
+`_kernel` hands the relation basis to `groebner.kernel` for the x block.
 
 Colon, transporter and intersection share one primitive, `_kernel`: the
 x whose images in rows (image_1 | ... | image_s | x) all lie in a bottom
-submodule, read off one basis under position over term (Greuel &
-Pfister, *A Singular Introduction to Commutative Algebra*, 2.8).  Colon
-by (f_1, ..., f_s) has rows (f_1 m | ... | f_s m | m), intersection
-(n | n), the transporter (B : A) the one row (a_1 | ... | a_s | 1).
-Saturation repeats the colon until it stops growing.  Each result is
-built once, from its basis (`Submodule.of_basis`).
+submodule (Greuel & Pfister, *A Singular Introduction to Commutative
+Algebra*, 2.8): the seed, the cached basis of the bottom with the
+relation vectors, then `groebner.kernel`, which stores no wide basis.
+Colon by (f_1, ..., f_s) has rows (f_1 m | ... | f_s m | m),
+intersection (n | n), the transporter (B : A) the one row (a_1 | ... |
+a_s | 1).  Saturation repeats the colon until it stops growing.
+Each result is built once, from its basis (`Submodule.of_basis`).
 
 Over a ring without relations a submodule of monomial vectors splits
 once by component into monomial ideals I_c (`Submodule.monomial_split`)
@@ -58,7 +59,7 @@ import math
 from . import cache, monomial
 from .arith import mono_key, mono_mul
 from .errors import BudgetError, RingMismatchError
-from .groebner import buchberger, check_vector, monomial_basis, vector_key
+from .groebner import buchberger, check_vector, kernel, monomial_basis, vector_key
 
 log = logging.getLogger("gpfkit")
 
@@ -489,35 +490,13 @@ class QuotientModule:
 
 
 def _kernel(ring, rows, bottom, s, k):
-    """The reduced basis of the tails x of the combinations of the rows
-    (image_1 | ... | image_s | x), images of rank k, whose every image
-    lies in the span of the bottom generators: the basis vectors of the
-    rows and of the bottom placed in each block that vanish on the s k
-    block entries, read off by `GroebnerBasis.tail` (Cox, Little &
-    O'Shea, *Using Algebraic Geometry*, ch. 5).  No rows give the zero
-    submodule of R^k.
-
-    Each block is seeded, as one labelled group, with the reduced basis
-    (usually a cached one) of the bottom and a quotient ring's relation
-    vectors, so no pair forms inside it, as Singular's `std(G, p)`
-    extends a known basis G.  The seed holds the relations even for an
-    empty bottom; the x block gets them as one more group.
-    """
+    """`groebner.kernel` of the rows over the seed, the cached basis of the
+    bottom and the relation vectors (these even for an empty bottom);
+    images have rank k.  No rows give the zero submodule of R^k."""
     if not rows:
         return Submodule.zero(ring, k).groebner()
-    width, rank = s * k, len(rows[0])
-    seed_gens = tuple(bottom) + relation_vectors(ring, k)
-    seed = buchberger(seed_gens, ring=ring, rank=k).vectors
-    zero = ring.zero()
-    work, groups = list(rows), [None] * len(rows)
-    for start in range(0, width, k):
-        pad = (zero,) * (rank - start - k)
-        work += [(zero,) * start + b + pad for b in seed]
-        groups += [start] * len(seed)
-    rel = relation_vectors(ring, rank - width)
-    work += [(zero,) * width + r for r in rel]
-    groups += [width] * len(rel)
-    return buchberger(work, ring=ring, rank=rank, _groups=groups).tail(width)
+    seed = buchberger(tuple(bottom) + relation_vectors(ring, k), ring=ring, rank=k)
+    return kernel(rows, seed, ring.relation_basis() if ring.is_quotient else (), s)
 
 
 def _monomial_parts(*subs):

@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpfkit import cache, primes
+from gpfkit import cache, groebner, modops, primes
 from gpfkit.arith import PolyRing
 from gpfkit.cache import LRU, clear_caches
-from gpfkit.errors import IncompleteRegistryError, RingMismatchError
+from gpfkit.errors import BudgetError, IncompleteRegistryError, RingMismatchError
 from gpfkit.fields import GF, QQ
 from gpfkit.gpf import construct_prime_power
 from gpfkit.groebner import buchberger
@@ -15,6 +15,7 @@ from gpfkit.modops import (
     QuotientModule,
     colon_ideal,
     colon_module,
+    intersect,
     module_scale,
 )
 from gpfkit.primes import (
@@ -419,3 +420,81 @@ def test_equal_keys_over_different_rings_are_different_questions():
     (N, _, M), (_, stranger, _) = operands[0], operands[1]
     with pytest.raises(RingMismatchError):
         colon_module(N, stranger, M)
+
+
+def test_kernels_store_no_wide_basis():
+    """Over a quotient ring a colon, a transporter and an intersection each
+    run one kernel of rank above the operands' rank 2, yet every basis
+    they leave in `BASES` has rank at most 2: the kernel's own basis is
+    not stored, and the colon answers are kept in `RESULTS` alone."""
+    ring = twisted_ring()
+    x, y, z = ring.gens()
+    zero = ring.zero()
+    mod = QuotientModule.free(ring, 2, [(x * x, zero)])
+    N = mod.span(((x * y, z), (zero, y * z)))
+    ideal = Ideal(ring, [x, z])
+    colon = colon_module(N, ideal, mod)
+    transporter = colon_ideal(N, mod.full())
+    intersect(N, mod.span(((z, x),)))
+    assert cache.BASES._data
+    assert all(rank <= 2 for _, rank, _ in cache.BASES._data)
+    assert cache.RESULTS.get(
+        ("colon_module", ring.key(), 2, N.key(), ideal.key(), mod.key())
+    ) is colon
+    assert cache.RESULTS.get(
+        ("colon_ideal", ring.key(), 2, N.key(), mod.full().key())
+    ) is transporter
+
+
+def _smallest_budget(monkeypatch, run):
+    """The smallest `MAX_PAIRS` under which run() from empty tables raises
+    no BudgetError, by bisection: a larger bound admits whatever a smaller
+    one does."""
+    low, high = 0, groebner.MAX_PAIRS
+    while high - low > 1:
+        mid = (low + high) // 2
+        monkeypatch.setattr(groebner, "MAX_PAIRS", mid)
+        clear_caches()
+        try:
+            run()
+        except BudgetError:
+            low = mid
+        else:
+            high = mid
+    monkeypatch.undo()
+    clear_caches()
+    return high
+
+
+def test_the_pair_budget_bounds_a_kernel(monkeypatch):
+    """With `MAX_PAIRS` at the largest count any basis before the kernel
+    needs, below the kernel's own, a twisted-ring colon is refused by its
+    kernel and stores no answer."""
+    ring = twisted_ring()
+    x, _, z = ring.gens()
+    ring.relation_basis()  # kept on the ring, not in the tables
+    M = QuotientModule.of_ring(ring)
+    N = M.span(((z * z * z,),))
+    ideal = Ideal(ring, [x, z])
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    def before_kernel():
+        with monkeypatch.context() as patch:
+            patch.setattr(modops, "kernel", stop)
+            with pytest.raises(Stop):
+                colon_module(N, ideal, M)
+
+    before = _smallest_budget(monkeypatch, before_kernel)
+    whole = _smallest_budget(monkeypatch, lambda: colon_module(N, ideal, M))
+    assert before < whole
+    monkeypatch.setattr(groebner, "MAX_PAIRS", before)
+    clear_caches()
+    message = "Buchberger selected more than %d pairs" % before
+    with pytest.raises(BudgetError, match=message):
+        colon_module(N, ideal, M)
+    assert not [key for key in cache.RESULTS._data if key[0] == "colon_module"]

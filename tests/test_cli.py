@@ -236,12 +236,7 @@ check-iff p^2 * m in M;
 """
 
 
-def test_twisted_cubic_json_bytes_are_pinned(tmp_path, capsys):
-    """The quotient-ring kernel path end to end: reduced inputs, Ass,
-    the factorization and the criterion's failing segment."""
-    assert _run(tmp_path, TWISTED_CUBIC, "--json") == 0
-    out, err = capsys.readouterr()
-    assert err == ""
+def _twisted_cubic_json():
     head = (
         '{"attestations": ["associated primes are relative to the declared '
         'candidate set"], "command": "%s", "inputs": {"module": "free(2) / '
@@ -251,7 +246,7 @@ def test_twisted_cubic_json_bytes_are_pinned(tmp_path, capsys):
         '"submodule": "((x^2, y*w), (x*y, y*w), (w^2, 0), (0, y*w^2), '
         '(0, y*z), (0, x*w))"'
     )
-    assert out.splitlines() == [
+    return [
         head % ("ass", on_N)
         + '{"complete": false, "primes": ["(x, y, z)", "(x, y, z, w)", '
         '"(y, z, w)"]}, "verification": {}}',
@@ -266,6 +261,24 @@ def test_twisted_cubic_json_bytes_are_pinned(tmp_path, capsys):
         '["(x, y, z)", "(x, y, z, w)"], "index": 2, "ok": false, "prime": '
         '"(x, y, z)"}], "verdict": false}, "verification": {}}',
     ]
+
+
+def test_twisted_cubic_json_bytes_are_pinned(tmp_path, capsys):
+    """The quotient-ring kernel path end to end: reduced inputs, Ass,
+    the factorization and the criterion's failing segment."""
+    assert _run(tmp_path, TWISTED_CUBIC, "--json") == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == _twisted_cubic_json()
+
+
+def test_twisted_cubic_json_bytes_over_a_prime_field_are_pinned(tmp_path, capsys):
+    """The same script over F_32003 prints the bytes it prints over QQ:
+    every coefficient of its output is 1."""
+    assert _run(tmp_path, TWISTED_CUBIC, "--json", "--field", "Fp:32003") == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == _twisted_cubic_json()
 
 
 def test_field_override(tmp_path, capsys):

@@ -1,13 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from gpfkit import clear_caches, groebner
 from gpfkit.arith import PolyRing, Polynomial, mono_divides
 from gpfkit.errors import BudgetError, RingMismatchError
-from gpfkit.fields import QQ
+from gpfkit.fields import GF, QQ
 from gpfkit.groebner import buchberger
-from gpfkit.modops import Submodule
+from gpfkit.modops import Ideal, QuotientModule, Submodule, colon_module
 
 from helpers import twisted_ring, xy_ring
 
@@ -136,3 +137,18 @@ def test_pair_budget_refuses_one_pair_more(monkeypatch):
     with pytest.raises(BudgetError, match=message):
         buchberger(gens, ring=ring, rank=1)
     clear_caches()
+
+
+def test_kernel_keeps_the_field_coefficients():
+    """A kernel's entries are shifted with their coefficients as they are,
+    so a colon over a quotient ring holds `Fraction`s over QQ and ints
+    over F_32003, the types the field's own arithmetic returns."""
+    for field, kind in ((QQ, Fraction), (GF(32003), int)):
+        ring = PolyRing(field, ("x", "y", "z"))
+        x, y, z = ring.gens()
+        ring = PolyRing(field, ring.names, relations=(x * y - z * z, x * x - y * z))
+        x, y, z = ring.gens()
+        M = QuotientModule.of_ring(ring)
+        got = colon_module(M.span(((z * z * z - 2 * x,),)), Ideal(ring, [x, z]), M)
+        coeffs = [c for (p,) in got.gens for _, c in p.terms()]
+        assert coeffs and all(type(c) is kind for c in coeffs)
