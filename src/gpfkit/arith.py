@@ -178,9 +178,6 @@ class PolyRing:
             return f
         return self._relation_gb().normal_form((f,))[0]
 
-    def element_equal(self, f, g):
-        return self.reduce(f - g).is_zero()
-
 
 class Polynomial:
     """An immutable polynomial: a map from exponent tuples to coefficients.

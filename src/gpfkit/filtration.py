@@ -53,12 +53,6 @@ class Filtration(Record):
     __slots__ = ("ambient", "base", "steps", "ass_complete", "candidates")
     _defaults = (True, None)
 
-    def modules(self):
-        out = [self.base]
-        for s in self.steps:
-            out.append(s.upper)
-        return out
-
     def primes(self):
         return [s.prime for s in self.steps]
 

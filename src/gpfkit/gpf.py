@@ -97,9 +97,6 @@ class PrimeMultiset:
         hit = self._entries.get(p.key())
         return hit[1] if hit else 0
 
-    def total(self):
-        return sum(r for _, r in self._entries.values())
-
     def key(self):
         return frozenset((k, r) for k, (_, r) in self._entries.items())
 

@@ -28,11 +28,11 @@ does not.  Pairs are discarded by the two classical criteria:
 
 Every basis is computed under grevlex extended position over term
 (`arith.term_key`), so the vectors of a basis that vanish on the leading
-components form a basis of that kernel (`GroebnerBasis.tail`).  Colon,
-intersection and transporter are read off such kernels, which `kernel`
-builds on term maps: each image block and the relations form a labelled
-group, already a reduced basis, inside which no pair is formed, and
-only the tail becomes a basis, which is not stored.
+components form a basis of that kernel.  Colon, intersection and
+transporter are read off such kernels, which `kernel` builds on term
+maps: each image block and the relations form a labelled group, already
+a reduced basis, inside which no pair is formed, and only the kernel's
+entries are minimalized and reduced; the kernel is not stored.
 
 Reduced bases are canonical for a given submodule, so the results of
 `buchberger` are memoized in the bounded `cache.BASES` table, keyed by
@@ -201,12 +201,6 @@ class GroebnerBasis:
         check_vector(v, self.ring, self.rank)
         return not _nf(_flatten(v), self._entries, self.ring.field)
 
-    def tail(self, width):
-        return _tail(self.ring, self.rank, self._entries, width)
-
-    def key(self):
-        return tuple(vector_key(v) for v in self.vectors)
-
 
 def monomial_basis(ring, ideals):
     """The reduced basis of the direct sum of monomial ideals I_c e_c over
@@ -222,13 +216,6 @@ def monomial_basis(ring, ideals):
     ]
     entries.sort(key=lambda e: term_key(e[0]))
     return GroebnerBasis(ring, len(ideals), entries)
-
-
-def _tail(ring, rank, entries, width):
-    """The basis of the vectors vanishing on the first `width` components,
-    those dropped: the entries whose leading component is `width` or more."""
-    kept = [_shift(e, -width) for e in entries if e[0][0] >= width]
-    return GroebnerBasis(ring, rank - width, kept)
 
 
 def _distinct(vectors, ring, rank):
@@ -251,7 +238,8 @@ def buchberger(gens, *, ring, rank):
     if hit is not None:
         return hit
     entries = [_entry(_flatten(v), ring.field) for v in nonzero.values()]
-    gb = GroebnerBasis(ring, rank, _reduced(entries, [None] * len(entries), ring.field))
+    basis = _reduced(entries, [None] * len(entries), ring.field, 0)
+    gb = GroebnerBasis(ring, rank, basis)
     cache.BASES.put(ckey, gb)
     return gb
 
@@ -275,13 +263,18 @@ def kernel(rows, seed, relations, s):
         e = _entry(_flatten((r,)), field)
         entries += [_shift(e, c) for c in range(width, rank)]
         groups += [width] * (rank - width)
-    return _tail(ring, rank, _reduced(entries, groups, field), width)
+    tail = _reduced(entries, groups, field, width)
+    return GroebnerBasis(ring, rank - width, [_shift(e, -width) for e in tail])
 
 
-def _reduced(entries, groups, field):
-    """The entries of the reduced basis the monic entries generate, the
-    lists extended in place.  A label other than None in `groups` marks
-    its entries as a reduced basis already: no pair forms inside it."""
+def _reduced(entries, groups, field, width):
+    """The entries of the reduced basis the monic entries generate whose
+    leading component is `width` or more, the lists extended in place.
+    Under position over term such an entry has no term below `width`, so
+    no dropped entry divides or reduces it: the kept entries are the
+    reduced basis of the vectors vanishing on the first `width`
+    components.  A label other than None in `groups` marks its entries as
+    a reduced basis already: no pair forms inside it."""
     sugars = [max(sum(m) for _, m in e[1]) for e in entries]
 
     # a heap of (sugar, lcm key, pair, lcm term); the chain criterion
@@ -337,10 +330,12 @@ def _reduced(entries, groups, field):
             sugars.append(sugar)
             add_pairs(len(entries) - 1)
 
-    # minimalize: drop entries whose leading term another one divides
-    entries.sort(key=lambda e: term_key(e[0]))
+    # keep the entries from `width` on, then minimalize: drop entries
+    # whose leading term another one divides
+    tail = [e for e in entries if e[0][0] >= width]
+    tail.sort(key=lambda e: term_key(e[0]))
     kept = []
-    for e in entries:
+    for e in tail:
         lt = e[0]
         if not any(k[0][0] == lt[0] and mono_divides(k[0][1], lt[1]) for k in kept):
             kept.append(e)

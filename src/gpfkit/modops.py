@@ -383,10 +383,6 @@ class Submodule:
             return not self.canonical()
         return not any(split)
 
-    def plus(self, other):
-        self._compat(other)
-        return Submodule(self.ring, self.rank, self.gens + other.gens)
-
     def _compat(self, other):
         if self.ring != other.ring or self.rank != other.rank:
             raise RingMismatchError("submodules in different ambients")

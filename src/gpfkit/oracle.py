@@ -724,15 +724,11 @@ _FIXTURES = (
 )
 
 
-def bundled_fixtures():
-    return list(_FIXTURES)
-
-
 def run_fixture_checks():
     """Run every bundled fixture's checks; returns a nested report."""
     report = {"ok": True, "fixtures": []}
     rings = {}
-    for fx in bundled_fixtures():
+    for fx in _FIXTURES:
         ctx = fx.build(rings=rings)
         entry = {"name": fx.name, "ok": True, "checks": []}
         for desc, fn in fx.checks:

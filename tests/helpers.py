@@ -48,6 +48,22 @@ def ideal_sub(ring, *gens):
     return Submodule(ring, 1, [(g,) for g in gens])
 
 
+def submodule_sum(A, B):
+    """A + B for submodules of one ambient: both generator lists."""
+    assert A.ring == B.ring and A.rank == B.rank
+    return Submodule(A.ring, A.rank, A.gens + B.gens)
+
+
+def total_multiplicity(ms):
+    """The number of primes of a prime multiset, with multiplicity."""
+    return sum(r for _, r in ms.entries())
+
+
+def chain_modules(filt):
+    """The modules of a filtration's chain, its base first."""
+    return [filt.base] + [s.upper for s in filt.steps]
+
+
 def random_monomial_sub(rng, module, max_deg=3, max_gens=4):
     """A proper nonzero monomial submodule of the given quotient module."""
     ring = module.ring

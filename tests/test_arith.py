@@ -54,10 +54,9 @@ def test_leading_terms_differ_by_order():
 def test_quotient_reduce_rewrites():
     ring = twisted_ring()
     x, y, z = ring.gen(0), ring.gen(1), ring.gen(2)
-    assert ring.element_equal(x * y, z * z)
-    assert ring.element_equal(x * x, y * z)
-    assert not ring.element_equal(x, y)
     assert ring.reduce(x * y - z * z).is_zero()
+    assert ring.reduce(x * x - y * z).is_zero()
+    assert not ring.reduce(x - y).is_zero()
 
 
 def test_reduce_is_idempotent_on_samples():

@@ -302,7 +302,7 @@ def test_variable_primes_are_built_once_per_ring_and_support(monkeypatch):
     assert [str(p) for p in first] == [str(p) for p in there] == ["(x)", "(x, y)"]
     for p in first + there:
         ref = buchberger([(g,) for g in p.gens], ring=p.ring, rank=1)
-        assert p.as_submodule().groebner().key() == ref.key()
+        assert p.as_submodule().groebner().vectors == ref.vectors
         assert p.attestation == ATTEST_LINEAR
 
 

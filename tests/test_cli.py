@@ -452,6 +452,20 @@ def test_step_budget_refusal_exit_two(tmp_path, capsys, monkeypatch):
     assert _run(tmp_path, CHAIN, "--json") == 0
 
 
+def test_power_over_the_term_bound_exit_two(tmp_path, capsys):
+    """(x+y+z)^1000 is refused by dsl.MAX_TERMS at a partial power of a
+    few thousand terms, within seconds, not after minutes of products."""
+    import time
+
+    start = time.perf_counter()
+    code = _run(tmp_path, "ring R = QQ[x,y,z];\nsubmodule N in R = ((x+y+z)^1000);\n")
+    assert time.perf_counter() - start < 10
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(dsl.MAX_TERMS)" in captured.err
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -213,6 +213,21 @@ def test_parse_field():
         dsl.parse_field("F4")
 
 
+def test_check_iff_is_one_word_only_at_a_word_boundary():
+    """`check-iff` ends at a word boundary: `check-iffp in R;` is the
+    unknown statement `check`, a parse error that exits 1, not
+    `check-iff p in R;`."""
+    text = "ring R = QQ[x]; prime p = (x); check-iffp in R;"
+    with pytest.raises(ParseError, match="unknown statement 'check'"):
+        dsl.parse(text)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["-"]) == 1
+    assert "unknown statement 'check'" in err.getvalue()
+    assert dsl.parse(text.replace("iffp", "iff p")).statements[-1].op == "check-iff"
+
+
 def test_comments_and_whitespace():
     env, commands = _env(
         "ring R = QQ[x]; # trailing comment\n# full line\nass R in R;"
@@ -329,3 +344,17 @@ def test_polynomial_exponent_over_the_bound_is_a_budget_error(monkeypatch):
     assert code == 2
     assert out.getvalue() == ""
     assert "over the bound 2" in err.getvalue()
+
+
+def test_product_over_the_term_bound_is_a_budget_error(monkeypatch):
+    """A power or a product step whose operands' term counts multiply to
+    more than MAX_TERMS fails with BudgetError before it multiplies; the
+    bound itself still evaluates."""
+    monkeypatch.setattr(dsl, "MAX_TERMS", 4)
+    refused = r"product of 3 by 2 terms is over the bound 4 \(dsl\.MAX_TERMS\)"
+    env, _ = _env("ring R = QQ[x,y]; prime p = ((x+y)^2 * x);")
+    assert str(env.names["p"][1]) == "(x^3 + 2*x^2*y + x*y^2)"
+    with pytest.raises(BudgetError, match=refused):
+        _env("ring R = QQ[x,y]; prime p = ((x+y)^3);")
+    with pytest.raises(BudgetError, match=refused):
+        _env("ring R = QQ[x,y]; prime p = ((x+y)^2 * (x+1));")

@@ -13,7 +13,6 @@ from gpfkit.oracle import (
     FiniteModule,
     FiniteRing,
     Subspace,
-    bundled_fixtures,
     ass_bruteforce,
     colon_bruteforce,
     rpe_bruteforce,
@@ -350,7 +349,7 @@ def test_fixture_battery_is_green():
     report = run_fixture_checks()
     assert report["ok"]
     names = [f["name"] for f in report["fixtures"]]
-    assert names == [f.name for f in bundled_fixtures()]
+    assert names == [f.name for f in oracle._FIXTURES]
     assert all(c["ok"] for f in report["fixtures"] for c in f["checks"])
     pairs = [(f["name"], c["check"]) for f in report["fixtures"] for c in f["checks"]]
     assert pairs == BATTERY
