@@ -280,14 +280,6 @@ class Polynomial:
             return self.scale(self.ring.field.from_int(other))
         return NotImplemented
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        out = self.ring.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def scale(self, c):
         field = self.ring.field
         if c == field.zero:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gpfkit.arith import Polynomial
 from gpfkit.cli import main
 
 CHAIN = """
@@ -452,14 +453,21 @@ def test_step_budget_refusal_exit_two(tmp_path, capsys, monkeypatch):
     assert _run(tmp_path, CHAIN, "--json") == 0
 
 
-def test_power_over_the_term_bound_exit_two(tmp_path, capsys):
-    """(x+y+z)^1000 is refused by dsl.MAX_TERMS at a partial power of a
-    few thousand terms, within seconds, not after minutes of products."""
-    import time
+def test_power_over_the_term_bound_exit_two(tmp_path, capsys, monkeypatch):
+    """(x+y+z)^1000 is refused by dsl.MAX_TERMS once the partial power
+    (x+y+z)^81, of 3,403 terms, would be multiplied by 3 more terms:
+    after the 81 products of the power and one per summand, not after
+    the 1000 the exponent asks for."""
+    calls = []
+    multiply = Polynomial.__mul__
 
-    start = time.perf_counter()
+    def counting(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
     code = _run(tmp_path, "ring R = QQ[x,y,z];\nsubmodule N in R = ((x+y+z)^1000);\n")
-    assert time.perf_counter() - start < 10
+    assert 81 <= len(calls) < 100
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""

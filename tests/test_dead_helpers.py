@@ -86,7 +86,8 @@ def test_no_unreferenced_methods():
     benchmark; a reader in the tests does not count, so a method only a
     test calls belongs in the tests.  A bare name such as a parameter or
     local of the same spelling does not count, since a method is only
-    reached as an attribute.  Dunder methods are called by the language.
+    reached as an attribute.  Dunder methods are called by the language,
+    so an operator that only the tests use escapes this check.
 
     The check goes by attribute name, not by class, so it cannot see a
     method whose name the package or the benchmark reads on another

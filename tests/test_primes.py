@@ -98,7 +98,7 @@ ATTESTATION_CASES = [
     ("x-zero-(y)", "xyz", lambda x, y, z: (x,), lambda x, y, z: [y], True),
     ("x-zero-(y,z)", "xyz", lambda x, y, z: (x,), lambda x, y, z: [y, z], True),
     ("unit", "xy", None, lambda x, y: [x, y - 1, x + 1], False),
-    ("xy-cusp", "xy", lambda x, y: (x * y,), lambda x, y: [x - y**2], False),
+    ("xy-cusp", "xy", lambda x, y: (x * y,), lambda x, y: [x - y * y], False),
     ("xy-(x^2)", "xy", lambda x, y: (x * y,), lambda x, y: [x * x], False),
     ("xy-(xy)", "xy", lambda x, y: (x * y,), lambda x, y: [x * y], False),
     ("xy-(0)", "xy", lambda x, y: (x * y,), lambda x, y: [], False),
